@@ -342,7 +342,7 @@ func benchmarks() []namedBench {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dem.ScanBatch(scanSig, 0, 0, nSyms, centers, 2, scanOut, nSyms)
+				dem.ScanBatch(scanSig, 0, 0, nSyms, centers, 2, scanOut, nSyms, nil)
 			}
 		},
 	})

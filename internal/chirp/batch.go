@@ -46,8 +46,9 @@ func (d *Demodulator) growBatch(nSyms int) {
 // index start) into the planar scratch prefixes and runs the batched
 // pruned transform over them. Only the first N entries of each
 // padN-long stride are written — the pruned transform treats the tail
-// as zero without reading it.
-func (d *Demodulator) dechirpTile(sig []complex128, start, firstSym, count int) {
+// as zero without reading it. Only plan's bins of the transform are
+// guaranteed (nil: every bin).
+func (d *Demodulator) dechirpTile(sig []complex128, start, firstSym, count int, plan *dsp.BinPlan) {
 	n := d.p.N()
 	padN := len(d.padBuf)
 	down := d.down
@@ -57,35 +58,19 @@ func (d *Demodulator) dechirpTile(sig []complex128, start, firstSym, count int) 
 		im := d.batchIm[s*padN : s*padN+n]
 		dsp.Dechirp(re, im, sym, down[:n])
 	}
-	d.batchPlan().ForwardBatch(d.batchRe, d.batchIm, count)
+	d.batchPlan().ForwardBatch(d.batchRe, d.batchIm, count, plan)
 }
 
-// SpectraBatch computes the power spectra of nSyms consecutive symbols
-// of sig beginning at sample index start through the planar batch
-// pipeline, returning one PaddedBins()-long slice per symbol. Spectra
-// live in the same reused arena as Spectra (valid until the next
-// Spectra/SpectraBatch call) and are bit-identical to what Spectrum
-// produces symbol by symbol.
-func (d *Demodulator) SpectraBatch(sig []complex128, start, nSyms int) [][]float64 {
-	m := len(d.padBuf)
-	if cap(d.arena) < nSyms*m {
-		d.arena = make([]float64, nSyms*m)
-		d.arenaOuts = make([][]float64, 0, nSyms)
-	}
-	d.arena = d.arena[:nSyms*m]
-	d.arenaOuts = d.arenaOuts[:0]
-	d.SpectraBatchInto(d.arena, sig, start, nSyms)
-	for s := 0; s < nSyms; s++ {
-		d.arenaOuts = append(d.arenaOuts, d.arena[s*m:(s+1)*m])
-	}
-	return d.arenaOuts
-}
-
-// SpectraBatchInto is SpectraBatch writing the nSyms power spectra into
-// caller-owned storage (len(dst) >= nSyms·PaddedBins()) — the parallel
-// decoder's workers fill disjoint sections of one shared arena, a whole
-// symbol batch per work item.
-func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, nSyms int) {
+// SpectraBatchInto computes the power spectra of nSyms consecutive
+// symbols of sig beginning at sample index start through the planar
+// batch pipeline, writing symbol s's spectrum into
+// dst[s·PaddedBins() : (s+1)·PaddedBins()] (len(dst) >= nSyms·
+// PaddedBins()). Every bin of plan (nil: every bin) is bit-identical to
+// what Spectrum produces symbol by symbol; bins outside the plan are
+// left unspecified, neither transformed nor squared. The decoders'
+// workers fill disjoint sections of one shared arena, a whole symbol
+// batch per work item.
+func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, nSyms int, plan *dsp.BinPlan) {
 	n := d.p.N()
 	padN := len(d.padBuf)
 	if start < 0 || start+nSyms*n > len(sig) {
@@ -98,9 +83,9 @@ func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, n
 	d.growBatch(min(nSyms, batchTile))
 	for lo := 0; lo < nSyms; lo += batchTile {
 		count := min(batchTile, nSyms-lo)
-		d.dechirpTile(sig, start, lo, count)
+		d.dechirpTile(sig, start, lo, count, plan)
 		for s := 0; s < count; s++ {
-			dsp.PowerSpectrumPlanar(dst[(lo+s)*padN:(lo+s+1)*padN],
+			plan.PowerSpectrum(dst[(lo+s)*padN:(lo+s+1)*padN],
 				d.batchRe[s*padN:(s+1)*padN], d.batchIm[s*padN:(s+1)*padN])
 		}
 	}
@@ -114,8 +99,10 @@ func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, n
 // directly into the decoder's power arena, with no intermediate power
 // spectrum ever materialized (window powers are read straight off the
 // planar transform). Negative centers skip their candidate, leaving the
-// arena untouched, exactly like ScanPaddedCenters.
-func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, centers []int, half int, out []float64, stride int) {
+// arena untouched, exactly like ScanPaddedCenters. plan (nil: every
+// bin) must hold every scanned window; the transform only guarantees
+// its bins.
+func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, centers []int, half int, out []float64, stride int, plan *dsp.BinPlan) {
 	n := d.p.N()
 	padN := len(d.padBuf)
 	if start < 0 || start+(firstSym+nSyms)*n > len(sig) {
@@ -125,7 +112,7 @@ func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, ce
 	d.growBatch(min(nSyms, batchTile))
 	for lo := 0; lo < nSyms; lo += batchTile {
 		count := min(batchTile, nSyms-lo)
-		d.dechirpTile(sig, start, firstSym+lo, count)
+		d.dechirpTile(sig, start, firstSym+lo, count, plan)
 		for s := 0; s < count; s++ {
 			re := d.batchRe[s*padN : (s+1)*padN]
 			im := d.batchIm[s*padN : (s+1)*padN]
@@ -142,14 +129,15 @@ func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, ce
 
 // ScanBatchEmit is ScanBatch with the power spectra kept: besides the
 // fused dechirp+FFT+window scan, the power spectrum of symbol column
-// col = firstSym+lo+s is materialized into
+// col = firstSym+lo+s is materialized at plan's bins into
 // emit[col·PaddedBins() : (col+1)·PaddedBins()] through the same
-// dsp.PowerSpectrumPlanar kernel SpectraBatchInto uses, so the emitted
-// rows are bit-identical to the spectra the fused kernel would
-// otherwise discard. The scan output in out is untouched relative to
-// ScanBatch; emitting is a pure by-product. The soft cross-AP combiner
-// sums emitted arenas across APs before one combined decode.
-func (d *Demodulator) ScanBatchEmit(sig []complex128, start, firstSym, nSyms int, centers []int, half int, out []float64, stride int, emit []float64) {
+// planned power pass SpectraBatchInto uses, so the emitted plan bins
+// are bit-identical to the spectra the fused kernel would otherwise
+// discard; bins outside the plan are left unspecified. The scan output
+// in out is untouched relative to ScanBatch; emitting is a pure
+// by-product. The soft cross-AP combiner sums emitted arenas across
+// APs before one combined decode.
+func (d *Demodulator) ScanBatchEmit(sig []complex128, start, firstSym, nSyms int, centers []int, half int, out []float64, stride int, emit []float64, plan *dsp.BinPlan) {
 	n := d.p.N()
 	padN := len(d.padBuf)
 	if start < 0 || start+(firstSym+nSyms)*n > len(sig) {
@@ -162,12 +150,12 @@ func (d *Demodulator) ScanBatchEmit(sig []complex128, start, firstSym, nSyms int
 	d.growBatch(min(nSyms, batchTile))
 	for lo := 0; lo < nSyms; lo += batchTile {
 		count := min(batchTile, nSyms-lo)
-		d.dechirpTile(sig, start, firstSym+lo, count)
+		d.dechirpTile(sig, start, firstSym+lo, count, plan)
 		for s := 0; s < count; s++ {
 			re := d.batchRe[s*padN : (s+1)*padN]
 			im := d.batchIm[s*padN : (s+1)*padN]
 			col := firstSym + lo + s
-			dsp.PowerSpectrumPlanar(emit[col*padN:(col+1)*padN], re, im)
+			plan.PowerSpectrum(emit[col*padN:(col+1)*padN], re, im)
 			for i, c := range centers {
 				if c < 0 {
 					continue

@@ -26,9 +26,25 @@ func batchTestSignal(p Params, nSyms int, seed int64) []complex128 {
 	return sig
 }
 
+// windowPlan is the bin plan of ±half windows around the non-negative
+// centres.
+func windowPlan(bins int, centers []int, half int) *dsp.BinPlan {
+	var live []int
+	for _, c := range centers {
+		if c >= 0 {
+			live = append(live, c)
+		}
+	}
+	plan := new(dsp.BinPlan)
+	plan.SetWindows(bins, live, half)
+	return plan
+}
+
 // TestSpectraBatchBitExact requires the planar batch spectra to be
 // bit-identical to the single-symbol Spectrum oracle across SF and
-// zero-pad combinations, including tiles larger than one batch pass.
+// zero-pad combinations, including tiles larger than one batch pass —
+// at every bin without a plan, and at every plan bin with a window
+// plan (which prunes the last butterfly pass at SF 9 / zero-pad 8).
 func TestSpectraBatchBitExact(t *testing.T) {
 	for _, sf := range []int{7, 9} {
 		for _, zp := range []int{1, 2, 8} {
@@ -40,15 +56,16 @@ func TestSpectraBatchBitExact(t *testing.T) {
 
 				dem := NewDemodulator(p, zp)
 				oracle := NewDemodulator(p, zp)
-				specs := dem.SpectraBatch(sig, 3, nSyms)
-				if len(specs) != nSyms {
-					t.Fatalf("got %d spectra, want %d", len(specs), nSyms)
-				}
-				for s := 0; s < nSyms; s++ {
-					want := oracle.Spectrum(sig[3+s*n : 3+(s+1)*n])
-					for k := range want {
-						if specs[s][k] != want[k] {
-							t.Fatalf("symbol %d bin %d: batch %g != oracle %g", s, k, specs[s][k], want[k])
+				bins := dem.PaddedBins()
+				for _, plan := range []*dsp.BinPlan{nil, windowPlan(bins, []int{1, bins / 3, bins - 2}, 5*zp)} {
+					specs := make([]float64, nSyms*bins)
+					dem.SpectraBatchInto(specs, sig, 3, nSyms, plan)
+					for s := 0; s < nSyms; s++ {
+						want := oracle.Spectrum(sig[3+s*n : 3+(s+1)*n])
+						for k := range want {
+							if plan.Contains(k) && specs[s*bins+k] != want[k] {
+								t.Fatalf("full=%v symbol %d bin %d: batch %g != oracle %g", plan.Full(), s, k, specs[s*bins+k], want[k])
+							}
 						}
 					}
 				}
@@ -57,7 +74,7 @@ func TestSpectraBatchBitExact(t *testing.T) {
 	}
 }
 
-// TestSpectraBatchMatchesSpectra checks the batch arena path against the
+// TestSpectraBatchMatchesSpectra checks the batch path against the
 // existing complex-path Spectra API (same arena layout, same values).
 func TestSpectraBatchMatchesSpectra(t *testing.T) {
 	p := Params{SF: 8, BW: 250e3, Oversample: 1}
@@ -66,12 +83,14 @@ func TestSpectraBatchMatchesSpectra(t *testing.T) {
 
 	a := NewDemodulator(p, 4)
 	b := NewDemodulator(p, 4)
-	batch := a.SpectraBatch(sig, 0, nSyms)
+	bins := a.PaddedBins()
+	batch := make([]float64, nSyms*bins)
+	a.SpectraBatchInto(batch, sig, 0, nSyms, nil)
 	serial := b.Spectra(sig, 0, nSyms)
 	for s := range serial {
 		for k := range serial[s] {
-			if batch[s][k] != serial[s][k] {
-				t.Fatalf("symbol %d bin %d: %g != %g", s, k, batch[s][k], serial[s][k])
+			if batch[s*bins+k] != serial[s][k] {
+				t.Fatalf("symbol %d bin %d: %g != %g", s, k, batch[s*bins+k], serial[s][k])
 			}
 		}
 	}
@@ -83,12 +102,17 @@ func TestSpectraBatchMatchesSpectra(t *testing.T) {
 // negative centers — across zero-pad factors and window widths,
 // including windows that straddle the circular boundary.
 func TestScanBatchBitExact(t *testing.T) {
-	for _, zp := range []int{1, 8} {
+	for _, tc := range []struct{ sf, zp int }{{7, 1}, {7, 8}, {9, 8}} {
 		for _, half := range []int{0, 2, 7} {
-			t.Run(fmt.Sprintf("zeropad=%d/half=%d", zp, half), func(t *testing.T) {
-				p := Params{SF: 7, BW: 125e3, Oversample: 1}
+			sf, zp := tc.sf, tc.zp
+			name := fmt.Sprintf("zeropad=%d/half=%d", zp, half)
+			if sf != 7 {
+				name = fmt.Sprintf("sf=%d/%s", sf, name)
+			}
+			t.Run(name, func(t *testing.T) {
+				p := Params{SF: sf, BW: 125e3, Oversample: 1}
 				const nSyms = 10
-				sig := batchTestSignal(p, nSyms, int64(zp*10+half))
+				sig := batchTestSignal(p, nSyms, int64(sf*100+zp*10+half))
 				n := p.N()
 
 				dem := NewDemodulator(p, zp)
@@ -98,15 +122,10 @@ func TestScanBatchBitExact(t *testing.T) {
 				const stride = nSyms + 3
 
 				sentinel := -123.456
-				got := make([]float64, len(centers)*stride)
 				want := make([]float64, len(centers)*stride)
-				for i := range got {
-					got[i] = sentinel
+				for i := range want {
 					want[i] = sentinel
 				}
-
-				dem.ScanBatch(sig, 2, 0, nSyms, centers, half, got, stride)
-
 				scan := make([]float64, len(centers))
 				for s := 0; s < nSyms; s++ {
 					spec := oracle.Spectrum(sig[2+s*n : 2+(s+1)*n])
@@ -117,9 +136,19 @@ func TestScanBatchBitExact(t *testing.T) {
 						}
 					}
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("arena cell %d: batch %g != oracle %g", i, got[i], want[i])
+				// Without a plan, and with the plan of exactly the
+				// scanned windows (the last butterfly pass then runs
+				// only their groups).
+				for _, plan := range []*dsp.BinPlan{nil, windowPlan(bins, centers, half)} {
+					got := make([]float64, len(centers)*stride)
+					for i := range got {
+						got[i] = sentinel
+					}
+					dem.ScanBatch(sig, 2, 0, nSyms, centers, half, got, stride, plan)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("full=%v arena cell %d: batch %g != oracle %g", plan.Full(), i, got[i], want[i])
+						}
 					}
 				}
 			})
@@ -141,10 +170,10 @@ func TestScanBatchOffsetColumns(t *testing.T) {
 
 	a := make([]float64, len(centers)*nSyms)
 	b := make([]float64, len(centers)*nSyms)
-	whole.ScanBatch(sig, 0, 0, nSyms, centers, 3, a, nSyms)
+	whole.ScanBatch(sig, 0, 0, nSyms, centers, 3, a, nSyms, nil)
 	// Same symbols, scanned as two separate batches with symbol offsets.
-	split.ScanBatch(sig, 0, 0, 4, centers, 3, b, nSyms)
-	split.ScanBatch(sig, 0, 4, nSyms-4, centers, 3, b, nSyms)
+	split.ScanBatch(sig, 0, 0, 4, centers, 3, b, nSyms, nil)
+	split.ScanBatch(sig, 0, 4, nSyms-4, centers, 3, b, nSyms, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("cell %d: whole-batch %g != split-batch %g", i, a[i], b[i])
@@ -165,6 +194,6 @@ func BenchmarkScanBatch48(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dem.ScanBatch(sig, 0, 0, nSyms, centers, 2, out, nSyms)
+		dem.ScanBatch(sig, 0, 0, nSyms, centers, 2, out, nSyms, nil)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"netscatter/internal/chirp"
 	"netscatter/internal/dsp"
@@ -157,10 +158,20 @@ type Decoder struct {
 	// fixed order, bit-identical to the serial path.
 	noisePerSym [PreambleUpSymbols]float64
 
-	// emitSpec holds per-preamble-symbol views into a caller's emitted
-	// spectra arena (DecodeFrameEmit / DecodeFrameSpectra); a fixed-size
-	// array of reslices so repointing it each call allocates nothing.
-	emitSpec [PreambleUpSymbols][]float64
+	// preSpec holds per-preamble-symbol views into the preamble spectra
+	// of the call in flight: preArena on DecodeFrame, the leading rows
+	// of the caller's arena on DecodeFrameEmit / DecodeFrameSpectra. A
+	// fixed-size array of reslices, so repointing it allocates nothing.
+	preArena []float64
+	preSpec  [PreambleUpSymbols][]float64
+
+	// plan is the window plan (WindowPlan) of the candidate set planFor,
+	// rebuilt only when a call brings a different set; planCenters is
+	// its build scratch.
+	plan        dsp.BinPlan
+	planFor     []int
+	planOK      bool
+	planCenters []int
 
 	// result arenas, reused across calls
 	res     FrameDecode
@@ -196,39 +207,48 @@ func (d *Decoder) Demodulator() *chirp.Demodulator { return d.dem }
 // the next DecodeFrame call.
 //
 // The number crunching runs through the batched planar front-end
-// (chirp.SpectraBatch / chirp.ScanBatch): whole symbol runs are
+// (chirp.SpectraBatchInto / chirp.ScanBatch): whole symbol runs are
 // dechirped and transformed per pre-planned pass, and payload peak
 // powers are written straight into the decoder's candidate-major power
-// arena without materializing per-symbol spectra. The output is
-// bit-identical to DecodeFrameOracle, the retained single-symbol path —
-// a property the test suite enforces.
+// arena without materializing per-symbol spectra. Transforms and power
+// passes only produce the candidate set's window plan (WindowPlan).
+// The output is bit-identical to DecodeFrameOracle, the retained
+// single-symbol path — a property the test suite enforces.
 func (d *Decoder) DecodeFrame(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
+	return d.decodeSignal(sig, start, shifts, payloadBits, nil)
+}
+
+// decodeSignal is DecodeFrame, emitting the decode's power spectra into
+// emit (DecodeFrameEmit) when emit is non-nil.
+func (d *Decoder) decodeSignal(sig []complex128, start int, shifts []int, payloadBits int, emit []float64) (*FrameDecode, error) {
 	if err := d.begin(sig, start, shifts, payloadBits); err != nil {
 		return nil, err
 	}
 	n := d.book.Params().N()
 
 	// Pass 1: preamble upchirps — the whole run of spectra in one batch
-	// into the demodulator's arena, per-symbol noise quantiles, then
+	// into the preamble rows, per-symbol noise estimates, then
 	// candidate statistics and detection.
-	specs := d.dem.SpectraBatch(sig, start, PreambleUpSymbols)
-	for sym, spec := range specs {
-		if d.cfg.NoiseFloor > 0 {
-			d.noisePerSym[sym] = d.cfg.NoiseFloor
-		} else {
-			d.noisePerSym[sym], d.quantBuf = noiseQuantile(d.quantBuf, spec)
-		}
+	d.dem.SpectraBatchInto(d.preambleRows(emit), sig, start, PreambleUpSymbols, &d.plan)
+	for sym, spec := range d.preSpec {
+		d.noisePerSym[sym], d.quantBuf = d.symbolNoise(d.quantBuf, spec, 1)
 	}
 	noise := d.reduceNoise()
-	d.accumPreamble(specs, shifts, noise)
+	d.accumPreamble(d.preSpec[:], shifts, noise)
 
 	// Pass 2: payload symbols, fused — dechirp, pruned planar FFT and
 	// candidate window scan in one kernel, peak powers landing directly
-	// in the candidate-major power arena. The two preamble downchirps
-	// are skipped — they exist for packet-start estimation (sync.go).
+	// in the candidate-major power arena (and each symbol's power
+	// spectrum in its emit row). The two preamble downchirps are
+	// skipped — they exist for packet-start estimation (sync.go).
 	d.preparePayload(payloadBits)
 	payloadStart := start + PreambleSymbols*n
-	d.dem.ScanBatch(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits)
+	if emit != nil {
+		d.dem.ScanBatchEmit(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits,
+			emit[PreambleUpSymbols*d.dem.PaddedBins():], &d.plan)
+	} else {
+		d.dem.ScanBatch(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits, &d.plan)
+	}
 
 	d.finish(noise, payloadBits)
 	d.rejectGhosts(d.devices)
@@ -249,11 +269,7 @@ func (d *Decoder) DecodeFrameOracle(sig []complex128, start int, shifts []int, p
 
 	specs := d.dem.Spectra(sig, start, PreambleUpSymbols)
 	for sym, spec := range specs {
-		if d.cfg.NoiseFloor > 0 {
-			d.noisePerSym[sym] = d.cfg.NoiseFloor
-		} else {
-			d.noisePerSym[sym], d.quantBuf = noiseQuantile(d.quantBuf, spec)
-		}
+		d.noisePerSym[sym], d.quantBuf = d.symbolNoise(d.quantBuf, spec, 1)
 	}
 	noise := d.reduceNoise()
 	d.accumPreamble(specs, shifts, noise)
@@ -290,47 +306,26 @@ func (d *Decoder) EmitLen(payloadBits int) int {
 	return EmitRows(payloadBits) * d.dem.PaddedBins()
 }
 
-// DecodeFrameEmit is DecodeFrame that additionally materializes every
-// decode-relevant power spectrum into emit (layout per EmitLen): the
-// six preamble upchirp spectra followed by one row per payload symbol.
-// The decode outcome is bit-identical to DecodeFrame — the preamble
-// rows are the exact arena SpectraBatch fills, and the payload scan
-// runs through chirp.ScanBatchEmit, whose scan output is untouched by
-// the emission. The emitted rows are what the soft cross-AP combiner
-// sums across APs before a single DecodeFrameSpectra pass.
+// DecodeFrameEmit is DecodeFrame that additionally materializes the
+// decode's power spectra into emit (layout per EmitLen): the six
+// preamble upchirp spectra followed by one row per payload symbol. The
+// decode outcome is bit-identical to DecodeFrame — the preamble rows
+// are the arena the preamble batch fills, and the payload scan runs
+// through chirp.ScanBatchEmit, whose scan output is untouched by the
+// emission. The emitted rows are what the soft cross-AP combiner sums
+// across APs before a single DecodeFrameSpectra pass.
+//
+// Only the bins of the candidate set's window plan (WindowPlan) are
+// written. With a calibrated noise floor (NoiseFloor > 0), arena bins
+// outside the plan are unspecified: they keep whatever the arena held.
+// Every bin a DecodeFrameSpectra pass over the same candidate set
+// reads lies inside the plan. With NoiseFloor <= 0 the plan is the
+// whole row and every bin is written.
 func (d *Decoder) DecodeFrameEmit(sig []complex128, start int, shifts []int, payloadBits int, emit []float64) (*FrameDecode, error) {
-	if err := d.begin(sig, start, shifts, payloadBits); err != nil {
-		return nil, err
-	}
 	if len(emit) < d.EmitLen(payloadBits) {
 		return nil, fmt.Errorf("core: emit arena length %d, want at least %d", len(emit), d.EmitLen(payloadBits))
 	}
-	n := d.book.Params().N()
-	bins := d.dem.PaddedBins()
-
-	// Pass 1: preamble upchirp spectra batched straight into the emit
-	// arena's leading rows (instead of the demodulator's private arena).
-	d.dem.SpectraBatchInto(emit[:PreambleUpSymbols*bins], sig, start, PreambleUpSymbols)
-	for sym := range d.emitSpec {
-		d.emitSpec[sym] = emit[sym*bins : (sym+1)*bins]
-		if d.cfg.NoiseFloor > 0 {
-			d.noisePerSym[sym] = d.cfg.NoiseFloor
-		} else {
-			d.noisePerSym[sym], d.quantBuf = noiseQuantile(d.quantBuf, d.emitSpec[sym])
-		}
-	}
-	noise := d.reduceNoise()
-	d.accumPreamble(d.emitSpec[:], shifts, noise)
-
-	// Pass 2: fused payload scan, with each symbol's power spectrum
-	// emitted into its arena row on the way through.
-	d.preparePayload(payloadBits)
-	payloadStart := start + PreambleSymbols*n
-	d.dem.ScanBatchEmit(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits, emit[PreambleUpSymbols*bins:])
-
-	d.finish(noise, payloadBits)
-	d.rejectGhosts(d.devices)
-	return &d.res, nil
+	return d.decodeSignal(sig, start, shifts, payloadBits, emit)
 }
 
 // DecodeFrameSpectra decodes a frame from materialized power-spectrum
@@ -359,16 +354,12 @@ func (d *Decoder) DecodeFrameSpectra(spectra []float64, nSummed int, shifts []in
 	bins := d.dem.PaddedBins()
 	d.beginFrame(0, shifts, payloadBits, 0)
 
-	for sym := range d.emitSpec {
-		d.emitSpec[sym] = spectra[sym*bins : (sym+1)*bins]
-		if d.cfg.NoiseFloor > 0 {
-			d.noisePerSym[sym] = d.cfg.NoiseFloor * float64(nSummed)
-		} else {
-			d.noisePerSym[sym], d.quantBuf = noiseQuantile(d.quantBuf, d.emitSpec[sym])
-		}
+	d.preambleRows(spectra)
+	for sym, spec := range d.preSpec {
+		d.noisePerSym[sym], d.quantBuf = d.symbolNoise(d.quantBuf, spec, nSummed)
 	}
 	noise := d.reduceNoise()
-	d.accumPreamble(d.emitSpec[:], shifts, noise)
+	d.accumPreamble(d.preSpec[:], shifts, noise)
 
 	d.preparePayload(payloadBits)
 	halfIdx := d.trackHalf()
@@ -405,6 +396,7 @@ func (d *Decoder) begin(sig []complex128, start int, shifts []int, payloadBits i
 // dechirped symbol on the signal paths, zero on the spectra path
 // (which reuses transforms its inputs already paid for).
 func (d *Decoder) beginFrame(start int, shifts []int, payloadBits, ffts int) {
+	d.WindowPlan(shifts)
 	d.grow(len(shifts), payloadBits)
 	for i, s := range shifts {
 		d.devices[i] = DeviceDecode{Shift: s}
@@ -419,6 +411,66 @@ func (d *Decoder) beginFrame(start int, shifts []int, payloadBits, ffts int) {
 		// independent of the candidate count (§3.1).
 		FFTs: ffts,
 	}
+}
+
+// WindowPlan returns the padded-bin window plan of a candidate set:
+// the union of the circular windows [c−R, c+R] around each candidate's
+// padded centre c, with R = G + trackHalf() and G = int(GuardBins·
+// ZeroPad). It holds every bin a decode of the set reads: the preamble
+// scan reads [c−G, c+G]; a detected candidate's payload centre is its
+// power-weighted mean preamble peak position, which lies in that same
+// window, so the payload scan's ±trackHalf() window lies within R of
+// c. With NoiseFloor <= 0 the plan is the whole row, because the
+// quantile noise estimate reads whole spectra.
+//
+// The plan is built once per candidate set: calls with the set the
+// decoder last planned return it as is. It is valid until a call (this
+// or any decode) brings a different set.
+func (d *Decoder) WindowPlan(shifts []int) *dsp.BinPlan {
+	if d.planOK && slices.Equal(d.planFor, shifts) {
+		return &d.plan
+	}
+	d.planFor = append(d.planFor[:0], shifts...)
+	d.planOK = true
+	bins := d.dem.PaddedBins()
+	r := int(d.cfg.GuardBins*float64(d.dem.ZeroPad())) + d.trackHalf()
+	if d.cfg.NoiseFloor <= 0 || r < 0 {
+		d.plan.SetFull(bins)
+		return &d.plan
+	}
+	d.planCenters = d.planCenters[:0]
+	for _, s := range shifts {
+		d.planCenters = append(d.planCenters, d.dem.PaddedIndexOf(s))
+	}
+	d.plan.SetWindows(bins, d.planCenters, r)
+	return &d.plan
+}
+
+// preambleRows points preSpec at the six preamble rows of arena — the
+// decoder's own preamble arena when arena is nil — and returns them.
+func (d *Decoder) preambleRows(arena []float64) []float64 {
+	bins := d.dem.PaddedBins()
+	if arena == nil {
+		if d.preArena == nil {
+			d.preArena = make([]float64, PreambleUpSymbols*bins)
+		}
+		arena = d.preArena
+	}
+	for sym := range d.preSpec {
+		d.preSpec[sym] = arena[sym*bins : (sym+1)*bins]
+	}
+	return arena[:PreambleUpSymbols*bins]
+}
+
+// symbolNoise is one preamble symbol's noise-floor estimate: the
+// calibrated floor times the nSummed spectra summed into spec (their
+// independent noise powers add), or else the lower-quartile estimate
+// from spec itself, using buf as scratch (grown and returned).
+func (d *Decoder) symbolNoise(buf, spec []float64, nSummed int) (float64, []float64) {
+	if d.cfg.NoiseFloor > 0 {
+		return d.cfg.NoiseFloor * float64(nSummed), buf
+	}
+	return noiseQuantile(buf, spec)
 }
 
 // accumPreamble folds the preamble spectra into per-candidate peak

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"netscatter/internal/air"
 	"netscatter/internal/chirp"
+	"netscatter/internal/dsp"
 )
 
 // TestDecodeFrameEmitMatchesDecodeFrameRace pins the emit mode's core
@@ -152,4 +155,180 @@ func TestDecodeFrameSpectraErrors(t *testing.T) {
 	if _, err := dec.DecodeFrameEmit(nil, 0, shifts, 8, make([]float64, dec.EmitLen(8))); err == nil {
 		t.Fatal("emit with empty signal accepted")
 	}
+}
+
+// naiveEmit materializes the full DecodeFrameEmit layout of a signal
+// through the single-symbol Spectrum path: every bin of every row.
+func naiveEmit(p chirp.Params, zeroPad int, sig []complex128, payloadBits int) []float64 {
+	dem := chirp.NewDemodulator(p, zeroPad)
+	n := p.N()
+	bins := dem.PaddedBins()
+	out := make([]float64, EmitRows(payloadBits)*bins)
+	for row := 0; row < EmitRows(payloadBits); row++ {
+		at := row * n
+		if row >= PreambleUpSymbols {
+			at = (PreambleSymbols + row - PreambleUpSymbols) * n
+		}
+		copy(out[row*bins:(row+1)*bins], dem.Spectrum(sig[at:at+n]))
+	}
+	return out
+}
+
+// TestDecodeFrameSpectraWindowedSumMatchesFullSum pins the soft
+// arena contract across the decodeConfigs matrix in both noise-floor
+// modes: two APs' emitted arenas summed over the window plan only
+// (bins outside it hold stale garbage) agree with the naive full sum
+// at every plan bin, and DecodeFrameSpectra over the windowed sum
+// equals DecodeFrameSpectra over the naive full sum.
+func TestDecodeFrameSpectraWindowedSumMatchesFullSum(t *testing.T) {
+	for ci, tc := range decodeConfigs {
+		book, sigA, shifts, bitsLen := buildConcurrentFrame(t, tc.p, tc.skip, 24, int64(6000+ci))
+		_, sigB, _, _ := buildConcurrentFrame(t, tc.p, tc.skip, 24, int64(7000+ci))
+		for _, floor := range noiseFloors(tc.p, tc.noiseFloor) {
+			t.Run(fmt.Sprintf("sf=%d/skip=%d/zeropad=%d/noisefloor=%g", tc.p.SF, tc.skip, tc.zeroPad, floor), func(t *testing.T) {
+				cfg := DefaultDecoderConfig(tc.skip)
+				cfg.ZeroPad = tc.zeroPad
+				cfg.NoiseFloor = floor
+
+				emitter := NewParallelDecoder(book, cfg, 2)
+				emitLen := emitter.Serial().EmitLen(bitsLen)
+				full := make([]float64, emitLen)
+				windowed := make([]float64, emitLen)
+				for i := range windowed {
+					windowed[i] = math.Inf(1) // a read outside the plan would win its window
+				}
+				comb := NewDecoder(book, cfg)
+				plan := comb.WindowPlan(shifts)
+				for ap, sig := range [][]complex128{sigA, sigB} {
+					emit := make([]float64, emitLen)
+					if _, err := emitter.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit); err != nil {
+						t.Fatal(err)
+					}
+					naive := naiveEmit(tc.p, tc.zeroPad, sig, bitsLen)
+					if ap == 0 {
+						plan.CopyRows(windowed, emit)
+						copy(full, naive)
+					} else {
+						plan.AddRows(windowed, emit)
+						for i, v := range naive {
+							full[i] += v
+						}
+					}
+				}
+				bins := emitter.Serial().Demodulator().PaddedBins()
+				for i := range full {
+					if plan.Contains(i%bins) && windowed[i] != full[i] {
+						t.Fatalf("plan bin %d: windowed sum %v, full sum %v", i, windowed[i], full[i])
+					}
+				}
+
+				res, err := comb.DecodeFrameSpectra(windowed, 2, shifts, bitsLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := snapshotDecode(res)
+				ref, err := NewDecoder(book, cfg).DecodeFrameSpectra(full, 2, shifts, bitsLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := snapshotDecode(ref); !reflect.DeepEqual(got, want) {
+					t.Fatalf("decode of the windowed sum diverges from the full sum:\n got %+v\nwant %+v", got, want)
+				}
+				if got.DetectedCount() == 0 {
+					t.Fatal("combined decode detected no devices; test inputs are too hard")
+				}
+			})
+		}
+	}
+}
+
+// TestWindowPlanCoversEdgeTrackWindows decodes devices whose carrier
+// offsets (±0.85 bin) put their payload track windows past the
+// preamble guard window: the payload centre sits 7 padded bins from
+// the assigned bin, so the ±2-bin track window reaches 9 bins out,
+// beyond the 8-bin guard, into the plan's extra trackHalf() margin.
+// With a calibrated floor every decode path must still equal the
+// oracle, and the spectra decode of an arena holding only plan bins
+// (every other bin +Inf, which would win any window that read it) must
+// equal the decode of the full arena.
+func TestWindowPlanCoversEdgeTrackWindows(t *testing.T) {
+	p := chirp.Params{SF: 9, BW: 500e3, Oversample: 1}
+	book, err := NewCodeBook(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := dsp.NewRand(31)
+	const payloadBytes = 3
+	bitsLen := payloadBytes*8 + CRCBits
+	shifts := []int{book.ShiftOfSlot(0), book.ShiftOfSlot(100)}
+	var txs []air.Transmission
+	for i, off := range []float64{0.85, -0.85} {
+		enc := NewEncoder(p, shifts[i])
+		pl := rng.Bytes(payloadBytes)
+		txs = append(txs, air.Transmission{
+			Delayed:      func(frac float64) []complex128 { return enc.FrameWaveformDelayed(pl, frac) },
+			SNRdB:        12,
+			FreqOffsetHz: off * p.BinHz(),
+		})
+	}
+	ch := air.NewChannel(p, rng)
+	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)
+
+	cfg := DefaultDecoderConfig(2)
+	cfg.NoiseFloor = float64(p.N())
+	oracleRes, err := NewDecoder(book, cfg).DecodeFrameOracle(sig, 0, shifts, bitsLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotDecode(oracleRes)
+	dec := NewDecoder(book, cfg)
+	zp := dec.Demodulator().ZeroPad()
+	for i, d := range want.Devices {
+		centre := int(math.Round(d.ObservedBin * float64(zp)))
+		if !d.CRCOK || abs(centre-shifts[i]*zp) != 7 {
+			t.Fatalf("device %d: CRC %v, payload centre %d bins from its assigned bin, want a CRC-valid decode 7 bins out",
+				i, d.CRCOK, centre-shifts[i]*zp)
+		}
+	}
+
+	emit := make([]float64, dec.EmitLen(bitsLen))
+	par := NewParallelDecoder(book, cfg, 2)
+	emitPar := make([]float64, dec.EmitLen(bitsLen))
+	for name, decode := range map[string]func() (*FrameDecode, error){
+		"serial":        func() (*FrameDecode, error) { return dec.DecodeFrame(sig, 0, shifts, bitsLen) },
+		"serial emit":   func() (*FrameDecode, error) { return dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) },
+		"parallel emit": func() (*FrameDecode, error) { return par.DecodeFrameEmit(sig, 0, shifts, bitsLen, emitPar) },
+	} {
+		res, err := decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snapshotDecode(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s decode diverges from oracle:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	poisoned := make([]float64, len(emit))
+	for i := range poisoned {
+		poisoned[i] = math.Inf(1)
+	}
+	dec.WindowPlan(shifts).CopyRows(poisoned, emit)
+	res, err := NewDecoder(book, cfg).DecodeFrameSpectra(poisoned, 1, shifts, bitsLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewDecoder(book, cfg).DecodeFrameSpectra(naiveEmit(p, zp, sig, bitsLen), 1, shifts, bitsLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snapshotDecode(res), snapshotDecode(full); !reflect.DeepEqual(got, want) {
+		t.Fatalf("spectra decode of the plan bins diverges from the full arena:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

@@ -36,9 +36,6 @@ type ParallelDecoder struct {
 	dec     *Decoder
 	workers []*decodeWorker
 
-	preArena []float64
-	preSpec  [PreambleUpSymbols][]float64
-
 	// Persistent phase funcs plus the in-flight call state they read;
 	// fresh closures per DecodeFrame would put two heap allocations
 	// back on the steady-state path.
@@ -49,9 +46,10 @@ type ParallelDecoder struct {
 	curPayStart, curHalfIdx, curPayloadBits int
 
 	// curPre is the arena phase-1 workers write preamble spectra into:
-	// preArena normally, the caller's emit arena on DecodeFrameEmit.
-	// curEmitPay, non-nil only during DecodeFrameEmit, is the payload
-	// section of the emit arena for phase-2 ScanBatchEmit calls.
+	// the serial decoder's preamble arena normally, the caller's emit
+	// arena on DecodeFrameEmit. curEmitPay, non-nil only during
+	// DecodeFrameEmit, is the payload section of the emit arena for
+	// phase-2 ScanBatchEmit calls.
 	curPre     []float64
 	curEmitPay []float64
 }
@@ -81,11 +79,6 @@ func NewParallelDecoder(book *CodeBook, cfg DecoderConfig, workers int) *Paralle
 	pd := &ParallelDecoder{dec: NewDecoder(book, cfg)}
 	pd.workers = make([]*decodeWorker, workers)
 	pd.workers[0] = &decodeWorker{dem: pd.dec.dem}
-	bins := pd.dec.dem.PaddedBins()
-	pd.preArena = make([]float64, PreambleUpSymbols*bins)
-	for sym := range pd.preSpec {
-		pd.preSpec[sym] = pd.preArena[sym*bins : (sym+1)*bins]
-	}
 	pd.preWorker = pd.preBatch
 	pd.payWorker = pd.payBatch
 	return pd
@@ -97,7 +90,7 @@ func batchCount(n, tile int) int {
 }
 
 // preBatch computes one preamble symbol batch — spectra into the shared
-// arena plus per-symbol noise quantiles — for the in-flight DecodeFrame
+// arena plus per-symbol noise estimates — for the in-flight DecodeFrame
 // (phase 1 work item).
 func (pd *ParallelDecoder) preBatch(w, batch int) {
 	d := pd.dec
@@ -106,13 +99,9 @@ func (pd *ParallelDecoder) preBatch(w, batch int) {
 	hi := min(PreambleUpSymbols, lo+preBatchSymbols)
 	wk := pd.worker(w)
 	bins := wk.dem.PaddedBins()
-	wk.dem.SpectraBatchInto(pd.curPre[lo*bins:hi*bins], pd.curSig, pd.curStart+lo*n, hi-lo)
+	wk.dem.SpectraBatchInto(pd.curPre[lo*bins:hi*bins], pd.curSig, pd.curStart+lo*n, hi-lo, &d.plan)
 	for sym := lo; sym < hi; sym++ {
-		if d.cfg.NoiseFloor > 0 {
-			d.noisePerSym[sym] = d.cfg.NoiseFloor
-		} else {
-			d.noisePerSym[sym], wk.quant = noiseQuantile(wk.quant, pd.preSpec[sym])
-		}
+		d.noisePerSym[sym], wk.quant = d.symbolNoise(wk.quant, d.preSpec[sym], 1)
 	}
 }
 
@@ -127,10 +116,10 @@ func (pd *ParallelDecoder) payBatch(w, batch int) {
 	hi := min(pd.curPayloadBits, lo+payBatchSymbols)
 	wk := pd.worker(w)
 	if pd.curEmitPay != nil {
-		wk.dem.ScanBatchEmit(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, pd.curEmitPay)
+		wk.dem.ScanBatchEmit(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, pd.curEmitPay, &d.plan)
 		return
 	}
-	wk.dem.ScanBatch(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits)
+	wk.dem.ScanBatch(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, &d.plan)
 }
 
 // worker returns worker w's state, materializing it on first use. Safe
@@ -167,6 +156,8 @@ func (pd *ParallelDecoder) DecodeFrame(sig []complex128, start int, shifts []int
 // computed in parallel: workers write their spectra rows (disjoint
 // sections of emit) alongside the scan, and the decode outcome stays
 // bit-identical to the serial emit path — and hence to DecodeFrame.
+// As on the serial path, with a calibrated noise floor only the window
+// plan's bins of emit are written; the rest are unspecified.
 func (pd *ParallelDecoder) DecodeFrameEmit(sig []complex128, start int, shifts []int, payloadBits int, emit []float64) (*FrameDecode, error) {
 	if len(emit) < pd.dec.EmitLen(payloadBits) {
 		return nil, fmt.Errorf("core: emit arena length %d, want at least %d", len(emit), pd.dec.EmitLen(payloadBits))
@@ -180,24 +171,20 @@ func (pd *ParallelDecoder) decodeFrame(sig []complex128, start int, shifts []int
 		return nil, err
 	}
 	n := d.book.Params().N()
-	bins := d.dem.PaddedBins()
 	pd.curSig, pd.curStart, pd.curPayloadBits = sig, start, payloadBits
-	pd.curPre, pd.curEmitPay = pd.preArena, nil
+	pd.curPre, pd.curEmitPay = d.preambleRows(emit), nil
 	if emit != nil {
-		pd.curPre, pd.curEmitPay = emit[:PreambleUpSymbols*bins], emit[PreambleUpSymbols*bins:]
-	}
-	for sym := range pd.preSpec {
-		pd.preSpec[sym] = pd.curPre[sym*bins : (sym+1)*bins]
+		pd.curEmitPay = emit[len(pd.curPre):]
 	}
 
-	// Phase 1: preamble spectra and per-symbol noise quantiles, one
+	// Phase 1: preamble spectra and per-symbol noise estimates, one
 	// symbol batch per work item. Workers write disjoint spectra slots
 	// and disjoint noisePerSym entries; the reduction below runs
 	// serially in symbol order, so the noise average is bit-identical to
 	// the serial decoder's.
 	pool.ForEachWorker(len(pd.workers), batchCount(PreambleUpSymbols, preBatchSymbols), pd.preWorker)
 	noise := d.reduceNoise()
-	d.accumPreamble(pd.preSpec[:], shifts, noise)
+	d.accumPreamble(d.preSpec[:], shifts, noise)
 
 	// Phase 2: payload symbol batches through the fused scan kernel.
 	d.preparePayload(payloadBits)

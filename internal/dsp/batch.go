@@ -29,7 +29,9 @@ import (
 // Stages are additionally executed cache-blocked: every stage whose
 // butterflies fit inside a block of blockElems elements runs
 // block-by-block while the block is resident in L1, leaving only the
-// last log2(n/block) stages as full-array passes. Reordering butterfly
+// last log2(n/block) stages as full-array passes. ForwardBatch can
+// prune the last of those passes to the butterfly groups a BinPlan's
+// bins need. Reordering butterfly
 // execution never changes results — each butterfly's operands and
 // operation order are identical to FFTPlan's radix-2 cascade, so a
 // BatchPlan transform is bit-identical to ForwardPruned on the same
@@ -130,23 +132,37 @@ func (bp *BatchPlan) Forward(re, im []float64) {
 	if len(re) != bp.n || len(im) != bp.n {
 		panic(fmt.Sprintf("dsp: batch FFT input lengths %d/%d do not match plan size %d", len(re), len(im), bp.n))
 	}
-	bp.transform(re[:bp.n], im[:bp.n])
+	bp.transform(re[:bp.n], im[:bp.n], nil)
 }
 
 // ForwardBatch computes batch consecutive pruned transforms over the
 // planar buffers re and im, each transform occupying one Size()-long
 // stride. len(re) and len(im) must be at least batch·Size().
-func (bp *BatchPlan) ForwardBatch(re, im []float64, batch int) {
+//
+// out, when non-nil, names the only output bins the caller reads: the
+// last full-array butterfly pass then runs only the groups with an
+// output in out (BinPlan's group runs), and every bin outside out is
+// left unspecified. Bins inside out are bit-identical to the unplanned
+// transform, since a skipped group writes only bins outside out. A
+// transform small enough to run entirely cache-blocked has no
+// full-array pass and is never pruned.
+func (bp *BatchPlan) ForwardBatch(re, im []float64, batch int, out *BinPlan) {
 	n := bp.n
 	if len(re) < batch*n || len(im) < batch*n {
 		panic(fmt.Sprintf("dsp: batch FFT buffers %d/%d too short for %d transforms of %d", len(re), len(im), batch, n))
 	}
+	if out != nil && out.n != n {
+		panic(fmt.Sprintf("dsp: bin plan size %d does not match batch FFT size %d", out.n, n))
+	}
+	if out.Full() {
+		out = nil
+	}
 	for b := 0; b < batch; b++ {
-		bp.transform(re[b*n:(b+1)*n], im[b*n:(b+1)*n])
+		bp.transform(re[b*n:(b+1)*n], im[b*n:(b+1)*n], out)
 	}
 }
 
-func (bp *BatchPlan) transform(re, im []float64) {
+func (bp *BatchPlan) transform(re, im []float64, out *BinPlan) {
 	// Prefix bit reversal.
 	sw := bp.swaps
 	for k := 0; k+1 < len(sw); k += 2 {
@@ -195,15 +211,48 @@ func (bp *BatchPlan) transform(re, im []float64) {
 		}
 	}
 	// Remaining stages span more than one block: full-array passes,
-	// still pairwise fused.
+	// still pairwise fused. The last one, whose stage size is n, may be
+	// pruned to out's groups.
 	for si := inBlock; si < len(bp.stages); {
-		if si+1 < len(bp.stages) {
-			bp.stagePairSpan(re, im, 0, bp.n, si)
-			si += 2
-		} else {
-			bp.stageSpan(re, im, 0, bp.n, si)
-			si++
+		pair := si+1 < len(bp.stages)
+		next := si + 1
+		if pair {
+			next++
 		}
+		switch {
+		case out != nil && next == len(bp.stages):
+			bp.prunedLastPass(re, im, si, pair, out)
+		case pair:
+			bp.stagePairSpan(re, im, 0, bp.n, si)
+		default:
+			bp.stageSpan(re, im, 0, bp.n, si)
+		}
+		si = next
+	}
+}
+
+// prunedLastPass runs the final full-array pass — stage si alone (size
+// n, stride h = n/2) or the fused pair si, si+1 (sizes n/2 and n,
+// stride h = n/4) — over only out's group runs for that stride. Group j
+// reads and writes exactly the bins {j + m·h}, so skipping a group whose
+// bins all lie outside out changes no bin inside it.
+func (bp *BatchPlan) prunedLastPass(re, im []float64, si int, pair bool, out *BinPlan) {
+	if pair {
+		st1, st2 := &bp.stages[si], &bp.stages[si+1]
+		h := st1.size >> 1
+		runs := out.groups[1]
+		for k := 0; k < len(runs); k += 2 {
+			lo, hi := runs[k], runs[k+1]
+			stagePair(re, im, lo, h, hi-lo, st1.twr[lo:], st1.twi[lo:], st2.twr[lo:], st2.twi[lo:])
+		}
+		return
+	}
+	st := &bp.stages[si]
+	h := st.size >> 1
+	runs := out.groups[0]
+	for k := 0; k < len(runs); k += 2 {
+		lo, hi := runs[k], runs[k+1]
+		stage(re, im, lo, h, hi-lo, st.twr[lo:], st.twi[lo:])
 	}
 }
 
@@ -243,119 +292,151 @@ func (bp *BatchPlan) fusedFirstStage(re, im []float64, base int) {
 	}
 }
 
-// stageSpan runs butterfly stage si over [base, base+span). The operand
-// expressions mirror FFTPlan.butterflies exactly (t = w·b; b' = a − t;
-// a' = a + t, with the complex products expanded in the same order), so
-// results are bit-identical to the complex128 cascade.
+// stageSpan runs butterfly stage si over [base, base+span), one stage
+// kernel call per size-long block.
 func (bp *BatchPlan) stageSpan(re, im []float64, base, span int, si int) {
 	st := &bp.stages[si]
-	size := st.size
-	half := size >> 1
-	if simdAVX2 && half >= 4 {
-		// Vector lanes run the identical expressions on independent
-		// elements — bit-exact with the scalar body (see simd.go).
-		for start := base; start < base+span; start += size {
-			stageAVX2(
-				re[start:start+half], im[start:start+half],
-				re[start+half:start+size], im[start+half:start+size],
-				st.twr[:half], st.twi[:half])
-		}
-		return
-	}
-	for start := base; start < base+span; start += size {
-		ar := re[start : start+half : start+half]
-		ai := im[start : start+half : start+half]
-		br := re[start+half : start+size : start+size]
-		bi := im[start+half : start+size : start+size]
-		twr := st.twr[:half]
-		twi := st.twi[:half]
-		for j := range ar {
-			wr, wi := twr[j], twi[j]
-			xr, xi := br[j], bi[j]
-			tr := wr*xr - wi*xi
-			ti := wr*xi + wi*xr
-			ur, ui := ar[j], ai[j]
-			br[j] = ur - tr
-			bi[j] = ui - ti
-			ar[j] = ur + tr
-			ai[j] = ui + ti
-		}
+	h := st.size >> 1
+	for start := base; start < base+span; start += st.size {
+		stage(re, im, start, h, h, st.twr, st.twi)
 	}
 }
 
 // stagePairSpan runs butterfly stages si and si+1 (sizes s and 2s) over
-// [base, base+span) in a single pass: each group of four elements
-// {a, b, c, d} = {x[j], x[j+s/2], x[j+s], x[j+3s/2]} flows through its
-// two size-s butterflies and then its two size-2s butterflies entirely
-// in registers before being stored. Every individual butterfly computes
-// exactly the operands and operation order of stageSpan — fusing only
-// reorders independent butterflies, which cannot change any value — so
-// the pass stays bit-identical to running the two stages separately.
+// [base, base+span) in a single pass, one fused-pair kernel call per
+// 2s-long block.
 func (bp *BatchPlan) stagePairSpan(re, im []float64, base, span int, si int) {
 	st1 := &bp.stages[si]
 	st2 := &bp.stages[si+1]
 	s := st1.size
 	h := s >> 1
-	if simdAVX2 && h >= 4 {
-		// Same fused two-stage flow with the intermediates in vector
-		// registers; bit-exact with the scalar body (see simd.go).
-		for start := base; start < base+span; start += 2 * s {
-			stagePairAVX2(re, im, start, h, st1.twr, st1.twi, st2.twr, st2.twi)
-		}
+	for start := base; start < base+span; start += 2 * s {
+		stagePair(re, im, start, h, h, st1.twr, st1.twi, st2.twr, st2.twi)
+	}
+}
+
+// stage runs butterfly groups j in [0, count) of one radix-2 stage with
+// half-size h over the planar halves a = x[start+j], b = x[start+h+j]
+// with twiddle tw[j]. The operand expressions mirror
+// FFTPlan.butterflies exactly (t = w·b; b' = a − t; a' = a + t, with the
+// complex products expanded in the same order), so results are
+// bit-identical to the complex128 cascade. A whole stage block is
+// count = h; the pruned last pass passes shorter runs.
+func stage(re, im []float64, start, h, count int, twr, twi []float64) {
+	if count <= 0 {
 		return
 	}
-	for start := base; start < base+span; start += 2 * s {
-		ar := re[start+0*h : start+1*h : start+1*h]
-		ai := im[start+0*h : start+1*h : start+1*h]
-		br := re[start+1*h : start+2*h : start+2*h]
-		bi := im[start+1*h : start+2*h : start+2*h]
-		cr := re[start+2*h : start+3*h : start+3*h]
-		ci := im[start+2*h : start+3*h : start+3*h]
-		dr := re[start+3*h : start+4*h : start+4*h]
-		di := im[start+3*h : start+4*h : start+4*h]
-		w1r := st1.twr[:h]
-		w1i := st1.twi[:h]
-		w2ar := st2.twr[0*h : 1*h : 1*h]
-		w2ai := st2.twi[0*h : 1*h : 1*h]
-		w2br := st2.twr[1*h : 2*h : 2*h]
-		w2bi := st2.twi[1*h : 2*h : 2*h]
-		for j := range w1r {
-			wr, wi := w1r[j], w1i[j]
-			// Stage s, lower block: (a, b).
-			xr, xi := br[j], bi[j]
-			t1r := wr*xr - wi*xi
-			t1i := wr*xi + wi*xr
-			ur, ui := ar[j], ai[j]
-			b1r := ur - t1r
-			b1i := ui - t1i
-			a1r := ur + t1r
-			a1i := ui + t1i
-			// Stage s, upper block: (c, d), same twiddle index.
-			yr, yi := dr[j], di[j]
-			t2r := wr*yr - wi*yi
-			t2i := wr*yi + wi*yr
-			vr, vi := cr[j], ci[j]
-			d1r := vr - t2r
-			d1i := vi - t2i
-			c1r := vr + t2r
-			c1i := vi + t2i
-			// Stage 2s, twiddle j: (a1, c1).
-			pr, pi := w2ar[j], w2ai[j]
-			t3r := pr*c1r - pi*c1i
-			t3i := pr*c1i + pi*c1r
-			cr[j] = a1r - t3r
-			ci[j] = a1i - t3i
-			ar[j] = a1r + t3r
-			ai[j] = a1i + t3i
-			// Stage 2s, twiddle j + s/2: (b1, d1).
-			qr, qi := w2br[j], w2bi[j]
-			t4r := qr*d1r - qi*d1i
-			t4i := qr*d1i + qi*d1r
-			dr[j] = b1r - t4r
-			di[j] = b1i - t4i
-			br[j] = b1r + t4r
-			bi[j] = b1i + t4i
-		}
+	if simdAVX2 && count%groupAlign == 0 {
+		// Bounds the vector body relies on; the scalar body's slicing
+		// checks the same.
+		_, _ = re[start+h+count-1], im[start+h+count-1]
+		_, _ = twr[count-1], twi[count-1]
+		// Vector lanes run the identical expressions on independent
+		// elements — bit-exact with the scalar body (see simd.go).
+		stageAVX2(re, im, start, h, count, twr, twi)
+		return
+	}
+	stageScalar(re, im, start, h, count, twr, twi)
+}
+
+func stageScalar(re, im []float64, start, h, count int, twr, twi []float64) {
+	ar := re[start : start+count : start+count]
+	ai := im[start : start+count : start+count]
+	br := re[start+h : start+h+count : start+h+count]
+	bi := im[start+h : start+h+count : start+h+count]
+	twr = twr[:count]
+	twi = twi[:count]
+	for j := range ar {
+		wr, wi := twr[j], twi[j]
+		xr, xi := br[j], bi[j]
+		tr := wr*xr - wi*xi
+		ti := wr*xi + wi*xr
+		ur, ui := ar[j], ai[j]
+		br[j] = ur - tr
+		bi[j] = ui - ti
+		ar[j] = ur + tr
+		ai[j] = ui + ti
+	}
+}
+
+// stagePair runs groups j in [0, count) of two fused butterfly stages
+// (sizes s = 2h and 2s): each group of four elements
+// {a, b, c, d} = {x[start+j], x[start+h+j], x[start+2h+j],
+// x[start+3h+j]} flows through its two size-s butterflies (twiddle
+// w1[j]) and then its two size-2s butterflies (twiddles w2[j] and
+// w2[h+j]) entirely in registers before being stored. Every individual
+// butterfly computes exactly the operands and operation order of stage
+// — fusing only reorders independent butterflies, which cannot change
+// any value — so the pass stays bit-identical to running the two stages
+// separately.
+func stagePair(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64) {
+	if count <= 0 {
+		return
+	}
+	if simdAVX2 && count%groupAlign == 0 {
+		_, _ = re[start+3*h+count-1], im[start+3*h+count-1]
+		_, _ = w1r[count-1], w1i[count-1]
+		_, _ = w2r[h+count-1], w2i[h+count-1]
+		// Same fused two-stage flow with the intermediates in vector
+		// registers; bit-exact with the scalar body (see simd.go).
+		stagePairAVX2(re, im, start, h, count, w1r, w1i, w2r, w2i)
+		return
+	}
+	stagePairScalar(re, im, start, h, count, w1r, w1i, w2r, w2i)
+}
+
+func stagePairScalar(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64) {
+	a, b, c, d := start, start+h, start+2*h, start+3*h
+	ar := re[a : a+count : a+count]
+	ai := im[a : a+count : a+count]
+	br := re[b : b+count : b+count]
+	bi := im[b : b+count : b+count]
+	cr := re[c : c+count : c+count]
+	ci := im[c : c+count : c+count]
+	dr := re[d : d+count : d+count]
+	di := im[d : d+count : d+count]
+	w1r = w1r[:count]
+	w1i = w1i[:count]
+	w2ar := w2r[:count:count]
+	w2ai := w2i[:count:count]
+	w2br := w2r[h : h+count : h+count]
+	w2bi := w2i[h : h+count : h+count]
+	for j := range w1r {
+		wr, wi := w1r[j], w1i[j]
+		// Stage s, lower block: (a, b).
+		xr, xi := br[j], bi[j]
+		t1r := wr*xr - wi*xi
+		t1i := wr*xi + wi*xr
+		ur, ui := ar[j], ai[j]
+		b1r := ur - t1r
+		b1i := ui - t1i
+		a1r := ur + t1r
+		a1i := ui + t1i
+		// Stage s, upper block: (c, d), same twiddle index.
+		yr, yi := dr[j], di[j]
+		t2r := wr*yr - wi*yi
+		t2i := wr*yi + wi*yr
+		vr, vi := cr[j], ci[j]
+		d1r := vr - t2r
+		d1i := vi - t2i
+		c1r := vr + t2r
+		c1i := vi + t2i
+		// Stage 2s, twiddle j: (a1, c1).
+		pr, pi := w2ar[j], w2ai[j]
+		t3r := pr*c1r - pi*c1i
+		t3i := pr*c1i + pi*c1r
+		cr[j] = a1r - t3r
+		ci[j] = a1i - t3i
+		ar[j] = a1r + t3r
+		ai[j] = a1i + t3i
+		// Stage 2s, twiddle j + s/2: (b1, d1).
+		qr, qi := w2br[j], w2bi[j]
+		t4r := qr*d1r - qi*d1i
+		t4i := qr*d1i + qi*d1r
+		dr[j] = b1r - t4r
+		di[j] = b1i - t4i
+		br[j] = b1r + t4r
+		bi[j] = b1i + t4i
 	}
 }
 

@@ -76,7 +76,7 @@ func TestForwardBatchStrided(t *testing.T) {
 		bp.Forward(refRe[b*n:(b+1)*n], refIm[b*n:(b+1)*n])
 	}
 
-	bp.ForwardBatch(re, im, batch)
+	bp.ForwardBatch(re, im, batch, nil)
 	for i := range re {
 		if re[i] != refRe[i] || im[i] != refIm[i] {
 			t.Fatalf("sample %d: batch (%g, %g) != serial (%g, %g)", i, re[i], im[i], refRe[i], refIm[i])
@@ -122,7 +122,10 @@ func TestBatchPlanPanics(t *testing.T) {
 	mustPanic("nonzero > n", func() { NewBatchPlan(128, 256) })
 	bp := PlanBatch(64, 8)
 	mustPanic("short input", func() { bp.Forward(make([]float64, 32), make([]float64, 64)) })
-	mustPanic("short batch", func() { bp.ForwardBatch(make([]float64, 64), make([]float64, 64), 2) })
+	mustPanic("short batch", func() { bp.ForwardBatch(make([]float64, 64), make([]float64, 64), 2, nil) })
+	var wrong BinPlan
+	wrong.SetWindows(128, []int{5}, 2)
+	mustPanic("plan size mismatch", func() { bp.ForwardBatch(make([]float64, 64), make([]float64, 64), 1, &wrong) })
 }
 
 func BenchmarkForwardBatch4096Pruned(b *testing.B) {

@@ -44,10 +44,10 @@ func axpyIntoAVX2(dst, src []complex128, c complex128)
 func scaleIntoAVX2(dst, src []complex128, c complex128)
 
 //go:noescape
-func stageAVX2(are, aim, bre, bim, twr, twi []float64)
+func stageAVX2(re, im []float64, start, h, count int, twr, twi []float64)
 
 //go:noescape
-func stagePairAVX2(re, im []float64, start, h int, w1r, w1i, w2r, w2i []float64)
+func stagePairAVX2(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64)
 
 //go:noescape
 func firstStageBlockAVX2(re, im []float64, base, block int, twr, twi []float64)

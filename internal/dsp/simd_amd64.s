@@ -207,24 +207,32 @@ done:
 	VZEROUPPER
 	RET
 
-// func stageAVX2(are, aim, bre, bim, twr, twi []float64)
+// func stageAVX2(re, im []float64, start, h, count int, twr, twi []float64)
 //
-// One radix-2 butterfly stage over planar halves a and b:
+// Groups j in [0, count) of one radix-2 butterfly stage over the planar
+// halves a = x[start:], b = x[start+h:]:
 //
-//	t  = w·b   (complex, expanded as in stageSpan)
+//	t  = w·b   (complex, expanded as in stageScalar)
 //	b' = a − t
 //	a' = a + t
 //
-// len(twr) elements, caller guarantees a multiple of 4. Each j is an
-// independent lane running the scalar expressions verbatim.
-TEXT ·stageAVX2(SB), NOSPLIT, $0-144
-	MOVQ are_base+0(FP), R8
-	MOVQ aim_base+24(FP), R9
-	MOVQ bre_base+48(FP), R10
-	MOVQ bim_base+72(FP), R11
-	MOVQ twr_base+96(FP), R12
-	MOVQ twi_base+120(FP), R13
-	MOVQ twr_len+104(FP), CX
+// Caller guarantees count a multiple of 4 and the slices long enough.
+// Each j is an independent lane running the scalar expressions
+// verbatim.
+TEXT ·stageAVX2(SB), NOSPLIT, $0-120
+	MOVQ count+64(FP), CX
+	TESTQ CX, CX
+	JEQ  done
+	MOVQ re_base+0(FP), R8
+	MOVQ im_base+24(FP), R9
+	MOVQ start+48(FP), AX
+	LEAQ (R8)(AX*8), R8   // a_re
+	LEAQ (R9)(AX*8), R9   // a_im
+	MOVQ h+56(FP), AX
+	LEAQ (R8)(AX*8), R10  // b_re
+	LEAQ (R9)(AX*8), R11  // b_im
+	MOVQ twr_base+72(FP), R12
+	MOVQ twi_base+96(FP), R13
 	XORQ AX, AX
 
 loop:
@@ -253,21 +261,27 @@ loop:
 	JL      loop
 
 	VZEROUPPER
+
+done:
 	RET
 
-// func stagePairAVX2(re, im []float64, start, h int, w1r, w1i, w2r, w2i []float64)
+// func stagePairAVX2(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64)
 //
-// One fused group of BatchPlan.stagePairSpan: the four planar quarters
-// a/b/c/d of length h at re[start:], im[start:] flow through their two
-// size-s butterflies (twiddles w1) and two size-2s butterflies
-// (twiddles w2[:h] and w2[h:2h]) with intermediates in registers.
-// Caller guarantees h a multiple of 4. Every butterfly computes the
-// scalar stagePairSpan expressions lane for lane.
+// Groups j in [0, count) of BatchPlan's fused stage pair: the four
+// planar quarters a/b/c/d at re[start:], re[start+h:], re[start+2h:],
+// re[start+3h:] (and likewise im) flow through their two size-s
+// butterflies (twiddles w1[j]) and two size-2s butterflies (twiddles
+// w2[j] and w2[h+j]) with intermediates in registers. Caller guarantees
+// count a multiple of 4 and the slices long enough. Every butterfly
+// computes the scalar stagePairScalar expressions lane for lane.
 // Register budget: the fourteen array pointers (four planar quarters
 // per plane plus six twiddle pointers) take every general-purpose
 // register except BP/SP, so the loop advances the pointers in place and
-// keeps its end sentinel (w1r + 8h) in the local stack slot.
-TEXT ·stagePairAVX2(SB), NOSPLIT, $8-160
+// keeps its end sentinel (w1r + 8·count) in the local stack slot.
+TEXT ·stagePairAVX2(SB), NOSPLIT, $8-168
+	MOVQ count+64(FP), AX
+	TESTQ AX, AX
+	JEQ  done
 	MOVQ re_base+0(FP), R8   // a_re
 	MOVQ im_base+24(FP), R12 // a_im
 	MOVQ start+48(FP), AX
@@ -280,13 +294,14 @@ TEXT ·stagePairAVX2(SB), NOSPLIT, $8-160
 	LEAQ (R12)(AX*8), R13 // b_im
 	LEAQ (R13)(AX*8), R14 // c_im
 	LEAQ (R14)(AX*8), R15 // d_im
-	MOVQ w1r_base+64(FP), BX
-	MOVQ w1i_base+88(FP), CX
-	MOVQ w2r_base+112(FP), DX
-	MOVQ w2i_base+136(FP), SI
+	MOVQ w1r_base+72(FP), BX
+	MOVQ w1i_base+96(FP), CX
+	MOVQ w2r_base+120(FP), DX
+	MOVQ w2i_base+144(FP), SI
 	LEAQ (DX)(AX*8), DI // w2b real = w2r[h:]
+	MOVQ count+64(FP), AX
 	LEAQ (BX)(AX*8), AX
-	MOVQ AX, 0(SP)      // end sentinel: w1r + 8h
+	MOVQ AX, 0(SP)      // end sentinel: w1r + 8·count
 	MOVQ h+56(FP), AX
 	LEAQ (SI)(AX*8), AX // w2b imag = w2i[h:]
 
@@ -375,6 +390,8 @@ loop:
 	JB   loop
 
 	VZEROUPPER
+
+done:
 	RET
 
 // func synthChains8AVX2(dst []complex128, st *[32]float64, dLr, dLi, mag float64, steps int)

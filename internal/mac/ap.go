@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"slices"
 
 	"netscatter/internal/core"
 )
@@ -225,10 +226,17 @@ func (ap *AP) allocateID() (uint8, error) {
 	return 0, fmt.Errorf("mac: no free network IDs")
 }
 
+// allIDsSNRs returns every associated device's id and SNR in ascending
+// id order. AssignAll's stable sort breaks SNR ties by input order, so
+// a fixed order keeps re-association slot assignments reproducible; map
+// iteration order would not.
 func (ap *AP) allIDsSNRs() (ids []uint8, snrs []float64) {
-	for id, r := range ap.records {
+	for id := range ap.records {
 		ids = append(ids, id)
-		snrs = append(snrs, r.SNRdB)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		snrs = append(snrs, ap.records[id].SNRdB)
 	}
 	return ids, snrs
 }

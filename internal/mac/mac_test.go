@@ -512,3 +512,34 @@ func TestMaxInsertGapConstant(t *testing.T) {
 	}
 	_ = math.Pi // keep math import if assertions change
 }
+
+// TestReshuffleTiedSNRsDeterministic pins the re-association order: with
+// every device at the same SNR, AssignAll's stable sort keeps its input
+// order, so repeated reshuffles must hand out the same slots every time
+// — ascending ids in ascending slots — whatever order the AP's records
+// map iterates in.
+func TestReshuffleTiedSNRsDeterministic(t *testing.T) {
+	book := testBook(t)
+	ap := NewAP(book)
+	const n = 24
+	for id := uint8(0); id < n; id++ {
+		// Adopt in a scrambled slot order, all at one SNR.
+		if err := ap.AdoptAssignment(id, AssignableSlot(book, int(id*7%n)), 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := 0; rep < 50; rep++ {
+		ap.Reshuffle()
+		prev := -1
+		for id := uint8(0); id < n; id++ {
+			r, ok := ap.Record(id)
+			if !ok {
+				t.Fatalf("device %d lost", id)
+			}
+			if r.Slot <= prev {
+				t.Fatalf("reshuffle %d: device %d got slot %d after slot %d; tied SNRs must keep id order", rep, id, r.Slot, prev)
+			}
+			prev = r.Slot
+		}
+	}
+}

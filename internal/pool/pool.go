@@ -46,51 +46,122 @@ func acquireToken() bool {
 
 func releaseToken() { inflight.Add(-1) }
 
+// job is one parallel-for call's shared state: the item counter, the
+// next helper worker id, the body, and the WaitGroup the caller waits
+// on. Jobs are recycled through freeJobs, so a call allocates nothing
+// in steady state.
+type job struct {
+	n    int
+	next atomic.Int64 // next item index to claim
+	ids  atomic.Int64 // last helper worker id handed out
+	fn   func(i int)
+	fnw  func(worker, i int)
+	wg   sync.WaitGroup
+}
+
+// freeJobs holds idle jobs. Its capacity bounds how many idle jobs are
+// kept, not how many calls may run: a call finding it empty allocates a
+// job, and a job finding it full is dropped. 64 covers the calls the
+// repository nests or runs side by side (a sweep of parallel rounds,
+// each fanning out its channel and decoders) at any GOMAXPROCS it runs
+// at. Unlike a sync.Pool, a channel is not emptied by garbage
+// collection nor thinned by the race detector, so steady state stays
+// allocation-free in every build.
+var freeJobs = make(chan *job, 64)
+
+func getJob() *job {
+	select {
+	case j := <-freeJobs:
+		return j
+	default:
+		return new(job)
+	}
+}
+
+func putJob(j *job) {
+	j.fn, j.fnw = nil, nil
+	j.next.Store(0)
+	j.ids.Store(0)
+	select {
+	case freeJobs <- j:
+	default:
+	}
+}
+
+// handoff carries a job to each helper goroutine. Helpers are started
+// with a no-argument go statement — a go statement with arguments, or
+// a capturing closure, heap-allocates — and each one receives exactly
+// one job. Every send is preceded by the start of its receiver, so a
+// send never blocks for long; the buffer (one slot per CPU, the most
+// helpers the token budget lets run at once on a full-width pool) only
+// spares the caller a rendezvous with a helper the scheduler has not
+// run yet.
+var handoff = make(chan *job, runtime.NumCPU())
+
+// helper runs one job's items as the next free worker id, then signals
+// the job's WaitGroup. It must not touch the job after Done: the caller
+// recycles it once every helper is done.
+func helper() {
+	j := <-handoff
+	j.run(int(j.ids.Add(1)))
+	releaseToken()
+	j.wg.Done()
+}
+
+// run claims and executes items until none remain.
+func (j *job) run(w int) {
+	for {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.n {
+			return
+		}
+		if j.fn != nil {
+			j.fn(i)
+		} else {
+			j.fnw(w, i)
+		}
+	}
+}
+
+// fanOut runs j's items on the caller as worker 0 plus up to
+// workers−1 helpers the global budget allows, and returns once every
+// item has run. The remaining worker ids simply never run.
+func fanOut(j *job, workers int) {
+	for w := 1; w < workers; w++ {
+		if !acquireToken() {
+			break
+		}
+		j.wg.Add(1)
+		go helper()
+		handoff <- j
+	}
+	// The caller participates as worker 0 rather than blocking idle.
+	j.run(0)
+	j.wg.Wait()
+	putJob(j)
+}
+
 // ForEach invokes fn(i) for every i in [0, n), using up to Size()
 // goroutines. With a single-slot pool (or a single item) it runs inline
-// on the calling goroutine, spawning nothing. The body mirrors
-// ForEachWorker rather than wrapping fn in an adapter closure: hot
-// callers (the channel simulator, the parallel decoder) pass persistent
-// funcs, and the adapter would put one heap allocation back on every
-// call.
+// on the calling goroutine, spawning nothing. It shares ForEachWorker's
+// body through the job rather than wrapping fn in an adapter closure:
+// hot callers (the channel simulator, the parallel decoder) pass
+// persistent funcs, and the adapter would put one heap allocation back
+// on every call.
 func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := Size()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
+	workers := min(Size(), n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		if !acquireToken() {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer releaseToken()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
+	j := getJob()
+	j.n, j.fn = n, fn
+	fanOut(j, workers)
 }
 
 // ForEachWorker invokes fn(w, i) for every i in [0, n), where w
@@ -106,40 +177,14 @@ func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	if workers < 1 {
 		workers = Size()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n == 1 {
+	workers = min(workers, n)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func(w int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(w, i)
-		}
-	}
-	// Spawn helpers only while the global budget allows; the remaining
-	// worker ids simply never run, and the caller drains the rest.
-	for w := 1; w < workers; w++ {
-		if !acquireToken() {
-			break
-		}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer releaseToken()
-			run(w)
-		}(w)
-	}
-	// The caller participates as worker 0 rather than blocking idle.
-	run(0)
-	wg.Wait()
+	j := getJob()
+	j.n, j.fnw = n, fn
+	fanOut(j, workers)
 }

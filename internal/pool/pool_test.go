@@ -70,3 +70,36 @@ func TestSizePositive(t *testing.T) {
 		t.Fatalf("Size() = %d", Size())
 	}
 }
+
+// TestFanOutZeroAllocParallel pins the fan-out's steady state at
+// GOMAXPROCS 2, where helpers really start: the job is recycled and
+// helpers are started without a closure, so a call allocates nothing.
+// testing.AllocsPerRun forces GOMAXPROCS 1, which would only measure the
+// inline path, so the test counts mallocs itself.
+func TestFanOutZeroAllocParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var sink [64]atomic.Int64
+	fn := func(i int) { sink[i].Add(1) }
+	fnw := func(w, i int) { sink[i].Add(int64(w)) }
+	call := func() {
+		ForEach(len(sink), fn)
+		ForEachWorker(2, len(sink), fnw)
+	}
+	// Warm up: the job pool and the runtime's free goroutine lists fill.
+	for i := 0; i < 2000; i++ {
+		call()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	// The runtime occasionally allocates a goroutine descriptor when its
+	// per-P free lists run dry (a few per run at most); per-call state
+	// would cost several objects on every call.
+	if perCall := float64(after.Mallocs-before.Mallocs) / runs; perCall >= 0.1 {
+		t.Fatalf("fan-out allocates %.2f objects per ForEach+ForEachWorker pair, want 0", perCall)
+	}
+}

@@ -153,25 +153,30 @@ func TestRunPause(t *testing.T) {
 	if _, err := c.Pause(ctx, id); err != nil {
 		t.Fatalf("pause: %v", err)
 	}
-	// After the in-flight turn drains, the count must stop moving.
-	var last int
-	for i := 0; i < 50; i++ {
-		st, err := c.Stats(ctx, id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// After the in-flight turn drains, the count must stop moving. Wait
+	// for idle first and only then read the count: a round may finish
+	// between a Stats read and a Detail read.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
 		info, err := c.Detail(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if info.State == "idle" {
-			last = st.Stats.Rounds
 			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("deployment %d still %s after pause", id, info.State)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	time.Sleep(20 * time.Millisecond)
 	st, err := c.Stats(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := st.Stats.Rounds
+	time.Sleep(20 * time.Millisecond)
+	st, err = c.Stats(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -449,18 +449,22 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 	// Soft combining: sum the live APs' emitted power spectra bin-wise
 	// (serial, in AP order — bit-identical at any GOMAXPROCS) and decode
 	// the sum as one more candidate decode. Dead APs' arenas hold stale
-	// spectra and are excluded, exactly like their frame decodes.
+	// spectra and are excluded, exactly like their frame decodes. Only
+	// the candidate set's window plan is summed: the per-AP decoders
+	// (same config, same set) emitted exactly those bins, and they are
+	// every bin the combined decode reads.
 	rc.softRes = nil
 	if n.soft {
+		plan := n.combDec.WindowPlan(rc.shifts[:nDevices])
 		nSummed := 0
 		for a := 0; a < n.nAPs; a++ {
 			if rc.res[a] == nil {
 				continue
 			}
 			if nSummed == 0 {
-				copy(rc.comb, rc.emits[a])
+				plan.CopyRows(rc.comb, rc.emits[a])
 			} else {
-				dsp.AddFloat64(rc.comb, rc.emits[a])
+				plan.AddRows(rc.comb, rc.emits[a])
 			}
 			nSummed++
 		}

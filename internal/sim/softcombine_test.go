@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -18,12 +19,15 @@ func testSoftNetwork(t testing.TB, nDev, nAPs int, seed int64) *MultiAPNetwork {
 }
 
 // TestSoftCombinedSpectraOracle pins the summed arena against an
-// independent materialization: for k ∈ {1, 2, 4}, the round's combined
-// spectra arena must be bit-equal to naively recomputing every AP's
-// power spectra symbol by symbol (fresh demodulator, single-symbol
-// Spectrum — the retained oracle path) and summing them with a scalar
-// += loop in the same AP order. This covers the emit layout, the fused
-// kernels' emitted rows and the AVX2 power-sum kernel in one equality.
+// independent materialization: for k ∈ {1, 2, 4}, naively recompute
+// every AP's power spectra symbol by symbol (fresh demodulator,
+// single-symbol Spectrum — the retained oracle path) and sum them with
+// a scalar += loop in the same AP order. The round sums only the
+// candidate set's window plan, so every plan bin of the combined arena
+// must be bit-equal to the naive sum, and decoding the combined arena
+// must equal decoding the full naive sum. This covers the emit layout,
+// the fused kernels' emitted rows, the pruned transform and the AVX2
+// power-sum kernel in one check.
 func TestSoftCombinedSpectraOracle(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
@@ -58,13 +62,27 @@ func TestSoftCombinedSpectraOracle(t *testing.T) {
 					addRow(want[(core.PreambleUpSymbols+sym)*bins:(core.PreambleUpSymbols+sym+1)*bins], row)
 				}
 			}
-			if !reflect.DeepEqual(net.rc.comb, want) {
-				for i := range want {
-					if net.rc.comb[i] != want[i] {
-						t.Fatalf("k=%d: combined arena diverges from naive sum at %d: %v vs %v",
-							k, i, net.rc.comb[i], want[i])
-					}
+
+			shifts := net.rc.shifts[:nDev]
+			plan := net.combDec.WindowPlan(shifts)
+			if plan.Full() {
+				t.Fatal("window plan covers every bin; the windowed sum is not exercised")
+			}
+			for i := range want {
+				if plan.Contains(i%bins) && net.rc.comb[i] != want[i] {
+					t.Fatalf("k=%d: combined arena diverges from naive sum at plan bin %d: %v vs %v",
+						k, i, net.rc.comb[i], want[i])
 				}
+			}
+
+			got := net.rc.softRes
+			full, err := core.NewDecoder(net.book, dcfg).DecodeFrameSpectra(want, k, shifts, payloadBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NoiseBinPower != full.NoiseBinPower || !reflect.DeepEqual(got.Devices, full.Devices) {
+				t.Fatalf("k=%d: decode of the windowed sum diverges from decode of the full naive sum:\n got %+v\nwant %+v",
+					k, got.Devices, full.Devices)
 			}
 		})
 	}
@@ -127,7 +145,9 @@ func TestSoftCombineLeavesSelectionUntouched(t *testing.T) {
 // TestSoftCombineRunRoundSteadyStateZeroAlloc extends the round
 // allocation gate to the soft path: after one warm-up round, a soft
 // k-AP round — per-AP emit decodes, the bin-wise arena sum, the
-// combined-spectra decode and both aggregations — touches no heap.
+// combined-spectra decode and both aggregations — touches no heap, at
+// GOMAXPROCS 1 and at GOMAXPROCS 2, where the decoders and the channel
+// really fan out to pool helpers.
 func TestSoftCombineRunRoundSteadyStateZeroAlloc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -143,6 +163,35 @@ func TestSoftCombineRunRoundSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state soft RunRound allocates %.1f objects/op, want 0", allocs)
+	}
+
+	// testing.AllocsPerRun pins GOMAXPROCS to 1, so the fan-out case
+	// counts mallocs itself, on a network built at GOMAXPROCS 2. A
+	// decode worker materializes its demodulator the first time the
+	// scheduler hands it work, which may be any round, and the runtime
+	// may allocate the odd goroutine descriptor; so the best of a few
+	// 20-round windows is judged. Per-call state would cost several
+	// objects in every round of every window.
+	runtime.GOMAXPROCS(2)
+	net = testSoftNetwork(t, 16, 2, 3)
+	if _, err := net.RunRound(16); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 20
+	best := math.Inf(1)
+	for w := 0; w < 5 && best >= 1; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rounds; i++ {
+			if _, err := net.RunRound(16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, float64(after.Mallocs-before.Mallocs)/rounds)
+	}
+	if best >= 1 {
+		t.Fatalf("steady-state soft RunRound at GOMAXPROCS 2 allocates %.2f objects/round, want 0", best)
 	}
 }
 

@@ -46,9 +46,10 @@ echo "== fuzz seed corpus =="
 # Runs every Fuzz* target over its committed seeds (no exploration):
 # synthesizer phase continuity, interleaved-chain stride continuity
 # (chain path vs serial recurrence), cyclic-shift identity, decoder
-# round-trip, and the cross-AP aggregator's never-drop/never-double
-# invariants.
-go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim
+# round-trip, the cross-AP aggregator's never-drop/never-double
+# invariants, and the pruned transform's plan bins
+# (FuzzPrunedTransform: window-planned last pass vs full transform).
+go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp
 
 echo "== race: concurrent paths =="
 # The rewired sim round path, the batched parallel decoder (including
@@ -64,8 +65,11 @@ echo "== race: concurrent paths =="
 # detector. The MatchesScalar|ZeroAlloc|SIMDMatches names pull in the
 # per-kernel scalar-vs-vector bit-exactness gates (axpy/scale, fused
 # noise add, dechirp, window-power scan, interleaved synthesis chains,
-# ziggurat batch fill) so the vector dispatch seams also run raced.
-go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio
+# ziggurat batch fill) so the vector dispatch seams also run raced; the
+# BinPlan|Pruned|StageKernels|WindowedSum names pull in the window-plan
+# gates (plan construction, pruned last pass vs full transform, the
+# stage kernels' group-count runs, the windowed soft-combining sum).
+go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio
 
 echo "== campaign: unit + resume + race =="
 # The declarative campaign runner: spec expansion, shard-order
