@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"netscatter/internal/serve"
@@ -141,12 +142,11 @@ func TestCancelKeepsCheckpoint(t *testing.T) {
 	want := runToBytes(t, &Runner{Spec: spec})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	n := 0
+	var n atomic.Int64 // workers call Progress concurrently
 	path := filepath.Join(dir, "cancel.ckpt")
 	r := &Runner{Spec: spec, Workers: 2, CheckpointPath: path,
 		Progress: func(done, total int, c Cell) {
-			n++
-			if n == 4 {
+			if n.Add(1) == 4 {
 				cancel() // kill the campaign after a few cells land
 			}
 		}}

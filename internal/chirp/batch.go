@@ -21,44 +21,33 @@ import (
 // overhead while keeping the scratch's cache footprint bounded.
 const batchTile = 8
 
-// batchPlan returns the demodulator's planar pruned-FFT plan, building
-// it on first use (the plan itself is cached process-wide).
-func (d *Demodulator) batchPlan() *dsp.BatchPlan {
-	if d.bplan == nil {
-		d.bplan = dsp.PlanBatch(len(d.padBuf), d.p.N())
-	}
-	return d.bplan
-}
-
-// growBatch sizes the planar scratch for a tile of nSyms symbols.
-func (d *Demodulator) growBatch(nSyms int) {
-	m := nSyms * len(d.padBuf)
-	if cap(d.batchRe) < m {
-		d.batchRe = make([]float64, m)
-		d.batchIm = make([]float64, m)
-	}
-	d.batchRe = d.batchRe[:m]
-	d.batchIm = d.batchIm[:m]
+// borrowTile lends the planar scratch of one batch call from the dsp
+// free list: a single buffer whose halves are the real and imaginary
+// planes of a batchTile-symbol tile. Every batch call borrows the same
+// length, so the calls of a decode reuse one cache-warm buffer. The
+// caller hands buf back with dsp.ReturnFloat64 when the call ends.
+func (d *Demodulator) borrowTile() (buf, re, im []float64) {
+	m := batchTile * d.padN
+	buf = dsp.BorrowFloat64(2 * m)
+	return buf, buf[:m:m], buf[m:]
 }
 
 // dechirpTile writes the dechirped products of count consecutive
 // symbols (symbol indices firstSym, firstSym+1, … relative to sample
-// index start) into the planar scratch prefixes and runs the batched
-// pruned transform over them. Only the first N entries of each
-// padN-long stride are written — the pruned transform treats the tail
-// as zero without reading it. Only plan's bins of the transform are
-// guaranteed (nil: every bin).
-func (d *Demodulator) dechirpTile(sig []complex128, start, firstSym, count int, plan *dsp.BinPlan) {
+// index start) into the prefixes of the planar tile (re, im) and runs
+// the batched pruned transform over them. Only the first N entries of
+// each padN-long stride are written — the pruned transform treats the
+// tail as zero without reading it. Only plan's bins of the transform
+// are guaranteed (nil: every bin).
+func (d *Demodulator) dechirpTile(re, im []float64, sig []complex128, start, firstSym, count int, plan *dsp.BinPlan) {
 	n := d.p.N()
-	padN := len(d.padBuf)
+	padN := d.padN
 	down := d.down
 	for s := 0; s < count; s++ {
 		sym := sig[start+(firstSym+s)*n : start+(firstSym+s+1)*n]
-		re := d.batchRe[s*padN : s*padN+n]
-		im := d.batchIm[s*padN : s*padN+n]
-		dsp.Dechirp(re, im, sym, down[:n])
+		dsp.Dechirp(re[s*padN:s*padN+n], im[s*padN:s*padN+n], sym, down[:n])
 	}
-	d.batchPlan().ForwardBatch(d.batchRe, d.batchIm, count, plan)
+	d.bplan.ForwardBatch(re, im, count, plan)
 }
 
 // SpectraBatchInto computes the power spectra of nSyms consecutive
@@ -72,7 +61,7 @@ func (d *Demodulator) dechirpTile(sig []complex128, start, firstSym, count int, 
 // batch per work item.
 func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, nSyms int, plan *dsp.BinPlan) {
 	n := d.p.N()
-	padN := len(d.padBuf)
+	padN := d.padN
 	if start < 0 || start+nSyms*n > len(sig) {
 		panic(fmt.Sprintf("chirp: SpectraBatch window [%d, %d) outside signal of %d samples",
 			start, start+nSyms*n, len(sig)))
@@ -80,15 +69,15 @@ func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, n
 	if len(dst) < nSyms*padN {
 		panic(fmt.Sprintf("chirp: SpectraBatch dst length %d, want at least %d", len(dst), nSyms*padN))
 	}
-	d.growBatch(min(nSyms, batchTile))
+	buf, re, im := d.borrowTile()
 	for lo := 0; lo < nSyms; lo += batchTile {
 		count := min(batchTile, nSyms-lo)
-		d.dechirpTile(sig, start, lo, count, plan)
+		d.dechirpTile(re, im, sig, start, lo, count, plan)
 		for s := 0; s < count; s++ {
-			plan.PowerSpectrum(dst[(lo+s)*padN:(lo+s+1)*padN],
-				d.batchRe[s*padN:(s+1)*padN], d.batchIm[s*padN:(s+1)*padN])
+			plan.PowerSpectrum(dst[(lo+s)*padN:(lo+s+1)*padN], re[s*padN:(s+1)*padN], im[s*padN:(s+1)*padN])
 		}
 	}
+	dsp.ReturnFloat64(buf)
 }
 
 // ScanBatch fuses the payload tracker's per-symbol pipeline: it
@@ -104,18 +93,18 @@ func (d *Demodulator) SpectraBatchInto(dst []float64, sig []complex128, start, n
 // its bins.
 func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, centers []int, half int, out []float64, stride int, plan *dsp.BinPlan) {
 	n := d.p.N()
-	padN := len(d.padBuf)
+	padN := d.padN
 	if start < 0 || start+(firstSym+nSyms)*n > len(sig) {
 		panic(fmt.Sprintf("chirp: ScanBatch window [%d, %d) outside signal of %d samples",
 			start+firstSym*n, start+(firstSym+nSyms)*n, len(sig)))
 	}
-	d.growBatch(min(nSyms, batchTile))
+	buf, tileRe, tileIm := d.borrowTile()
 	for lo := 0; lo < nSyms; lo += batchTile {
 		count := min(batchTile, nSyms-lo)
-		d.dechirpTile(sig, start, firstSym+lo, count, plan)
+		d.dechirpTile(tileRe, tileIm, sig, start, firstSym+lo, count, plan)
 		for s := 0; s < count; s++ {
-			re := d.batchRe[s*padN : (s+1)*padN]
-			im := d.batchIm[s*padN : (s+1)*padN]
+			re := tileRe[s*padN : (s+1)*padN]
+			im := tileIm[s*padN : (s+1)*padN]
 			col := firstSym + lo + s
 			for i, c := range centers {
 				if c < 0 {
@@ -125,6 +114,7 @@ func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, ce
 			}
 		}
 	}
+	dsp.ReturnFloat64(buf)
 }
 
 // ScanBatchEmit is ScanBatch with the power spectra kept: besides the
@@ -139,7 +129,7 @@ func (d *Demodulator) ScanBatch(sig []complex128, start, firstSym, nSyms int, ce
 // APs before one combined decode.
 func (d *Demodulator) ScanBatchEmit(sig []complex128, start, firstSym, nSyms int, centers []int, half int, out []float64, stride int, emit []float64, plan *dsp.BinPlan) {
 	n := d.p.N()
-	padN := len(d.padBuf)
+	padN := d.padN
 	if start < 0 || start+(firstSym+nSyms)*n > len(sig) {
 		panic(fmt.Sprintf("chirp: ScanBatchEmit window [%d, %d) outside signal of %d samples",
 			start+firstSym*n, start+(firstSym+nSyms)*n, len(sig)))
@@ -147,13 +137,13 @@ func (d *Demodulator) ScanBatchEmit(sig []complex128, start, firstSym, nSyms int
 	if len(emit) < (firstSym+nSyms)*padN {
 		panic(fmt.Sprintf("chirp: ScanBatchEmit emit length %d, want at least %d", len(emit), (firstSym+nSyms)*padN))
 	}
-	d.growBatch(min(nSyms, batchTile))
+	buf, tileRe, tileIm := d.borrowTile()
 	for lo := 0; lo < nSyms; lo += batchTile {
 		count := min(batchTile, nSyms-lo)
-		d.dechirpTile(sig, start, firstSym+lo, count, plan)
+		d.dechirpTile(tileRe, tileIm, sig, start, firstSym+lo, count, plan)
 		for s := 0; s < count; s++ {
-			re := d.batchRe[s*padN : (s+1)*padN]
-			im := d.batchIm[s*padN : (s+1)*padN]
+			re := tileRe[s*padN : (s+1)*padN]
+			im := tileIm[s*padN : (s+1)*padN]
 			col := firstSym + lo + s
 			plan.PowerSpectrum(emit[col*padN:(col+1)*padN], re, im)
 			for i, c := range centers {
@@ -164,6 +154,7 @@ func (d *Demodulator) ScanBatchEmit(sig []complex128, start, firstSym, nSyms int
 			}
 		}
 	}
+	dsp.ReturnFloat64(buf)
 }
 
 // planarWindowPower returns the maximum |X[k]|² in the circular window

@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"netscatter/internal/dsp"
@@ -195,5 +196,91 @@ func BenchmarkScanBatch48(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dem.ScanBatch(sig, 0, 0, nSyms, centers, 2, out, nSyms, nil)
+	}
+}
+
+// TestDemodulatorBatchCallsConcurrent drives SpectraBatchInto, ScanBatch
+// and ScanBatchEmit on one Demodulator from four goroutines at once: the
+// batch calls keep no per-call state on the demodulator (each borrows
+// its planar tile from the dsp scratch free list), so every result must
+// be bit-equal to the same call made serially — at every bin without a
+// plan and at every plan bin with one. Run under -race.
+func TestDemodulatorBatchCallsConcurrent(t *testing.T) {
+	p := Params{SF: 9, BW: 125e3, Oversample: 1}
+	const nSyms = 11 // crosses the 8-symbol tile boundary
+	sig := batchTestSignal(p, nSyms, 31)
+	dem := NewDemodulator(p, 8)
+	bins := dem.PaddedBins()
+	centers := []int{8, -1, bins / 3, bins - 4, bins / 2}
+	const half = 6
+
+	type results struct{ specs, scan, emitScan, emit []float64 }
+	run := func(plan *dsp.BinPlan) results {
+		r := results{
+			specs:    make([]float64, nSyms*bins),
+			scan:     make([]float64, len(centers)*nSyms),
+			emitScan: make([]float64, len(centers)*nSyms),
+			emit:     make([]float64, nSyms*bins),
+		}
+		dem.SpectraBatchInto(r.specs, sig, 5, nSyms, plan)
+		dem.ScanBatch(sig, 5, 0, nSyms, centers, half, r.scan, nSyms, plan)
+		dem.ScanBatchEmit(sig, 5, 0, nSyms, centers, half, r.emitScan, nSyms, r.emit, plan)
+		return r
+	}
+	equal := func(plan *dsp.BinPlan, got, want results) error {
+		for i := range want.specs {
+			if plan.Contains(i%bins) && (got.specs[i] != want.specs[i] || got.emit[i] != want.emit[i]) {
+				return fmt.Errorf("spectra bin %d: %g/%g, want %g/%g", i, got.specs[i], got.emit[i], want.specs[i], want.emit[i])
+			}
+		}
+		for i := range want.scan {
+			if got.scan[i] != want.scan[i] || got.emitScan[i] != want.emitScan[i] {
+				return fmt.Errorf("scan cell %d: %g/%g, want %g/%g", i, got.scan[i], got.emitScan[i], want.scan[i], want.emitScan[i])
+			}
+		}
+		return nil
+	}
+
+	for _, plan := range []*dsp.BinPlan{nil, windowPlan(bins, centers, 18)} {
+		want := run(plan)
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for g := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 3 && errs[g] == nil; rep++ {
+					errs[g] = equal(plan, run(plan), want)
+				}
+			}()
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Errorf("full=%v goroutine %d: %v", plan.Full(), g, err)
+			}
+		}
+	}
+}
+
+// TestBatchOnlyDemodulatorOwnsNoScratch: a demodulator driven only
+// through the batch calls — a parallel decoder's — allocates none of
+// the single-symbol buffers; the first single-symbol call does.
+func TestBatchOnlyDemodulatorOwnsNoScratch(t *testing.T) {
+	p := Params{SF: 7, BW: 125e3, Oversample: 1}
+	const nSyms = 3
+	sig := batchTestSignal(p, nSyms, 5)
+	dem := NewDemodulator(p, 8)
+	bins := dem.PaddedBins()
+	out := make([]float64, nSyms)
+	dem.SpectraBatchInto(make([]float64, nSyms*bins), sig, 0, nSyms, nil)
+	dem.ScanBatch(sig, 0, 0, nSyms, []int{8}, 2, out, nSyms, nil)
+	dem.ScanBatchEmit(sig, 0, 0, nSyms, []int{8}, 2, out, nSyms, make([]float64, nSyms*bins), nil)
+	if dem.padBuf != nil || dem.power != nil || dem.arena != nil {
+		t.Fatal("batch calls allocated single-symbol scratch")
+	}
+	dem.Spectrum(sig[:p.N()])
+	if len(dem.padBuf) != bins || len(dem.power) != bins {
+		t.Fatalf("single-symbol buffers %d/%d after Spectrum, want %d", len(dem.padBuf), len(dem.power), bins)
 	}
 }

@@ -94,36 +94,38 @@ func (m *Modulator) AppendSilence(dst []complex128) []complex128 {
 }
 
 // Demodulator de-spreads chirp symbols and locates FFT peaks with
-// zero-padded sub-bin resolution. All scratch buffers are preallocated so
-// the per-symbol hot path does not allocate (the receiver performs this
-// once per symbol regardless of how many devices transmit — the paper's
-// constant-receiver-complexity claim). The forward transform runs through
-// dsp.FFTPlan.ForwardPruned: only the first N of the ZeroPad·N padded
-// samples are nonzero, so the early butterfly stages collapse and the
-// zero tail is never even written.
+// zero-padded sub-bin resolution (the receiver performs one dechirp and
+// one FFT per symbol regardless of how many devices transmit — the
+// paper's constant-receiver-complexity claim). The forward transform
+// is zero-pad pruned: only the first N of the ZeroPad·N padded samples
+// are nonzero, so the early butterfly stages collapse and the zero tail
+// is never even written.
 //
-// A Demodulator is not safe for concurrent use; create one per goroutine
-// (plans are shared and read-only, so per-goroutine demodulators are
-// cheap).
+// Concurrency: the batch calls (SpectraBatchInto, ScanBatch,
+// ScanBatchEmit) are safe for concurrent use — they keep no per-call
+// state on the demodulator and borrow their planar tile from the dsp
+// scratch free list for the length of the call, so every worker of a
+// parallel decoder shares one demodulator. ScanPeaks, PeakNear and the
+// index conversions only read it. The single-symbol calls (Spectrum,
+// SpectrumInto, SpectrumDown, Spectra, DemodSymbol, PeakFrac) reuse one
+// demodulator-owned buffer set and are not safe for concurrent use.
 type Demodulator struct {
 	p       Params
 	zeroPad int
+	padN    int
 	down    []complex128
 	up      []complex128
-	padBuf  []complex128
-	power   []float64
 	plan    *dsp.FFTPlan
+	bplan   *dsp.BatchPlan // planar pruned-FFT plan of the batch calls
 
-	// arena backs the batched Spectra API: nSyms contiguous power
-	// spectra handed out as sub-slices, reused across calls.
+	// Single-symbol scratch, allocated by the first single-symbol call
+	// (a demodulator only ever driven through the batch calls owns
+	// none): the transform buffer, the power spectrum Spectrum returns,
+	// and the arena Spectra hands out nSyms spectra from.
+	padBuf    []complex128
+	power     []float64
 	arena     []float64
 	arenaOuts [][]float64
-
-	// Planar batch pipeline state (batch.go): the pruned planar FFT
-	// plan and the split re/im scratch a tile of symbols is dechirped
-	// and transformed in.
-	bplan            *dsp.BatchPlan
-	batchRe, batchIm []float64
 }
 
 // NewDemodulator builds a demodulator with the given zero-padding factor
@@ -138,15 +140,14 @@ func NewDemodulator(p Params, zeroPad int) *Demodulator {
 		panic(fmt.Sprintf("chirp: zero-pad factor %d must be >= 1", zeroPad))
 	}
 	padN := dsp.NextPow2(p.N() * zeroPad)
-	zeroPad = padN / p.N()
 	return &Demodulator{
 		p:       p,
-		zeroPad: zeroPad,
+		zeroPad: padN / p.N(),
+		padN:    padN,
 		down:    Downchirp(p),
 		up:      Upchirp(p),
-		padBuf:  make([]complex128, padN),
-		power:   make([]float64, padN),
 		plan:    dsp.Plan(padN),
+		bplan:   dsp.PlanBatch(padN, p.N()),
 	}
 }
 
@@ -158,22 +159,20 @@ func (d *Demodulator) Params() Params { return d.p }
 func (d *Demodulator) ZeroPad() int { return d.zeroPad }
 
 // PaddedBins returns the number of bins in the padded spectrum.
-func (d *Demodulator) PaddedBins() int { return len(d.padBuf) }
+func (d *Demodulator) PaddedBins() int { return d.padN }
 
 // Spectrum de-spreads one received symbol (len == N) against the baseline
 // downchirp, zero-pads, and returns the power spectrum. The returned
 // slice aliases an internal buffer valid until the next call.
 func (d *Demodulator) Spectrum(sym []complex128) []float64 {
-	return d.spectrum(d.power, sym, d.down)
+	return d.spectrum(d.powerBuf(), sym, d.down)
 }
 
 // SpectrumInto is Spectrum writing the power spectrum into dst, which
-// must have length PaddedBins(). It lets callers own the storage — the
-// concurrent decoder's workers compute many spectra into one shared
-// arena without copies.
+// must have length PaddedBins(), so the caller owns the storage.
 func (d *Demodulator) SpectrumInto(dst []float64, sym []complex128) {
-	if len(dst) != len(d.padBuf) {
-		panic(fmt.Sprintf("chirp: spectrum dst length %d, want %d", len(dst), len(d.padBuf)))
+	if len(dst) != d.padN {
+		panic(fmt.Sprintf("chirp: spectrum dst length %d, want %d", len(dst), d.padN))
 	}
 	d.spectrum(dst, sym, d.down)
 }
@@ -182,7 +181,16 @@ func (d *Demodulator) SpectrumInto(dst []float64, sym []complex128) {
 // turns received downchirps into tones. The packet-start estimator uses
 // this on the two preamble downchirps.
 func (d *Demodulator) SpectrumDown(sym []complex128) []float64 {
-	return d.spectrum(d.power, sym, d.up)
+	return d.spectrum(d.powerBuf(), sym, d.up)
+}
+
+// powerBuf returns the power-spectrum buffer Spectrum and SpectrumDown
+// return, allocating it on first use.
+func (d *Demodulator) powerBuf() []float64 {
+	if d.power == nil {
+		d.power = make([]float64, d.padN)
+	}
+	return d.power
 }
 
 // Spectra computes the power spectra of nSyms consecutive symbols of sig
@@ -196,7 +204,7 @@ func (d *Demodulator) Spectra(sig []complex128, start, nSyms int) [][]float64 {
 		panic(fmt.Sprintf("chirp: Spectra window [%d, %d) outside signal of %d samples",
 			start, start+nSyms*n, len(sig)))
 	}
-	m := len(d.padBuf)
+	m := d.padN
 	if cap(d.arena) < nSyms*m {
 		d.arena = make([]float64, nSyms*m)
 		d.arenaOuts = make([][]float64, 0, nSyms)
@@ -215,6 +223,9 @@ func (d *Demodulator) spectrum(dst []float64, sym []complex128, ref []complex128
 	n := d.p.N()
 	if len(sym) != n {
 		panic(fmt.Sprintf("chirp: symbol length %d, want %d", len(sym), n))
+	}
+	if d.padBuf == nil {
+		d.padBuf = make([]complex128, d.padN)
 	}
 	// Fused dechirp: the product lands directly in the transform buffer's
 	// nonzero prefix; the padded tail is never touched (ForwardPruned

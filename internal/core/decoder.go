@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -132,12 +134,17 @@ func (f *FrameDecode) DetectedCount() int {
 // device is then read off the shared spectrum. Not safe for concurrent
 // use.
 //
-// The decoder is steady-state allocation-free: every buffer — including
-// the returned FrameDecode, its Devices, Bits and Payload slices — lives
-// in arenas that grow to the high-water mark of (candidates,
-// payloadBits) and are reused afterwards. A DecodeFrame result is
-// therefore only valid until the next DecodeFrame call on the same
-// decoder; callers that keep payloads must copy them.
+// The decoder is steady-state allocation-free. Everything a result
+// holds — the returned FrameDecode, its Devices, Bits and Payload
+// slices — and the per-candidate accumulators live in decoder-owned
+// arenas that grow to the high-water mark of (candidates, payloadBits)
+// and are reused afterwards. A DecodeFrame result is therefore only
+// valid until the next DecodeFrame call on the same decoder; callers
+// that keep payloads must copy them. Per-call scratch — the preamble
+// spectra rows, the quantile buffer and the demodulator's planar FFT
+// tiles — is borrowed from the dsp scratch free list for the length of
+// the call and owned by no decoder, so scratch memory grows with the
+// decodes in flight, not with the decoders that exist.
 type Decoder struct {
 	book *CodeBook
 	dem  *chirp.Demodulator
@@ -150,7 +157,6 @@ type Decoder struct {
 	scanPow   []float64
 	scanAt    []float64
 	payCenter []int // padded payload search center per candidate; -1 = not detected
-	quantBuf  []float64
 
 	// noisePerSym holds each preamble symbol's noise-floor estimate;
 	// keeping them in per-symbol slots (instead of a running sum) lets
@@ -159,11 +165,19 @@ type Decoder struct {
 	noisePerSym [PreambleUpSymbols]float64
 
 	// preSpec holds per-preamble-symbol views into the preamble spectra
-	// of the call in flight: preArena on DecodeFrame, the leading rows
-	// of the caller's arena on DecodeFrameEmit / DecodeFrameSpectra. A
-	// fixed-size array of reslices, so repointing it allocates nothing.
-	preArena []float64
-	preSpec  [PreambleUpSymbols][]float64
+	// of the call in flight: preLoan on DecodeFrame, the leading rows of
+	// the caller's arena on DecodeFrameEmit / DecodeFrameSpectra, the
+	// demodulator's Spectra arena on DecodeFrameOracle. A fixed-size
+	// array of reslices, so repointing it allocates nothing; it is
+	// cleared once the preamble is folded, so no view outlives a loan.
+	// preLoan is the preamble arena borrowed for the DecodeFrame in
+	// flight (nil otherwise).
+	preSpec [PreambleUpSymbols][]float64
+	preLoan []float64
+
+	// ghosts is rejectGhosts' sort scratch, one entry per detected
+	// candidate.
+	ghosts []ghostKey
 
 	// plan is the window plan (WindowPlan) of the candidate set planFor,
 	// rebuilt only when a call brings a different set; planCenters is
@@ -230,11 +244,10 @@ func (d *Decoder) decodeSignal(sig []complex128, start int, shifts []int, payloa
 	// into the preamble rows, per-symbol noise estimates, then
 	// candidate statistics and detection.
 	d.dem.SpectraBatchInto(d.preambleRows(emit), sig, start, PreambleUpSymbols, &d.plan)
-	for sym, spec := range d.preSpec {
-		d.noisePerSym[sym], d.quantBuf = d.symbolNoise(d.quantBuf, spec, 1)
-	}
+	d.preambleNoise(0, PreambleUpSymbols, 1)
 	noise := d.reduceNoise()
 	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.releasePreamble()
 
 	// Pass 2: payload symbols, fused — dechirp, pruned planar FFT and
 	// candidate window scan in one kernel, peak powers landing directly
@@ -267,12 +280,11 @@ func (d *Decoder) DecodeFrameOracle(sig []complex128, start int, shifts []int, p
 	}
 	n := d.book.Params().N()
 
-	specs := d.dem.Spectra(sig, start, PreambleUpSymbols)
-	for sym, spec := range specs {
-		d.noisePerSym[sym], d.quantBuf = d.symbolNoise(d.quantBuf, spec, 1)
-	}
+	copy(d.preSpec[:], d.dem.Spectra(sig, start, PreambleUpSymbols))
+	d.preambleNoise(0, PreambleUpSymbols, 1)
 	noise := d.reduceNoise()
-	d.accumPreamble(specs, shifts, noise)
+	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.releasePreamble()
 
 	d.preparePayload(payloadBits)
 	payloadStart := start + PreambleSymbols*n
@@ -355,11 +367,10 @@ func (d *Decoder) DecodeFrameSpectra(spectra []float64, nSummed int, shifts []in
 	d.beginFrame(0, shifts, payloadBits, 0)
 
 	d.preambleRows(spectra)
-	for sym, spec := range d.preSpec {
-		d.noisePerSym[sym], d.quantBuf = d.symbolNoise(d.quantBuf, spec, nSummed)
-	}
+	d.preambleNoise(0, PreambleUpSymbols, nSummed)
 	noise := d.reduceNoise()
 	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.releasePreamble()
 
 	d.preparePayload(payloadBits)
 	halfIdx := d.trackHalf()
@@ -446,15 +457,14 @@ func (d *Decoder) WindowPlan(shifts []int) *dsp.BinPlan {
 	return &d.plan
 }
 
-// preambleRows points preSpec at the six preamble rows of arena — the
-// decoder's own preamble arena when arena is nil — and returns them.
+// preambleRows points preSpec at the six preamble rows of arena — rows
+// borrowed from the dsp scratch free list (preLoan) when arena is nil —
+// and returns them. releasePreamble ends the views and the loan.
 func (d *Decoder) preambleRows(arena []float64) []float64 {
 	bins := d.dem.PaddedBins()
 	if arena == nil {
-		if d.preArena == nil {
-			d.preArena = make([]float64, PreambleUpSymbols*bins)
-		}
-		arena = d.preArena
+		d.preLoan = dsp.BorrowFloat64(PreambleUpSymbols * bins)
+		arena = d.preLoan
 	}
 	for sym := range d.preSpec {
 		d.preSpec[sym] = arena[sym*bins : (sym+1)*bins]
@@ -462,15 +472,34 @@ func (d *Decoder) preambleRows(arena []float64) []float64 {
 	return arena[:PreambleUpSymbols*bins]
 }
 
-// symbolNoise is one preamble symbol's noise-floor estimate: the
-// calibrated floor times the nSummed spectra summed into spec (their
-// independent noise powers add), or else the lower-quartile estimate
-// from spec itself, using buf as scratch (grown and returned).
-func (d *Decoder) symbolNoise(buf, spec []float64, nSummed int) (float64, []float64) {
-	if d.cfg.NoiseFloor > 0 {
-		return d.cfg.NoiseFloor * float64(nSummed), buf
+// releasePreamble clears preSpec once the preamble is folded and
+// returns the borrowed preamble rows, if any.
+func (d *Decoder) releasePreamble() {
+	clear(d.preSpec[:])
+	if d.preLoan != nil {
+		dsp.ReturnFloat64(d.preLoan)
+		d.preLoan = nil
 	}
-	return noiseQuantile(buf, spec)
+}
+
+// preambleNoise writes noisePerSym[lo:hi], the noise-floor estimates of
+// preamble rows preSpec[lo:hi]: the calibrated floor times the nSummed
+// spectra summed into each row (their independent noise powers add), or
+// else each row's lower-quartile estimate, through a quantile buffer
+// borrowed for the call. Calls over disjoint symbol ranges may run
+// concurrently.
+func (d *Decoder) preambleNoise(lo, hi, nSummed int) {
+	if d.cfg.NoiseFloor > 0 {
+		for sym := lo; sym < hi; sym++ {
+			d.noisePerSym[sym] = d.cfg.NoiseFloor * float64(nSummed)
+		}
+		return
+	}
+	buf := dsp.BorrowFloat64(d.dem.PaddedBins())
+	for sym := lo; sym < hi; sym++ {
+		d.noisePerSym[sym] = noiseQuantile(buf, d.preSpec[sym])
+	}
+	dsp.ReturnFloat64(buf)
 }
 
 // accumPreamble folds the preamble spectra into per-candidate peak
@@ -584,59 +613,85 @@ func (d *Decoder) reduceNoise() float64 {
 
 // rejectGhosts demotes side-lobe replicas: detected candidates whose
 // demodulated bits exactly match a far stronger detected candidate's.
+//
+// Only candidates with identical bits can demote one another, so the
+// detected candidates are sorted by (bits, index) and the pairwise test
+// runs within each group of identical bits, members in index order.
+// Every group sees the comparisons, in the order, of an all-pairs loop
+// over candidates in index order (kept in the tests as the oracle) —
+// a demotion cascades only within its group — at O(n log n) instead of
+// O(n²) bit-row comparisons.
 func (d *Decoder) rejectGhosts(devs []DeviceDecode) {
 	if d.cfg.GhostFactor <= 0 {
 		return
 	}
+	keys := d.ghosts[:0]
 	for i := range devs {
-		weak := &devs[i]
-		if !weak.Detected || len(weak.Bits) == 0 {
-			continue
+		if devs[i].Detected && len(devs[i].Bits) > 0 {
+			keys = append(keys, ghostKey{bits: devs[i].Bits, i: i})
 		}
-		for j := range devs {
-			if i == j {
+	}
+	d.ghosts = keys
+	slices.SortFunc(keys, compareGhostKeys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && bytes.Equal(keys[hi].bits, keys[lo].bits) {
+			hi++
+		}
+		if hi-lo > 1 {
+			d.rejectGroup(devs, keys[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// rejectGroup runs the ghost test over one group of detected candidates
+// with identical bits, in index order: a candidate is demoted when a
+// member still detected at its turn is at least GhostFactor times
+// stronger.
+func (d *Decoder) rejectGroup(devs []DeviceDecode, group []ghostKey) {
+	for _, w := range group {
+		weak := &devs[w.i]
+		for _, s := range group {
+			strong := &devs[s.i]
+			if s.i == w.i || !strong.Detected || strong.MeanPeakPower < d.cfg.GhostFactor*weak.MeanPeakPower {
 				continue
 			}
-			strong := &devs[j]
-			if !strong.Detected || len(strong.Bits) != len(weak.Bits) {
-				continue
-			}
-			if strong.MeanPeakPower < d.cfg.GhostFactor*weak.MeanPeakPower {
-				continue
-			}
-			same := true
-			for k := range weak.Bits {
-				if weak.Bits[k] != strong.Bits[k] {
-					same = false
-					break
-				}
-			}
-			if same {
-				weak.Detected = false
-				weak.CRCOK = false
-				weak.Payload = nil
-				break
-			}
+			weak.Detected = false
+			weak.CRCOK = false
+			weak.Payload = nil
+			break
 		}
 	}
 }
 
-// noiseQuantile estimates the mean noise power per padded FFT bin from
-// the lower quartile of a spectrum, using buf as scratch (grown and
-// returned so callers can keep it). For complex Gaussian noise, bin
-// powers are exponential with mean m and 25th percentile
-// m·ln(4/3) ≈ 0.2877·m; the lower quartile is robust against the
-// minority of bins occupied by device peaks and side lobes. The quartile
-// uses proper rank interpolation (h = 0.25·(n-1)) — the previous
-// buf[len/4] was the exact 25th percentile only when len(buf)%4 == 0 —
-// and an O(n) quickselect instead of a full sort.
-func noiseQuantile(buf []float64, spec []float64) (float64, []float64) {
-	if cap(buf) < len(spec) {
-		buf = make([]float64, len(spec))
+// ghostKey is a detected candidate's sort key for ghost rejection: its
+// demodulated bits and its index.
+type ghostKey struct {
+	bits []byte
+	i    int
+}
+
+func compareGhostKeys(a, b ghostKey) int {
+	if c := bytes.Compare(a.bits, b.bits); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.i, b.i)
+}
+
+// noiseQuantile estimates the mean noise power per padded FFT bin from
+// the lower quartile of a spectrum, using buf (len(buf) >= len(spec))
+// as scratch. For complex Gaussian noise, bin powers are exponential
+// with mean m and 25th percentile m·ln(4/3) ≈ 0.2877·m; the lower
+// quartile is robust against the minority of bins occupied by device
+// peaks and side lobes. The quartile uses proper rank interpolation
+// (h = 0.25·(n-1)) — the previous buf[len/4] was the exact 25th
+// percentile only when len(buf)%4 == 0 — and an O(n) quickselect
+// instead of a full sort.
+func noiseQuantile(buf []float64, spec []float64) float64 {
 	buf = buf[:len(spec)]
 	copy(buf, spec)
-	return dsp.QuantileInPlace(buf, 0.25) / 0.28768, buf // ln(4/3)
+	return dsp.QuantileInPlace(buf, 0.25) / 0.28768 // ln(4/3)
 }
 
 func (d *Decoder) grow(nCand, payloadBits int) {

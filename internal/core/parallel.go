@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"netscatter/internal/chirp"
 	"netscatter/internal/pool"
 )
 
@@ -20,10 +19,12 @@ const (
 
 // ParallelDecoder fans the symbol-batch work of DecodeFrame — dechirp,
 // pruned planar FFT, noise quantile, candidate window scan — across a
-// bounded worker set, one chirp.Demodulator per worker. Each work item
-// is a whole run of symbols through the batched front-end
-// (chirp.SpectraBatchInto / chirp.ScanBatch), writing disjoint slices
-// of the shared arenas. Everything that determines the decode outcome
+// bounded worker set. Each work item is a whole run of symbols through
+// the batched front-end (chirp.SpectraBatchInto / chirp.ScanBatch),
+// writing disjoint slices of the shared arenas. The batch calls are
+// safe for concurrent use and borrow their scratch per call, so every
+// worker shares the serial decoder's demodulator and no worker owns
+// any state. Everything that determines the decode outcome
 // (statistic accumulation, thresholds, CRC, ghost rejection) runs
 // serially in a fixed order on the embedded serial Decoder's arenas, so
 // the parallel decoder's FrameDecode is bit-identical to the serial
@@ -34,7 +35,7 @@ const (
 // valid until the next DecodeFrame call.
 type ParallelDecoder struct {
 	dec     *Decoder
-	workers []*decodeWorker
+	workers int
 
 	// Persistent phase funcs plus the in-flight call state they read;
 	// fresh closures per DecodeFrame would put two heap allocations
@@ -46,7 +47,7 @@ type ParallelDecoder struct {
 	curPayStart, curHalfIdx, curPayloadBits int
 
 	// curPre is the arena phase-1 workers write preamble spectra into:
-	// the serial decoder's preamble arena normally, the caller's emit
+	// the preamble rows the decode borrowed normally, the caller's emit
 	// arena on DecodeFrameEmit. curEmitPay, non-nil only during
 	// DecodeFrameEmit, is the payload section of the emit arena for
 	// phase-2 ScanBatchEmit calls.
@@ -54,31 +55,16 @@ type ParallelDecoder struct {
 	curEmitPay []float64
 }
 
-// decodeWorker is one worker's private state: a demodulator (FFT and
-// planar batch scratch are per-instance) plus a quantile buffer. The
-// pool guarantees a worker id never runs two items concurrently, so no
-// locking is needed.
-type decodeWorker struct {
-	dem   *chirp.Demodulator
-	quant []float64
-}
-
 // NewParallelDecoder builds a parallel decoder over a code book with the
 // given worker count; workers <= 0 means pool.Size() (GOMAXPROCS). One
 // worker degrades gracefully to the serial path with zero goroutines.
-//
-// Worker 0 — the caller's own lane — shares the serial decoder's
-// demodulator, and further workers materialize their demodulators only
-// when the shared pool actually hands them work, so a decoder built in
-// a saturated sweep (where nested fan-out runs inline) costs one
-// demodulator, not GOMAXPROCS of them.
+// The count caps a decode's goroutines; it costs no memory, since
+// workers share one demodulator and borrow scratch only while they run.
 func NewParallelDecoder(book *CodeBook, cfg DecoderConfig, workers int) *ParallelDecoder {
 	if workers <= 0 {
 		workers = pool.Size()
 	}
-	pd := &ParallelDecoder{dec: NewDecoder(book, cfg)}
-	pd.workers = make([]*decodeWorker, workers)
-	pd.workers[0] = &decodeWorker{dem: pd.dec.dem}
+	pd := &ParallelDecoder{dec: NewDecoder(book, cfg), workers: workers}
 	pd.preWorker = pd.preBatch
 	pd.payWorker = pd.payBatch
 	return pd
@@ -92,17 +78,14 @@ func batchCount(n, tile int) int {
 // preBatch computes one preamble symbol batch — spectra into the shared
 // arena plus per-symbol noise estimates — for the in-flight DecodeFrame
 // (phase 1 work item).
-func (pd *ParallelDecoder) preBatch(w, batch int) {
+func (pd *ParallelDecoder) preBatch(_, batch int) {
 	d := pd.dec
 	n := d.book.Params().N()
 	lo := batch * preBatchSymbols
 	hi := min(PreambleUpSymbols, lo+preBatchSymbols)
-	wk := pd.worker(w)
-	bins := wk.dem.PaddedBins()
-	wk.dem.SpectraBatchInto(pd.curPre[lo*bins:hi*bins], pd.curSig, pd.curStart+lo*n, hi-lo, &d.plan)
-	for sym := lo; sym < hi; sym++ {
-		d.noisePerSym[sym], wk.quant = d.symbolNoise(wk.quant, d.preSpec[sym], 1)
-	}
+	bins := d.dem.PaddedBins()
+	d.dem.SpectraBatchInto(pd.curPre[lo*bins:hi*bins], pd.curSig, pd.curStart+lo*n, hi-lo, &d.plan)
+	d.preambleNoise(lo, hi, 1)
 }
 
 // payBatch runs one payload symbol batch through the fused
@@ -110,29 +93,15 @@ func (pd *ParallelDecoder) preBatch(w, batch int) {
 // candidate-major arena (phase 2 work item). Batches own disjoint
 // symbol columns, so every (candidate, symbol) cell is written by
 // exactly one worker.
-func (pd *ParallelDecoder) payBatch(w, batch int) {
+func (pd *ParallelDecoder) payBatch(_, batch int) {
 	d := pd.dec
 	lo := batch * payBatchSymbols
 	hi := min(pd.curPayloadBits, lo+payBatchSymbols)
-	wk := pd.worker(w)
 	if pd.curEmitPay != nil {
-		wk.dem.ScanBatchEmit(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, pd.curEmitPay, &d.plan)
+		d.dem.ScanBatchEmit(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, pd.curEmitPay, &d.plan)
 		return
 	}
-	wk.dem.ScanBatch(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, &d.plan)
-}
-
-// worker returns worker w's state, materializing it on first use. Safe
-// without locks: the pool runs each worker id on exactly one goroutine
-// at a time, and successive ForEachWorker phases are ordered by its
-// WaitGroup, so slot w is only ever touched by w's current goroutine.
-func (pd *ParallelDecoder) worker(w int) *decodeWorker {
-	wk := pd.workers[w]
-	if wk == nil {
-		wk = &decodeWorker{dem: chirp.NewDemodulator(pd.dec.book.Params(), pd.dec.cfg.ZeroPad)}
-		pd.workers[w] = wk
-	}
-	return wk
+	d.dem.ScanBatch(pd.curSig, pd.curPayStart, lo, hi-lo, d.payCenter, pd.curHalfIdx, d.powers, pd.curPayloadBits, &d.plan)
 }
 
 // Serial returns the embedded serial decoder (which shares this
@@ -144,7 +113,7 @@ func (pd *ParallelDecoder) Serial() *Decoder { return pd.dec }
 func (pd *ParallelDecoder) Book() *CodeBook { return pd.dec.Book() }
 
 // Workers returns the worker count.
-func (pd *ParallelDecoder) Workers() int { return len(pd.workers) }
+func (pd *ParallelDecoder) Workers() int { return pd.workers }
 
 // DecodeFrame is Decoder.DecodeFrame with the symbol batches computed in
 // parallel. Output is bit-identical to the serial path.
@@ -182,15 +151,17 @@ func (pd *ParallelDecoder) decodeFrame(sig []complex128, start int, shifts []int
 	// and disjoint noisePerSym entries; the reduction below runs
 	// serially in symbol order, so the noise average is bit-identical to
 	// the serial decoder's.
-	pool.ForEachWorker(len(pd.workers), batchCount(PreambleUpSymbols, preBatchSymbols), pd.preWorker)
+	pool.ForEachWorker(pd.workers, batchCount(PreambleUpSymbols, preBatchSymbols), pd.preWorker)
 	noise := d.reduceNoise()
 	d.accumPreamble(d.preSpec[:], shifts, noise)
+	pd.curPre = nil
+	d.releasePreamble()
 
 	// Phase 2: payload symbol batches through the fused scan kernel.
 	d.preparePayload(payloadBits)
 	pd.curPayStart = start + PreambleSymbols*n
 	pd.curHalfIdx = d.trackHalf()
-	pool.ForEachWorker(len(pd.workers), batchCount(payloadBits, payBatchSymbols), pd.payWorker)
+	pool.ForEachWorker(pd.workers, batchCount(payloadBits, payBatchSymbols), pd.payWorker)
 
 	pd.curSig, pd.curEmitPay = nil, nil
 	d.finish(noise, payloadBits)

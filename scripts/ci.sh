@@ -5,7 +5,8 @@
 # fuzz-seed gates), an explicit fuzz-seed pass, a race-detector pass
 # over the concurrent paths, the benchmark-trajectory guard over the
 # committed BENCH_<tag>.json reports, and the docs gate (route-coverage
-# test, markdown link check, short-mode service soak).
+# test, markdown link check, short-mode service soak), plus vet and
+# self-tests of the nsbench benchmark module.
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,8 +48,9 @@ echo "== fuzz seed corpus =="
 # synthesizer phase continuity, interleaved-chain stride continuity
 # (chain path vs serial recurrence), cyclic-shift identity, decoder
 # round-trip, the cross-AP aggregator's never-drop/never-double
-# invariants, and the pruned transform's plan bins
-# (FuzzPrunedTransform: window-planned last pass vs full transform).
+# invariants, the pruned transform's plan bins (FuzzPrunedTransform:
+# window-planned last pass vs full transform) and the grouped ghost
+# rejection (FuzzRejectGhosts: vs the all-pairs loop).
 go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp
 
 echo "== race: concurrent paths =="
@@ -69,7 +71,11 @@ echo "== race: concurrent paths =="
 # BinPlan|Pruned|StageKernels|WindowedSum names pull in the window-plan
 # gates (plan construction, pruned last pass vs full transform, the
 # stage kernels' group-count runs, the windowed soft-combining sum).
-go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio
+# The Scratch names pull in the scratch-loan gates (the dsp free list's
+# own tests, decodes over NaN-poisoned scratch, bounded retention across
+# 32 decoders), and Concurrent in ./internal/chirp drives one
+# demodulator's batch calls from four goroutines at once.
+go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp
 
 echo "== campaign: unit + resume + race =="
 # The declarative campaign runner: spec expansion, shard-order
@@ -85,6 +91,14 @@ echo "== serve: race + short soak =="
 # fan-out, fair scheduling), plus the reduced-fleet soak: steady round
 # throughput and a flat heap across waves.
 go test -race -count=1 -short ./internal/serve
+
+echo "== nsbench: vet + self-tests =="
+# The benchmark is a module of its own (go.mod there replaces the
+# repository module with ../), so the steps above do not build it. It
+# has no external dependencies and builds offline; vetting it here makes
+# a signature change that breaks the benchmark fail CI, not the
+# benchmark run.
+(cd nsbench && go vet ./... && go test -count=1 ./...)
 
 echo "== benchguard: perf trajectory =="
 scripts/benchguard.sh
