@@ -24,6 +24,7 @@ import (
 	"netscatter/internal/dsp"
 	"netscatter/internal/pool"
 	"netscatter/internal/radio"
+	"netscatter/internal/synth"
 )
 
 // MultiTransmission describes one device's contribution as heard by
@@ -41,6 +42,15 @@ type MultiTransmission struct {
 	// into the receive buffer from a template set
 	// (FrameBitsWaveformMixedAddRange).
 	MixedAddRange func(out []complex128, lo, hi, at int, tmpl []complex128, fracSamples, freqOffsetHz float64)
+	// MixedSchedule, when set, fills sc (channel-owned storage, reused
+	// across receives) with the schedule of the frame MixedAddRange
+	// adds at sample offset at (core.Encoder's FrameBitsSchedule). The
+	// channel calls it once per receive in the per-device pass and then
+	// accumulates the device from the schedule, fused with its
+	// scheduled neighbours (synth.AccumulateFrames), instead of calling
+	// MixedAddRange per tile — the same bits, since the schedule is the
+	// plan MixedAddRange walks. Nil keeps the MixedAddRange path.
+	MixedSchedule func(sc *synth.FrameSchedule, at int, fracSamples, freqOffsetHz float64)
 	// SNRdB holds the per-AP received SNRs; len(SNRdB) must cover the
 	// channel's AP count for a contributing transmission.
 	SNRdB []float64
@@ -89,6 +99,12 @@ func ScaleTemplate(dst, src []complex128, c complex128) []complex128 {
 // with key^a and that AP's scaled-template transmissions — the
 // test-enforced oracle.
 //
+// A tile adds runs of consecutive scheduled transmissions (MixedSchedule
+// set) in one fused pass each, and every other transmission through
+// its MixedAddRange closure, in transmission order; the fused pass adds
+// each sample's products in the same order, so both routes give the
+// same bits.
+//
 // Like Channel, a MultiChannel reuses its arenas across receives and is
 // not safe for concurrent use.
 type MultiChannel struct {
@@ -104,8 +120,9 @@ type MultiChannel struct {
 
 	// Reused per-call state: per-(device, AP) scales, the shared base
 	// template arena (one 2N slot per device, synthesized once), the
-	// per-AP scaled template arena (k·nTx slots), placements, and the
-	// persistent workers with the in-flight call state they read.
+	// per-AP scaled template arena (k·nTx slots), placements, the
+	// per-device frame schedules, and the persistent workers with the
+	// in-flight call state they read.
 	scales    []complex128
 	baseArena []complex128
 	base      [][]complex128
@@ -113,6 +130,8 @@ type MultiChannel struct {
 	apTmpls   [][]complex128 // apTmpls[a*nTx+i]: device i's templates at AP a
 	txAt      []int
 	txFrac    []float64
+	scheds    []synth.FrameSchedule // device i's, filled when it has MixedSchedule
+	syn       *synth.Synthesizer
 
 	tmplWorker func(i int)
 	tileWorker func(j int)
@@ -168,6 +187,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	if cap(mc.txAt) < nTx {
 		mc.txAt = make([]int, nTx)
 		mc.txFrac = make([]float64, nTx)
+		mc.scheds = make([]synth.FrameSchedule, nTx)
 		mc.base = make([][]complex128, nTx)
 		mc.scales = make([]complex128, nTx*k)
 	}
@@ -180,6 +200,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	}
 	mc.txAt = mc.txAt[:nTx]
 	mc.txFrac = mc.txFrac[:nTx]
+	mc.scheds = mc.scheds[:nTx]
 	mc.base = mc.base[:nTx]
 	mc.scales = mc.scales[:nTx*k]
 	mc.apTmpls = mc.apTmpls[:k*nTx]
@@ -216,6 +237,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 		mc.tmplWorker = mc.tmplOne
 		mc.tileWorker = mc.tileOne
 	}
+	mc.syn = synth.For(mc.Params)
 	mc.curTxs = txs
 	mc.curOuts = outs
 	mc.curKey = key
@@ -230,7 +252,8 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 
 // tmplOne synthesizes device i's base template symbols (fractional
 // delay and frequency offset folded in, unit gain) — the round's only
-// synthesis call for the device — and scales the k per-AP copies.
+// synthesis call for the device — scales the k per-AP copies, and
+// fills the device's frame schedule when it has one.
 func (mc *MultiChannel) tmplOne(i int) {
 	tx := &mc.curTxs[i]
 	if !tx.contributes() {
@@ -238,6 +261,9 @@ func (mc *MultiChannel) tmplOne(i int) {
 	}
 	k := mc.nAPs
 	nTx := len(mc.curTxs)
+	if tx.MixedSchedule != nil {
+		tx.MixedSchedule(&mc.scheds[i], mc.txAt[i], mc.txFrac[i], tx.FreqOffsetHz)
+	}
 	mc.base[i] = tx.MixedTmpl(mc.base[i], mc.txFrac[i], tx.FreqOffsetHz, 1)
 	for a := 0; a < k; a++ {
 		slot := a*nTx + i
@@ -250,7 +276,10 @@ func (mc *MultiChannel) tmplOne(i int) {
 // that AP's scaled templates, then add the AP's tile-indexed noise
 // stream (dsp.StreamAt(key^ap, tile)). AP 0's noise streams are
 // exactly the single-AP channel's for the same key, so a one-AP multi
-// receive degenerates to the classic path.
+// receive degenerates to the classic path. Consecutive scheduled
+// devices are gathered into runs of up to synth.FuseRun and added by
+// one fused pass per run; a closure-path transmission first flushes
+// the pending run, so per sample the adds stay in transmission order.
 func (mc *MultiChannel) tileOne(j int) {
 	a := j / mc.nTiles
 	t := j % mc.nTiles
@@ -262,12 +291,30 @@ func (mc *MultiChannel) tileOne(j int) {
 		w[i] = 0
 	}
 	nTx := len(mc.curTxs)
+	var run [synth.FuseRun]synth.FusedFrame
+	m := 0
 	for i := range mc.curTxs {
 		tx := &mc.curTxs[i]
 		if !tx.contributes() {
 			continue
 		}
-		tx.MixedAddRange(out, lo, hi, mc.txAt[i], mc.apTmpls[a*nTx+i], mc.txFrac[i], tx.FreqOffsetHz)
+		tmpl := mc.apTmpls[a*nTx+i]
+		if tx.MixedSchedule != nil {
+			run[m] = synth.FusedFrame{Sched: &mc.scheds[i], Tmpl: tmpl}
+			if m++; m == len(run) {
+				mc.syn.AccumulateFrames(out, lo, hi, run[:m])
+				m = 0
+			}
+			continue
+		}
+		if m > 0 {
+			mc.syn.AccumulateFrames(out, lo, hi, run[:m])
+			m = 0
+		}
+		tx.MixedAddRange(out, lo, hi, mc.txAt[i], tmpl, mc.txFrac[i], tx.FreqOffsetHz)
+	}
+	if m > 0 {
+		mc.syn.AccumulateFrames(out, lo, hi, run[:m])
 	}
 	if mc.noiseOn {
 		st := dsp.StreamAt(mc.curKey^int64(a), uint64(t))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"netscatter/internal/air"
+	"netscatter/internal/chirp"
 	"netscatter/internal/core"
 	"netscatter/internal/dsp"
 	"netscatter/internal/radio"
@@ -24,6 +25,9 @@ func mirrorScalesAndKey(seed int64, txs []air.MultiTransmission, nAPs int) ([][]
 	for i := range txs {
 		tx := &txs[i]
 		scales[i] = make([]complex128, nAPs)
+		if silenced(tx) {
+			continue // adds nothing and draws nothing
+		}
 		for a := 0; a < nAPs; a++ {
 			gain := complex(radio.AmplitudeForSNRdB(tx.SNRdB[a]), 0)
 			if tx.FadeGain != 0 {
@@ -38,6 +42,43 @@ func mirrorScalesAndKey(seed int64, txs []air.MultiTransmission, nAPs int) ([][]
 	return scales, int64(rng.Uint64())
 }
 
+// silenced reports whether a fleet transmission was detached (adds no
+// samples, draws no carrier phases).
+func silenced(tx *air.MultiTransmission) bool {
+	return tx.MixedTmpl == nil || tx.MixedAddRange == nil
+}
+
+// fleetKinds are the transmission fleets the channel oracles run:
+// every device on the MixedAddRange closure path; every device
+// scheduled, so tiles accumulate runs of devices in fused passes; and a
+// mixed fleet whose closure-only transmissions (devices 3 and 20) sit
+// between scheduled runs and whose silenced devices (5, 11, 17) keep
+// their schedule hooks but must add nothing. With 24 devices the mixed
+// fleet flushes a run at a closure transmission, at a full run of
+// synth.FuseRun and at the end of the fleet, which pins transmission
+// order at every kind of run boundary.
+var fleetKinds = []string{"closures", "scheduled", "mixed"}
+
+// testFleet builds a MultiTxs fleet of the given kind.
+func testFleet(p chirp.Params, kind string, nDev, k int, bits [][]byte) []air.MultiTransmission {
+	txs := simtest.MultiTxs(p, nDev, k, bits)
+	if kind == "closures" {
+		return txs
+	}
+	simtest.Schedule(p, txs, bits)
+	if kind == "mixed" {
+		for i := range txs {
+			switch {
+			case i == 3 || i == 20:
+				txs[i].MixedSchedule = nil
+			case i%6 == 5:
+				txs[i].MixedTmpl, txs[i].MixedAddRange = nil, nil
+			}
+		}
+	}
+	return txs
+}
+
 // TestMultiChannelMatchesSingleAPOracles pins the tentpole's
 // bit-exactness contract: each per-AP buffer of a MultiChannel receive
 // must be DeepEqual to an independent single-AP air.Channel receive
@@ -46,46 +87,59 @@ func mirrorScalesAndKey(seed int64, txs []air.MultiTransmission, nAPs int) ([][]
 // re-derive everything from scratch — fresh encoders, the mirrored
 // scale draws — so the equality validates the fan-out's scale
 // composition, accumulation order, tile grid and noise-key derivation
-// against the single-AP engine, for k ∈ {1, 2, 4}.
+// against the single-AP engine, for k ∈ {1, 2, 4}. The oracle always
+// accumulates through closures, so on the scheduled and mixed fleets it
+// also pins the fused accumulate — runs of devices per pass, across a
+// two-tile buffer — to per-device accumulation.
 func TestMultiChannelMatchesSingleAPOracles(t *testing.T) {
 	p := simtest.SmallParams()
-	const nDev = 7
-	const nBits = 12
+	const nDev = 24
+	const nBits = 40
 	length := (8 + nBits + 2) * p.N()
 
-	for _, k := range []int{1, 2, 4} {
-		bits := simtest.Bits(nDev, nBits, 21)
-		txs := simtest.MultiTxs(p, nDev, k, bits)
-		const seed = 99
-		mc := air.NewMultiChannel(p, k, dsp.NewRand(seed))
-		outs := mc.Receive(length, txs)
+	for _, kind := range fleetKinds {
+		for _, k := range []int{1, 2, 4} {
+			checkMultiAgainstOracles(t, p, kind, k, nDev, nBits, length)
+		}
+	}
+}
 
-		scales, key := mirrorScalesAndKey(seed, txs, k)
-		for a := 0; a < k; a++ {
-			oracle := air.NewChannel(p, dsp.NewRand(1))
-			otxs := make([]air.Transmission, nDev)
-			for i := 0; i < nDev; i++ {
-				enc := core.NewEncoder(p, (i*7+3)%p.N())
-				b := bits[i]
-				scale := scales[i][a]
-				otx := &otxs[i]
-				otx.DelaySec = txs[i].DelaySec
-				otx.FreqOffsetHz = txs[i].FreqOffsetHz
-				otx.FixedPhase = true // scale already carries the phase
-				otx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
-					base := enc.FrameBitsWaveformMixedTemplates(nil, b, frac, freqHz, 1)
-					return air.ScaleTemplate(tmpl, base, scale)
-				}
-				otx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
-					enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
-				}
+func checkMultiAgainstOracles(t *testing.T, p chirp.Params, kind string, k, nDev, nBits, length int) {
+	t.Helper()
+	bits := simtest.Bits(nDev, nBits, 21)
+	txs := testFleet(p, kind, nDev, k, bits)
+	const seed = 99
+	mc := air.NewMultiChannel(p, k, dsp.NewRand(seed))
+	outs := mc.Receive(length, txs)
+
+	scales, key := mirrorScalesAndKey(seed, txs, k)
+	for a := 0; a < k; a++ {
+		oracle := air.NewChannel(p, dsp.NewRand(1))
+		otxs := make([]air.Transmission, nDev)
+		for i := 0; i < nDev; i++ {
+			if silenced(&txs[i]) {
+				continue
 			}
-			want := oracle.ReceiveIntoKeyed(make([]complex128, length), otxs, key^int64(a))
-			if !reflect.DeepEqual(outs[a], want) {
-				i := firstDiff(outs[a], want)
-				t.Fatalf("k=%d AP %d diverges from single-AP oracle at sample %d: %v vs %v",
-					k, a, i, outs[a][i], want[i])
+			enc := core.NewEncoder(p, (i*7+3)%p.N())
+			b := bits[i]
+			scale := scales[i][a]
+			otx := &otxs[i]
+			otx.DelaySec = txs[i].DelaySec
+			otx.FreqOffsetHz = txs[i].FreqOffsetHz
+			otx.FixedPhase = true // scale already carries the phase
+			otx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
+				base := enc.FrameBitsWaveformMixedTemplates(nil, b, frac, freqHz, 1)
+				return air.ScaleTemplate(tmpl, base, scale)
 			}
+			otx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
+				enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
+			}
+		}
+		want := oracle.ReceiveIntoKeyed(make([]complex128, length), otxs, key^int64(a))
+		if !reflect.DeepEqual(outs[a], want) {
+			i := firstDiff(outs[a], want)
+			t.Fatalf("%s fleet, k=%d: AP %d diverges from single-AP oracle at sample %d: %v vs %v",
+				kind, k, a, i, outs[a][i], want[i])
 		}
 	}
 }
@@ -134,37 +188,47 @@ func TestMultiChannelSynthesizesTemplatesOnce(t *testing.T) {
 // bit-identical across GOMAXPROCS ∈ {1, 2, 4} — the (AP, tile)-indexed
 // noise streams and transmission-ordered accumulation make every
 // buffer a pure function of (seed, transmissions), not of worker
-// scheduling.
+// scheduling. Every fleet kind gives the closure fleet's bits: the
+// per-device schedules are filled by pool workers and read by every
+// tile worker, with no shared scratch between tiles.
 func TestMultiChannelBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 	p := simtest.SmallParams()
-	const nDev = 12
+	const nDev = 24
 	const k = 3
-	length := (8 + 16 + 3) * p.N()
+	const nBits = 36
+	length := (8 + nBits + 3) * p.N()
 
-	run := func(procs int) [][]complex128 {
+	run := func(procs int, kind string) [][]complex128 {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		bits := simtest.Bits(nDev, 16, 8)
+		bits := simtest.Bits(nDev, nBits, 8)
 		mc := air.NewMultiChannel(p, k, dsp.NewRand(44))
-		outs := mc.Receive(length, simtest.MultiTxs(p, nDev, k, bits))
+		outs := mc.Receive(length, testFleet(p, kind, nDev, k, bits))
 		// A second round through the same channel exercises arena reuse.
 		mc.Rng = dsp.NewRand(44)
-		outs2 := mc.Receive(length, simtest.MultiTxs(p, nDev, k, bits))
+		outs2 := mc.Receive(length, testFleet(p, kind, nDev, k, bits))
 		for a := range outs {
 			if !reflect.DeepEqual(outs[a], outs2[a]) {
-				t.Fatalf("procs=%d: arena reuse diverged at AP %d", procs, a)
+				t.Fatalf("%s fleet, procs=%d: arena reuse diverged at AP %d", kind, procs, a)
 			}
 		}
 		return outs
 	}
 
-	want := run(1)
-	for _, procs := range []int{2, 4} {
-		got := run(procs)
-		for a := range want {
-			if !reflect.DeepEqual(got[a], want[a]) {
-				i := firstDiff(got[a], want[a])
-				t.Fatalf("GOMAXPROCS=%d AP %d diverges from serial at sample %d", procs, a, i)
+	want := run(1, "closures")
+	wantMixed := run(1, "mixed")
+	for _, procs := range []int{1, 2, 4} {
+		for _, kind := range fleetKinds {
+			ref := want
+			if kind == "mixed" {
+				ref = wantMixed
+			}
+			got := run(procs, kind)
+			for a := range ref {
+				if !reflect.DeepEqual(got[a], ref[a]) {
+					i := firstDiff(got[a], ref[a])
+					t.Fatalf("%s fleet, GOMAXPROCS=%d: AP %d diverges from the serial receive at sample %d", kind, procs, a, i)
+				}
 			}
 		}
 	}
@@ -172,22 +236,24 @@ func TestMultiChannelBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 
 // TestMultiChannelZeroAllocSteadyState: after a warm-up receive, the
 // multi-AP fan-out reuses every arena — base templates, per-AP scaled
-// templates, scales, placements — so steady-state receives allocate
-// nothing at GOMAXPROCS=1.
+// templates, scales, placements, frame schedules — so steady-state
+// receives allocate nothing at GOMAXPROCS=1, on every fleet kind.
 func TestMultiChannelZeroAllocSteadyState(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
 	p := simtest.SmallParams()
-	const nDev = 6
+	const nDev = 24
 	const k = 2
 	bits := simtest.Bits(nDev, 10, 6)
-	txs := simtest.MultiTxs(p, nDev, k, bits)
-	mc := air.NewMultiChannel(p, k, dsp.NewRand(9))
-	outs := mc.Receive((8+10+2)*p.N(), txs)
-	allocs := testing.AllocsPerRun(10, func() { mc.ReceiveInto(outs, txs) })
-	if allocs != 0 {
-		t.Fatalf("steady-state multi-AP receive allocates %.1f objects/op", allocs)
+	for _, kind := range fleetKinds {
+		txs := testFleet(p, kind, nDev, k, bits)
+		mc := air.NewMultiChannel(p, k, dsp.NewRand(9))
+		outs := mc.Receive((8+10+2)*p.N(), txs)
+		allocs := testing.AllocsPerRun(10, func() { mc.ReceiveInto(outs, txs) })
+		if allocs != 0 {
+			t.Fatalf("%s fleet: steady-state multi-AP receive allocates %.1f objects/op", kind, allocs)
+		}
 	}
 }
 

@@ -127,6 +127,17 @@ func (e *Encoder) FrameBitsWaveformMixedAddRange(out []complex128, lo, hi, at in
 	e.syn.FrameMixedAccumulateRange(out, lo, hi, at, tmpl, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega)
 }
 
+// FrameBitsSchedule fills sc with the per-round accumulate plan of the
+// mixed frame FrameBitsWaveformMixedAddRange would add at offset at:
+// its symbol-0 sample and, per symbol, the template and rotation (see
+// synth.FrameSchedule). With the matching templates, synth's
+// AccumulateFrames then adds the frame bit-identically to the range
+// calls, without recomputing the plan per tile.
+func (e *Encoder) FrameBitsSchedule(sc *synth.FrameSchedule, bits []byte, at int, frac, freqOffsetHz float64) {
+	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
+	e.syn.FrameMixedSchedule(sc, at, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega)
+}
+
 // OnFraction returns the fraction of payload symbols that carry energy
 // for the given bits — used by energy accounting in the simulator.
 func OnFraction(bits []byte) float64 {

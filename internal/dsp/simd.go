@@ -109,12 +109,82 @@ func AxpyInto(dst, src []complex128, c complex128) {
 }
 
 func axpyIntoScalar(dst, src []complex128, c complex128) {
-	cr, ci := real(c), imag(c)
 	for i := range dst {
-		sr, si := real(src[i]), imag(src[i])
-		tr := math.FMA(sr, cr, -(si * ci))
-		ti := math.FMA(si, cr, sr*ci)
-		dst[i] += complex(tr, ti)
+		dst[i] = AxpyElem(dst[i], src[i], c)
+	}
+}
+
+// AxpyElem returns acc + s·c for one element, with exactly AxpyInto's
+// per-element expansion (fused product, separate add) — the scalar
+// body of AxpyInto and AxpyMultiInto, for callers that accumulate
+// element by element.
+func AxpyElem(acc, s, c complex128) complex128 {
+	sr, si := real(s), imag(s)
+	cr, ci := real(c), imag(c)
+	return acc + complex(math.FMA(sr, cr, -(si*ci)), math.FMA(si, cr, sr*ci))
+}
+
+// AxpyTerm is one source of AxpyMultiInto: Src scaled by C.
+type AxpyTerm struct {
+	Src []complex128
+	C   complex128
+}
+
+// axpyPassTerms is the most terms the vector body folds into one load
+// and store of the accumulator: four (cr, ci) broadcast pairs fill
+// eight of the sixteen ymm registers, leaving the other eight for four
+// accumulators and the product temporaries.
+const axpyPassTerms = 4
+
+// AxpyMultiInto accumulates several constant multiples into dst in
+// term order:
+//
+//	for each i, for each term t in order: dst[i] += t.Src[i]·t.C
+//
+// with every product AxpyInto's fused expansion and every add a
+// separate rounding. Per element the adds run in term order, so the
+// result is bit-identical to calling AxpyInto once per term, in order.
+// The vector body loads and stores each dst element once per pass of
+// up to four terms, keeping the running sum in registers — the saving
+// over one AxpyInto pass per term, which is bound by the accumulator's
+// loads and stores. Longer term lists run in passes of four, three and
+// two (five terms as 3+2, never leaving a single-term pass behind a
+// multi-term one). Every Src must have len(dst) elements; a mismatch
+// panics on both paths.
+func AxpyMultiInto(dst []complex128, terms []AxpyTerm) {
+	for i := range terms {
+		if len(terms[i].Src) != len(dst) {
+			panic("dsp: AxpyMultiInto length mismatch")
+		}
+	}
+	if !simdFMA || len(dst) < 2 {
+		axpyMultiScalar(dst, terms)
+		return
+	}
+	for len(terms) > 0 {
+		m := len(terms)
+		switch {
+		case m == axpyPassTerms+1:
+			m = 3
+		case m > axpyPassTerms:
+			m = axpyPassTerms
+		}
+		if m == 1 {
+			axpyIntoAVX2(dst, terms[0].Src, terms[0].C)
+		} else {
+			axpyMultiAVX2(dst, &terms[0], m)
+		}
+		terms = terms[m:]
+	}
+}
+
+func axpyMultiScalar(dst []complex128, terms []AxpyTerm) {
+	for i := range dst {
+		acc := dst[i]
+		for t := range terms {
+			acc = AxpyElem(acc, terms[t].Src[i], terms[t].C)
+		}
+		dst[i] = acc
 	}
 }
 

@@ -41,6 +41,9 @@ func addF64AVX2(dst, src []float64)
 func axpyIntoAVX2(dst, src []complex128, c complex128)
 
 //go:noescape
+func axpyMultiAVX2(dst []complex128, terms *AxpyTerm, m int)
+
+//go:noescape
 func scaleIntoAVX2(dst, src []complex128, c complex128)
 
 //go:noescape

@@ -168,6 +168,204 @@ done:
 	VZEROUPPER
 	RET
 
+// AXPY_TERM adds one term's product into the accumulator acc: the
+// source chunk at off(src)(AX*1) times (cr, ci), with axpyIntoAVX2's
+// fused expansion — prod = swap(src)·ci, then VFMADDSUB231PD gives
+// FMA(sr, cr, −si·ci) on real lanes and FMA(si, cr, sr·ci) on imaginary
+// lanes — and the add kept separate. t1/t2 are scratch; the operand
+// width (Y or X) follows the registers passed.
+#define AXPY_TERM(off, src, cr, ci, acc, t1, t2) \
+	VMOVUPD        off(src)(AX*1), t1; \
+	VPERMILPD      $0x5, t1, t2;       \
+	VMULPD         ci, t2, t2;         \
+	VFMADDSUB231PD cr, t1, t2;         \
+	VADDPD         t2, acc, acc
+
+// AXPY_TERMS2..4 add the first two, three or four terms (sources R8,
+// R9, R10, R11; coefficients Y8/Y9, Y10/Y11, Y12/Y13, Y14/Y15) into
+// acc in term order.
+#define AXPY_TERMS2(off, acc, t1, t2, c0r, c0i, c1r, c1i) \
+	AXPY_TERM(off, R8, c0r, c0i, acc, t1, t2); \
+	AXPY_TERM(off, R9, c1r, c1i, acc, t1, t2)
+
+#define AXPY_TERMS3(off, acc, t1, t2, c0r, c0i, c1r, c1i, c2r, c2i) \
+	AXPY_TERMS2(off, acc, t1, t2, c0r, c0i, c1r, c1i); \
+	AXPY_TERM(off, R10, c2r, c2i, acc, t1, t2)
+
+#define AXPY_TERMS4(off, acc, t1, t2, c0r, c0i, c1r, c1i, c2r, c2i, c3r, c3i) \
+	AXPY_TERMS3(off, acc, t1, t2, c0r, c0i, c1r, c1i, c2r, c2i); \
+	AXPY_TERM(off, R11, c3r, c3i, acc, t1, t2)
+
+// func axpyMultiAVX2(dst []complex128, terms *AxpyTerm, m int)
+//
+// dst[i] += terms[t].Src[i]·terms[t].C for t = 0, …, m−1 in order,
+// m ∈ {2, 3, 4}: each dst chunk is loaded once, every term's product
+// (exactly axpyIntoAVX2's) is added into it in term order, and it is
+// stored once — the per-element operation sequence of m sequential
+// AxpyInto calls, with the accumulator kept in registers. AxpyTerm is
+// {Src ptr, len, cap; C real, imag}: 40 bytes, C at +24. The main loop
+// runs four independent 32-byte chunks (Y0, Y3, Y6, Y7) per iteration,
+// so four add chains overlap; leftover chunks run one at a time and a
+// single-complex tail uses the X registers. Requires FMA3 (dispatched
+// on simdFMA).
+TEXT ·axpyMultiAVX2(SB), NOSPLIT, $0-40
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), DX
+	MOVQ         terms+24(FP), BX
+	MOVQ         m+32(FP), CX
+	MOVQ         0(BX), R8
+	VBROADCASTSD 24(BX), Y8
+	VBROADCASTSD 32(BX), Y9
+	MOVQ         40(BX), R9
+	VBROADCASTSD 64(BX), Y10
+	VBROADCASTSD 72(BX), Y11
+	XORQ         AX, AX
+	CMPQ         CX, $2
+	JEQ          two
+	MOVQ         80(BX), R10
+	VBROADCASTSD 104(BX), Y12
+	VBROADCASTSD 112(BX), Y13
+	CMPQ         CX, $3
+	JEQ          three
+	MOVQ         120(BX), R11
+	VBROADCASTSD 144(BX), Y14
+	VBROADCASTSD 152(BX), Y15
+
+four:
+	MOVQ DX, CX
+	SHRQ $3, CX // 128-byte blocks of eight complex
+	JZ   four_rest
+
+four_loop:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD 32(DI)(AX*1), Y3
+	VMOVUPD 64(DI)(AX*1), Y6
+	VMOVUPD 96(DI)(AX*1), Y7
+	AXPY_TERMS4(0, Y0, Y1, Y2, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	AXPY_TERMS4(32, Y3, Y4, Y5, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	AXPY_TERMS4(64, Y6, Y1, Y2, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	AXPY_TERMS4(96, Y7, Y4, Y5, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y3, 32(DI)(AX*1)
+	VMOVUPD Y6, 64(DI)(AX*1)
+	VMOVUPD Y7, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	DECQ    CX
+	JNZ     four_loop
+
+four_rest:
+	MOVQ DX, CX
+	SHRQ $1, CX
+	ANDQ $3, CX // leftover 32-byte chunks of two complex
+	JZ   four_tail
+
+four_pair:
+	VMOVUPD (DI)(AX*1), Y0
+	AXPY_TERMS4(0, Y0, Y1, Y2, Y8, Y9, Y10, Y11, Y12, Y13, Y14, Y15)
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     four_pair
+
+four_tail:
+	TESTQ   $1, DX
+	JZ      done
+	VMOVUPD (DI)(AX*1), X0
+	AXPY_TERMS4(0, X0, X1, X2, X8, X9, X10, X11, X12, X13, X14, X15)
+	VMOVUPD X0, (DI)(AX*1)
+	JMP     done
+
+three:
+	MOVQ DX, CX
+	SHRQ $3, CX // 128-byte blocks of eight complex
+	JZ   three_rest
+
+three_loop:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD 32(DI)(AX*1), Y3
+	VMOVUPD 64(DI)(AX*1), Y6
+	VMOVUPD 96(DI)(AX*1), Y7
+	AXPY_TERMS3(0, Y0, Y1, Y2, Y8, Y9, Y10, Y11, Y12, Y13)
+	AXPY_TERMS3(32, Y3, Y4, Y5, Y8, Y9, Y10, Y11, Y12, Y13)
+	AXPY_TERMS3(64, Y6, Y1, Y2, Y8, Y9, Y10, Y11, Y12, Y13)
+	AXPY_TERMS3(96, Y7, Y4, Y5, Y8, Y9, Y10, Y11, Y12, Y13)
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y3, 32(DI)(AX*1)
+	VMOVUPD Y6, 64(DI)(AX*1)
+	VMOVUPD Y7, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	DECQ    CX
+	JNZ     three_loop
+
+three_rest:
+	MOVQ DX, CX
+	SHRQ $1, CX
+	ANDQ $3, CX // leftover 32-byte chunks of two complex
+	JZ   three_tail
+
+three_pair:
+	VMOVUPD (DI)(AX*1), Y0
+	AXPY_TERMS3(0, Y0, Y1, Y2, Y8, Y9, Y10, Y11, Y12, Y13)
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     three_pair
+
+three_tail:
+	TESTQ   $1, DX
+	JZ      done
+	VMOVUPD (DI)(AX*1), X0
+	AXPY_TERMS3(0, X0, X1, X2, X8, X9, X10, X11, X12, X13)
+	VMOVUPD X0, (DI)(AX*1)
+	JMP     done
+
+two:
+	MOVQ DX, CX
+	SHRQ $3, CX // 128-byte blocks of eight complex
+	JZ   two_rest
+
+two_loop:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD 32(DI)(AX*1), Y3
+	VMOVUPD 64(DI)(AX*1), Y6
+	VMOVUPD 96(DI)(AX*1), Y7
+	AXPY_TERMS2(0, Y0, Y1, Y2, Y8, Y9, Y10, Y11)
+	AXPY_TERMS2(32, Y3, Y4, Y5, Y8, Y9, Y10, Y11)
+	AXPY_TERMS2(64, Y6, Y1, Y2, Y8, Y9, Y10, Y11)
+	AXPY_TERMS2(96, Y7, Y4, Y5, Y8, Y9, Y10, Y11)
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y3, 32(DI)(AX*1)
+	VMOVUPD Y6, 64(DI)(AX*1)
+	VMOVUPD Y7, 96(DI)(AX*1)
+	ADDQ    $128, AX
+	DECQ    CX
+	JNZ     two_loop
+
+two_rest:
+	MOVQ DX, CX
+	SHRQ $1, CX
+	ANDQ $3, CX // leftover 32-byte chunks of two complex
+	JZ   two_tail
+
+two_pair:
+	VMOVUPD (DI)(AX*1), Y0
+	AXPY_TERMS2(0, Y0, Y1, Y2, Y8, Y9, Y10, Y11)
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     two_pair
+
+two_tail:
+	TESTQ   $1, DX
+	JZ      done
+	VMOVUPD (DI)(AX*1), X0
+	AXPY_TERMS2(0, X0, X1, X2, X8, X9, X10, X11)
+	VMOVUPD X0, (DI)(AX*1)
+
+done:
+	VZEROUPPER
+	RET
+
 // func scaleIntoAVX2(dst, src []complex128, c complex128)
 //
 // dst[i] = src[i]·c with exactly axpyIntoAVX2's fused product

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"testing"
 )
 
@@ -200,6 +201,10 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		st[2*SynthChainCount+c] = 1
 	}
 	chainDst := make([]complex128, SynthChainCount*16)
+	terms := make([]AxpyTerm, 4)
+	for k := range terms {
+		terms[k] = AxpyTerm{Src: randComplexSlice(rng, n), C: complex(0.5, float64(k))}
+	}
 	sink := 0.0
 	cases := []struct {
 		name string
@@ -207,6 +212,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	}{
 		{"AddInto", func() { AddInto(dst, src) }},
 		{"AxpyInto", func() { AxpyInto(dst, src, complex(0.5, -0.25)) }},
+		{"AxpyMultiInto", func() { AxpyMultiInto(dst, terms) }},
 		{"ScaleInto", func() { ScaleInto(dst, src, complex(0.5, -0.25)) }},
 		{"AddScaledFloats", func() { AddScaledFloats(dst, fl, 0.75) }},
 		{"Dechirp", func() { Dechirp(re, im, dst, src) }},
@@ -219,4 +225,75 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestAxpyMultiMatchesSequential pins the multi-source accumulate to
+// its definition: AxpyMultiInto over a term list is bit-identical to
+// one AxpyInto call per term, in term order — on the vector body and on
+// the scalar body. Lengths cover the empty and scalar-only cases, the
+// single-complex tail, leftover pairs and the eight-complex main loop
+// in every combination; term counts cover every pass width (1–4) and
+// the packed passes of longer lists (5 → 3+2, 8 → 4+4). Coefficients
+// of exactly 1 and sources holding ±0 are the template-symbol case the
+// fused receive relies on.
+func TestAxpyMultiMatchesSequential(t *testing.T) {
+	check := func(t *testing.T) {
+		rng := NewRand(17)
+		coeffs := []complex128{1, complex(0.8, -0.6), complex(-2.5, 0.125), complex(0, 1), complex(1.5, 0)}
+		for _, n := range []int{0, 1, 2, 3, 7, 8, 15, 17, 511, 512, 513} {
+			for m := 1; m <= 8; m++ {
+				terms := make([]AxpyTerm, m)
+				for k := range terms {
+					src := randComplexSlice(rng, n)
+					for i := range src {
+						switch (i + k) % 7 {
+						case 0:
+							src[i] = complex(math.Copysign(0, -1), 0)
+						case 3:
+							src[i] = complex(real(src[i]), math.Copysign(0, -1))
+						case 5:
+							src[i] = 0
+						}
+					}
+					terms[k] = AxpyTerm{Src: src, C: coeffs[(k+n)%len(coeffs)]}
+				}
+				dst := randComplexSlice(rng, n)
+				want := append([]complex128(nil), dst...)
+				for _, tm := range terms {
+					AxpyInto(want, tm.Src, tm.C)
+				}
+				AxpyMultiInto(dst, terms)
+				for i := range dst {
+					if !sameBits(dst[i], want[i]) {
+						t.Fatalf("n=%d terms=%d: AxpyMultiInto[%d] = %v, sequential AxpyInto = %v", n, m, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	t.Run("vector", func(t *testing.T) {
+		if !simdFMA {
+			t.Skip("CPU without FMA; the scalar body is the only body")
+		}
+		check(t)
+	})
+	t.Run("scalar", func(t *testing.T) {
+		forceScalar(t)
+		check(t)
+	})
+}
+
+// sameBits compares two complex values bit for bit, telling +0 from −0.
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+func TestAxpyMultiLengthMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AxpyMultiInto with a short source did not panic")
+		}
+	}()
+	AxpyMultiInto(make([]complex128, 4), []AxpyTerm{{Src: make([]complex128, 4), C: 1}, {Src: make([]complex128, 3), C: 1}})
 }

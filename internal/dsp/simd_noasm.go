@@ -17,6 +17,10 @@ func axpyIntoAVX2(dst, src []complex128, c complex128) {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 
+func axpyMultiAVX2(dst []complex128, terms *AxpyTerm, m int) {
+	panic("dsp: AVX2 kernel called without AVX2 support")
+}
+
 func scaleIntoAVX2(dst, src []complex128, c complex128) {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }

@@ -18,6 +18,7 @@ import (
 	"netscatter/internal/hw"
 	"netscatter/internal/mac"
 	"netscatter/internal/radio"
+	"netscatter/internal/synth"
 )
 
 // MultiRoundStats is one multi-AP round's statistics: the combined
@@ -262,6 +263,9 @@ func (n *MultiAPNetwork) initRoundCtx(maxDevices int) {
 		}
 		rc.txs[i].MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
 			n.encs[i].FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, n.rc.bits[i], frac, freqHz)
+		}
+		rc.txs[i].MixedSchedule = func(sc *synth.FrameSchedule, at int, frac, freqHz float64) {
+			n.encs[i].FrameBitsSchedule(sc, n.rc.bits[i], at, frac, freqHz)
 		}
 		rc.tmplFns[i] = rc.txs[i].MixedTmpl
 		rc.rangeFns[i] = rc.txs[i].MixedAddRange

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -182,5 +183,55 @@ func TestMultiAPDiversityHelpsWeakDevices(t *testing.T) {
 	}
 	if ok1, ok4 := run(1), run(4); ok4 < ok1 {
 		t.Fatalf("4-AP round decoded %d frames, 1-AP %d — diversity lost frames", ok4, ok1)
+	}
+}
+
+// TestMultiAPFusedReceiveMatchesClosures pins the round path's fused
+// receive to the closure path: two networks from one seed, one with
+// its frame-schedule hooks stripped so every tile accumulates device by
+// device through MixedAddRange, run a full-adversity trajectory —
+// sleeping devices (detached, adding nothing), interference bursts
+// riding after the fleet on the closure path, AP drops, fading and CFO
+// drift — and must produce bit-identical receive buffers and identical
+// statistics every round.
+func TestMultiAPFusedReceiveMatchesClosures(t *testing.T) {
+	const nDev, nAPs, rounds = 20, 2, 12
+	fused := testMultiAPNetwork(t, nDev, nAPs, 23)
+	plain := testMultiAPNetwork(t, nDev, nAPs, 23)
+	for i := range plain.rc.txs {
+		plain.rc.txs[i].MixedSchedule = nil
+	}
+	trF, err := NewTrajectory(fused, fullAdversityConfig(rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trP, err := NewTrajectory(plain, fullAdversityConfig(rounds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < rounds; r++ {
+		sf, err := trF.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := trP.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := range fused.rc.sigs {
+			for j, v := range fused.rc.sigs[a] {
+				w := plain.rc.sigs[a][j]
+				if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+					t.Fatalf("round %d AP %d sample %d: fused %v, closures %v", r, a, j, v, w)
+				}
+			}
+		}
+		if !reflect.DeepEqual(sf, sp) {
+			t.Fatalf("round %d: fused stats %+v, closure stats %+v", r, sf, sp)
+		}
+	}
+	st := trF.Stats()
+	if st.BurstRounds == 0 || st.SleepEvents == 0 {
+		t.Fatalf("trajectory exercised no burst (%d) or no sleeping device (%d)", st.BurstRounds, st.SleepEvents)
 	}
 }

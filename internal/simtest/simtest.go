@@ -19,6 +19,7 @@ import (
 	"netscatter/internal/deploy"
 	"netscatter/internal/dsp"
 	"netscatter/internal/radio"
+	"netscatter/internal/synth"
 )
 
 // BandwidthHz is the receive bandwidth every test deployment's link
@@ -119,4 +120,19 @@ func MultiTxs(p chirp.Params, nDev, nAPs int, bits [][]byte) []air.MultiTransmis
 		}
 	}
 	return txs
+}
+
+// Schedule installs frame-schedule hooks on a MultiTxs fleet over the
+// same bit sections — the same encoders, now also filling each device's
+// synth.FrameSchedule — so the channel accumulates the fleet on its
+// fused path instead of through the MixedAddRange closures. The two
+// routes must produce the same bits.
+func Schedule(p chirp.Params, txs []air.MultiTransmission, bits [][]byte) {
+	for i := range txs {
+		enc := core.NewEncoder(p, (i*7+3)%p.N())
+		b := bits[i]
+		txs[i].MixedSchedule = func(sc *synth.FrameSchedule, at int, frac, freqHz float64) {
+			enc.FrameBitsSchedule(sc, b, at, frac, freqHz)
+		}
+	}
 }

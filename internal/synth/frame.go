@@ -242,6 +242,14 @@ func (s *Synthesizer) FrameMixedTemplates(tmpl []complex128, shift, upPreamble, 
 // same products in the same order, regardless of how [0, len(out)) is
 // partitioned. That per-sample invariance is what makes the tiled
 // parallel transmit path bit-identical to the serial pass.
+//
+// The overlapping symbols are planned a few at a time into stack
+// storage by the code that fills a FrameSchedule (fillSymbols), and
+// each non-silent symbol is added as AccumulateFrames adds a lone term
+// (addTerm): a template symbol with AddInto, any other with AxpyInto.
+// One frame walks its symbols directly rather than through the fused
+// group walk, whose per-period bookkeeping measured about a fifth
+// slower per tile for a single frame.
 func (s *Synthesizer) FrameMixedAccumulateRange(out []complex128, lo, hi, at int, tmpl []complex128, upPreamble, downPreamble int, bits []byte, frac, omega float64) {
 	if frac < 0 || frac >= 1 {
 		panic(fmt.Sprintf("synth: fractional delay %v outside [0, 1)", frac))
@@ -255,40 +263,26 @@ func (s *Synthesizer) FrameMixedAccumulateRange(out []complex128, lo, hi, at int
 	if kUp < 0 && kDown < 0 {
 		return // all silence: nothing to add
 	}
-	var tmplUp, tmplDown []complex128
-	if kUp >= 0 {
-		tmplUp = tmpl[:n]
-	}
-	if kDown >= 0 {
-		tmplDown = tmpl[n : 2*n]
-	}
 
-	// Restrict the symbol walk to those whose span [base+k·n, base+k·n+n)
+	// Restrict the plan to the symbols whose span [base+k·n, base+k·n+n)
 	// intersects [lo, hi).
 	// Smallest k with base+k·n+n > lo is ⌊(lo−base)/n⌋ exactly.
 	base := at + off
-	kMin := floorDiv(lo-base, n)
-	if kMin < 0 {
-		kMin = 0
-	}
-	kMax := floorDiv(hi-1-base, n)
-	if kMax > totalSyms-1 {
-		kMax = totalSyms - 1
-	}
-	window := out[lo:hi]
-	for k := kMin; k <= kMax; k++ {
-		g0 := base + k*n - lo
-		switch {
-		case k == kUp:
-			addScaled(window, g0, tmplUp, 1)
-		case k == kDown:
-			addScaled(window, g0, tmplDown, 1)
-		case k < upPreamble:
-			addScaled(window, g0, tmplUp, symRot(omega, (k-kUp)*n))
-		case k < upPreamble+downPreamble:
-			addScaled(window, g0, tmplDown, symRot(omega, (k-kDown)*n))
-		case bits[k-upPreamble-downPreamble] != 0:
-			addScaled(window, g0, tmplUp, symRot(omega, (k-kUp)*n))
+	kMin := max(floorDiv(lo-base, n), 0)
+	kMax := min(floorDiv(hi-1-base, n), totalSyms-1)
+	var kind [rangeChunk]uint8
+	var rot [rangeChunk]complex128
+	for k0 := kMin; k0 <= kMax; k0 += rangeChunk {
+		m := min(rangeChunk, kMax-k0+1)
+		s.fillSymbols(kind[:m], rot[:m], k0, upPreamble, downPreamble, bits, kUp, kDown, omega)
+		for i, kd := range kind[:m] {
+			if kd == symSilent {
+				continue
+			}
+			start := base + (k0+i)*n
+			cLo, cHi := max(lo, start), min(hi, start+n)
+			src := tmpl[int(kd-symUp)*n+cLo-start:]
+			addTerm(out[cLo:cHi], src[:cHi-cLo], rot[i])
 		}
 	}
 }
@@ -323,32 +317,6 @@ func floorDiv(a, b int) int {
 		q--
 	}
 	return q
-}
-
-// addScaled adds src[i]·c into out[g0+i], clipped to out's bounds — the
-// synthesis-fused form of radio.Superpose. The product mirrors
-// scaledCopy bit for bit, including the c == 1 copy fast path; the
-// accumulation runs through dsp's vector kernels where available,
-// which are bit-identical to the scalar loops (see dsp/simd.go).
-func addScaled(out []complex128, g0 int, src []complex128, c complex128) {
-	lo := 0
-	if g0 < 0 {
-		lo = -g0
-	}
-	hi := len(src)
-	if g0+hi > len(out) {
-		hi = len(out) - g0
-	}
-	if hi <= lo {
-		return
-	}
-	d := out[g0+lo : g0+hi]
-	s := src[lo:hi:hi]
-	if c == 1 {
-		dsp.AddInto(d, s)
-		return
-	}
-	dsp.AxpyInto(d, s, c)
 }
 
 // symRot returns the constant inter-symbol mix rotation e^{jω·Δ}.

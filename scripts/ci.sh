@@ -49,8 +49,10 @@ echo "== fuzz seed corpus =="
 # (chain path vs serial recurrence), cyclic-shift identity, decoder
 # round-trip, the cross-AP aggregator's never-drop/never-double
 # invariants, the pruned transform's plan bins (FuzzPrunedTransform:
-# window-planned last pass vs full transform) and the grouped ghost
-# rejection (FuzzRejectGhosts: vs the all-pairs loop).
+# window-planned last pass vs full transform), the grouped ghost
+# rejection (FuzzRejectGhosts: vs the all-pairs loop) and the fused
+# receive accumulate (FuzzFusedAccumulate: scheduled frame runs vs
+# per-frame range accumulation).
 go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp
 
 echo "== race: concurrent paths =="
@@ -74,8 +76,13 @@ echo "== race: concurrent paths =="
 # The Scratch names pull in the scratch-loan gates (the dsp free list's
 # own tests, decodes over NaN-poisoned scratch, bounded retention across
 # 32 decoders), and Concurrent in ./internal/chirp drives one
-# demodulator's batch calls from four goroutines at once.
-go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp
+# demodulator's batch calls from four goroutines at once. The
+# AxpyMulti|Fused|Schedule names pull in the fused receive: the
+# multi-source accumulate kernel against sequential AxpyInto on both
+# bodies, the fused accumulate against per-frame accumulation in
+# ./internal/synth, and the round's fused receive against the closure
+# path in ./internal/sim.
+go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
 
 echo "== campaign: unit + resume + race =="
 # The declarative campaign runner: spec expansion, shard-order
