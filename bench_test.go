@@ -186,7 +186,7 @@ func BenchmarkAllocationAblation(b *testing.B) {
 				cfg := sim.DefaultConfig()
 				cfg.PayloadBytes = 4
 				cfg.PowerAwareAllocation = aware
-				net, err := sim.NewNetwork(cfg, dep, 128, int64(i)+100)
+				net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 128, int64(i)+100)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +194,7 @@ func BenchmarkAllocationAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				goodSum += stats.GoodFraction()
+				goodSum += stats.Combined.GoodFraction()
 			}
 			b.ReportMetric(goodSum/float64(b.N), "goodbits/tx")
 		})
@@ -412,11 +412,13 @@ func BenchmarkEncodeFrameMixedInto(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkRound64 runs the 64-device round heard by a single
+// AP: the simulator's single-AP round on the multi-AP engine at k = 1.
 func BenchmarkNetworkRound64(b *testing.B) {
 	rng := dsp.NewRand(9)
 	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
 	cfg := sim.DefaultConfig()
-	net, err := sim.NewNetwork(cfg, dep, 64, 10)
+	net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 64, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -514,18 +516,18 @@ func BenchmarkTrajectoryRound64(b *testing.B) {
 }
 
 // BenchmarkNetworkRound64Parallel is the same round with the worker
-// pool widened to four slots: the tiled channel path fans the transmit
-// half across tiles and the decoder fans symbol batches, with output
-// bit-identical to the serial round (test-enforced). On a single
-// hardware thread this measures the parallel path's overhead floor; on
-// multi-core hosts it tracks round-time scaling with cores.
+// pool widened to four slots: the channel fans template synthesis and
+// the tile grid across the pool and the decoder fans symbol batches,
+// with output bit-identical to the serial round (test-enforced). On a
+// single hardware thread this measures the parallel path's overhead
+// floor; on multi-core hosts it tracks round-time scaling with cores.
 func BenchmarkNetworkRound64Parallel(b *testing.B) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 	rng := dsp.NewRand(9)
 	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
 	cfg := sim.DefaultConfig()
-	net, err := sim.NewNetwork(cfg, dep, 64, 10)
+	net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 64, 10)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -375,21 +375,6 @@ func benchmarks() []namedBench {
 	})
 
 	bms = append(bms, namedBench{
-		name: "EncodeFrameMixedAdd",
-		fn: func(b *testing.B) {
-			enc := core.NewEncoder(p, 42)
-			bits := core.FrameBits(payload)
-			out := make([]complex128, (core.PreambleSymbols+len(bits)+2)*p.N())
-			var tmpl []complex128
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tmpl = enc.FrameBitsWaveformMixedAdd(out, 17, tmpl, bits, 0.37, 230, complex(1.4, -0.3))
-			}
-		},
-	})
-
-	bms = append(bms, namedBench{
 		name: "NoiseFill64k",
 		fn: func(b *testing.B) {
 			st := dsp.NewStream(1)
@@ -403,12 +388,14 @@ func benchmarks() []namedBench {
 	})
 
 	bms = append(bms, namedBench{
+		// One 64-device round heard by a single AP: the simulator's
+		// single-AP round on the multi-AP engine at k = 1.
 		name: "NetworkRound64",
 		fn: func(b *testing.B) {
 			r := dsp.NewRand(9)
 			dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, r)
 			cfg := sim.DefaultConfig()
-			net, err := sim.NewNetwork(cfg, dep, 64, 10)
+			net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 64, 10)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -508,11 +495,11 @@ func benchmarks() []namedBench {
 		},
 	})
 	bms = append(bms, namedBench{
-		// The tiled transmit path and batched decoder fan across a
-		// four-slot pool, bit-identical to the serial round
-		// (test-enforced). On a single hardware thread this records the
-		// parallel path's overhead floor; on multi-core machines it
-		// records round-time scaling with cores.
+		// The single-AP round's template fan-out, tile grid and batched
+		// decoder fan across a four-slot pool, bit-identical to the
+		// serial round (test-enforced). On a single hardware thread
+		// this records the parallel path's overhead floor; on
+		// multi-core machines it records round-time scaling with cores.
 		name: "NetworkRound64/parallel",
 		fn: func(b *testing.B) {
 			prev := runtime.GOMAXPROCS(4)
@@ -520,7 +507,7 @@ func benchmarks() []namedBench {
 			r := dsp.NewRand(9)
 			dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, r)
 			cfg := sim.DefaultConfig()
-			net, err := sim.NewNetwork(cfg, dep, 64, 10)
+			net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 64, 10)
 			if err != nil {
 				b.Fatal(err)
 			}

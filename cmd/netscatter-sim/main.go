@@ -40,7 +40,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := validateFlags(*devices, *rounds, *payload, *aps); err != nil {
+	if err := validateFlags(*devices, *rounds, *payload, *skip, *aps); err != nil {
 		fmt.Fprintln(os.Stderr, "netscatter-sim:", err)
 		os.Exit(2)
 	}
@@ -102,7 +102,7 @@ func main() {
 // validateFlags rejects nonsensical count flags up front with a clear
 // message instead of letting them surface as opaque failures (or silent
 // no-op runs, as -rounds 0 used to) deeper in the stack.
-func validateFlags(devices, rounds, payload, aps int) error {
+func validateFlags(devices, rounds, payload, skip, aps int) error {
 	switch {
 	case devices < 1:
 		return fmt.Errorf("-devices must be at least 1 (got %d)", devices)
@@ -110,6 +110,8 @@ func validateFlags(devices, rounds, payload, aps int) error {
 		return fmt.Errorf("-rounds must be at least 1 (got %d)", rounds)
 	case payload < 1:
 		return fmt.Errorf("-payload must be at least 1 byte (got %d)", payload)
+	case skip < 1:
+		return fmt.Errorf("-skip must be at least 1 (got %d)", skip)
 	case aps < 1:
 		return fmt.Errorf("-aps must be at least 1 (got %d)", aps)
 	}

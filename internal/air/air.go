@@ -17,7 +17,11 @@ import (
 	"netscatter/internal/radio"
 )
 
-// Transmission describes one device's contribution to a received frame.
+// Transmission describes one device's contribution to a received frame
+// as a materialized waveform. The simulator's round engine never builds
+// one: it describes devices to MultiChannel as template closures. A
+// Transmission serves the callers that synthesize whole frames — the
+// PHY experiments, the public facade, the examples and tools.
 type Transmission struct {
 	// Waveform is the device's ideal transmit waveform (from
 	// core.Encoder or css.Modem).
@@ -31,42 +35,12 @@ type Transmission struct {
 	// back to bandlimited interpolation — fine for smooth waveforms
 	// like the ASK downlink.
 	Delayed func(fracSamples float64) []complex128
-	// DelayedInto is Delayed synthesizing into dst's storage when its
-	// capacity suffices (core.Encoder's FrameBitsWaveformDelayedInto).
-	// It takes precedence over Delayed and Waveform; with it, steady-
-	// state rounds through ReceiveInto run allocation-free, reusing the
-	// channel's per-slot synthesis buffers.
-	DelayedInto func(dst []complex128, fracSamples float64) []complex128
 	// Mixed, if non-nil, synthesizes the fractionally-delayed waveform
 	// with the transmission's frequency offset and complex carrier gain
 	// folded into the synthesis recurrence (core.Encoder's
 	// FrameBitsWaveformMixedInto) — one pass instead of synthesize +
 	// rotate + scale. Takes precedence over every other waveform field.
 	Mixed func(dst []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
-	// MixedAdd, if non-nil, accumulates the mixed waveform directly into
-	// the receive buffer at the given integer sample offset (clipped to
-	// its bounds), using tmpl as caller-owned template scratch — the
-	// superposition fused into synthesis, so the frame is never
-	// materialized (core.Encoder's FrameBitsWaveformMixedAdd). The
-	// channel uses it on the serial path (single-slot pool), where it is
-	// bit-identical to Mixed + Superpose; parallel synthesis keeps using
-	// Mixed so a transmission intended for both regimes should set both.
-	MixedAdd func(out []complex128, at int, tmpl []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
-	// MixedTmpl and MixedAddRange together select the tiled channel
-	// path, the preferred regime: MixedTmpl synthesizes the frame's
-	// mixed template symbols into channel-owned scratch once per receive
-	// (core.Encoder's FrameBitsWaveformMixedTemplates), and
-	// MixedAddRange accumulates the [lo, hi) clip of the placed frame
-	// into the receive buffer from those templates
-	// (FrameBitsWaveformMixedAddRange). When every contributing
-	// transmission provides both, the channel partitions the buffer into
-	// cache-sized tiles, each accumulated and noise-filled
-	// independently — in parallel across the worker pool, bit-identical
-	// to the serial pass at any worker count. In a mixed fleet these
-	// closures are ignored (the legacy paths run); a transmission meant
-	// for both regimes should also set Mixed.
-	MixedTmpl     func(tmpl []complex128, fracSamples, freqOffsetHz float64, gain complex128) []complex128
-	MixedAddRange func(out []complex128, lo, hi, at int, tmpl []complex128, fracSamples, freqOffsetHz float64)
 	// SNRdB is the received signal-to-noise ratio at the AP over the
 	// receive bandwidth (power versus the unit noise floor).
 	SNRdB float64
@@ -85,33 +59,21 @@ type Transmission struct {
 
 // hasWave reports whether the transmission contributes any samples.
 func (tx *Transmission) hasWave() bool {
-	return tx.Mixed != nil || tx.MixedAdd != nil || tx.MixedTmpl != nil ||
-		tx.DelayedInto != nil || tx.Delayed != nil || len(tx.Waveform) > 0
-}
-
-// tiled reports whether the transmission supports the tiled path.
-func (tx *Transmission) tiled() bool {
-	return tx.MixedTmpl != nil && tx.MixedAddRange != nil
-}
-
-// placement splits the transmission's arrival delay into the integer
-// sample placement and the fractional remainder synthesis bakes in.
-func (tx *Transmission) placement(sampleRate float64) (intDelay int, fracSamples float64) {
-	return splitDelay(tx.DelaySec, sampleRate)
+	return tx.Mixed != nil || tx.Delayed != nil || len(tx.Waveform) > 0
 }
 
 // splitDelay splits an arrival delay into integer sample placement and
-// the fractional remainder.
+// the fractional remainder synthesis bakes in.
 func splitDelay(delaySec, sampleRate float64) (intDelay int, fracSamples float64) {
 	delaySamples := delaySec * sampleRate
 	intDelay = int(math.Floor(delaySamples))
 	return intDelay, delaySamples - float64(intDelay)
 }
 
-// Channel assembles received frames for one chirp parameter set. Its
-// synthesis scratch is reused across Receive calls; a Channel is not
-// safe for concurrent use (it owns an Rng), but one channel per
-// goroutine is cheap.
+// Channel assembles received frames from materialized waveforms for one
+// chirp parameter set. Its synthesis scratch is reused across Receive
+// calls; a Channel is not safe for concurrent use (it owns an Rng), but
+// one channel per goroutine is cheap.
 type Channel struct {
 	// Params supplies the sample rate.
 	Params chirp.Params
@@ -133,36 +95,20 @@ type Channel struct {
 	bufs    [][]complex128
 	results [][]complex128
 	delays  []int
-	tmpl    []complex128 // template scratch for the fused MixedAdd path
 
 	worker func(k int)
 	curTxs []Transmission
 	curLo  int
-	serial bool // this receive runs on a single-slot pool (fixed per call)
-
-	// Tiled-path state: the per-transmission template arena (2N samples
-	// per device, synthesized once per receive and read by every tile),
-	// per-transmission placements, and the persistent tile/template
-	// workers with the in-flight call state they read. All of it is
-	// written before the fan-out and only read inside it.
-	tmplArena []complex128
-	tmpls     [][]complex128
-	txAt      []int
-	txFrac    []float64
-
-	tmplWorker func(i int)
-	tileWorker func(t int)
-	curOut     []complex128
-	curKey     int64
-	noiseOn    bool
 }
 
-// tileSamples is the tiled path's partition grain: 4096 complex samples
-// (64 KiB) keep a tile's accumulate and noise traffic cache-resident
-// while leaving enough tiles per frame to occupy the pool. It is a
-// constant of the output format — never derived from worker count — so
-// the tile decomposition (and with it the per-tile noise streams) is
-// identical at any GOMAXPROCS.
+// tileSamples is the receive buffer's partition grain: 4096 complex
+// samples (64 KiB) keep a MultiChannel tile's accumulate and noise
+// traffic cache-resident while leaving enough tiles per frame to occupy
+// the pool, and tile t of either channel's buffer draws its noise from
+// the tile-indexed stream dsp.StreamAt(key, t). It is a constant of the
+// output format — never derived from worker count — so the tile
+// decomposition (and with it the per-tile noise streams) is identical
+// at any GOMAXPROCS.
 const tileSamples = 4096
 
 // NewChannel returns a unit-noise channel.
@@ -184,77 +130,54 @@ func (c *Channel) Receive(length int, txs []Transmission) []complex128 {
 // downchirps), given a random carrier phase, and superposed, with
 // thermal noise added on top.
 //
-// When every contributing transmission supports the tiled regime
-// (MixedTmpl + MixedAddRange — the sim's round path), the whole
-// receive is tiled: templates are synthesized once per device (in
-// parallel), then fixed cache-sized tiles of out are zeroed,
-// accumulated in transmission order and noise-filled independently
-// across the worker pool. Otherwise the legacy chunked synthesis +
-// superpose path runs, followed by the same tile-grid noise.
+// Synthesis runs in bounded chunks: a chunk's waveforms are built in
+// parallel across the worker pool, then superposed serially in
+// transmission order before the next chunk starts, so peak memory stays
+// O(chunk) frames instead of O(devices).
 //
-// Determinism is exact in both regimes: carrier phases are drawn from
-// the channel Rng in transmission order before any fan-out, one more
-// serial draw keys the round's noise, synthesis draws no randomness,
-// per-sample accumulation order is transmission order regardless of
-// tile scheduling, and each tile's noise comes from its tile-indexed
-// stream (dsp.StreamAt) rather than any worker-owned generator — so
-// the output is bit-identical for a given seed at any GOMAXPROCS.
+// Determinism is exact: carrier phases are drawn from the channel Rng
+// in transmission order before any fan-out, one more serial draw keys
+// the round's noise, synthesis draws no randomness, superposition runs
+// in transmission order, and each tile's noise comes from its
+// tile-indexed stream (dsp.StreamAt) — so the output is bit-identical
+// for a given seed at any GOMAXPROCS, and the noise is the same
+// function of the Rng sequence as a one-AP MultiChannel's.
 func (c *Channel) ReceiveInto(out []complex128, txs []Transmission) []complex128 {
-	tiledAll := c.prepareGains(txs)
-
-	// The round's noise key: one serial draw from the channel Rng keys
-	// every tile's noise stream (dsp.StreamAt(key, tile)). Noise is thus
-	// a pure function of the Rng sequence and the fixed tile grid —
-	// replayable by reseeding the Rng, identical at any worker count,
-	// and identical between the tiled and legacy accumulate regimes.
+	if cap(c.gains) < len(txs) {
+		c.gains = make([]complex128, len(txs))
+	}
+	c.gains = c.gains[:len(txs)]
+	for i := range txs {
+		tx := &txs[i]
+		if !tx.hasWave() {
+			continue // no waveform: consumes no randomness
+		}
+		c.gains[i] = carrierGain(tx.SNRdB, tx.FadeGain, tx.FixedPhase, c.Rng)
+	}
 	noise := c.NoisePower > 0 && c.Rng != nil
 	var key int64
 	if noise {
 		key = int64(c.Rng.Uint64())
 	}
-	return c.receiveWithKey(out, txs, tiledAll, noise, key)
-}
 
-// ReceiveIntoKeyed is ReceiveInto with the round's noise key supplied
-// by the caller instead of drawn from the channel Rng: tile t draws its
-// noise from dsp.StreamAt(key, t). Carrier phases for non-FixedPhase
-// transmissions still come from the channel Rng, in transmission order.
-// This is the single-AP oracle hook the multi-AP fan-out is pinned
-// against — MultiChannel gives AP a the key masterKey^a, and a plain
-// Channel handed the same key and per-AP transmissions must reproduce
-// that AP's buffer bit for bit (see MultiChannel and multiap tests).
-func (c *Channel) ReceiveIntoKeyed(out []complex128, txs []Transmission, key int64) []complex128 {
-	tiledAll := c.prepareGains(txs)
-	return c.receiveWithKey(out, txs, tiledAll, c.NoisePower > 0, key)
-}
-
-// prepareGains fills the per-transmission carrier gains (SNR amplitude
-// × optional fade × random carrier phase, drawn from the channel Rng in
-// transmission order before any fan-out) and reports whether every
-// contributing transmission supports the tiled regime.
-func (c *Channel) prepareGains(txs []Transmission) (tiledAll bool) {
-	if cap(c.gains) < len(txs) {
-		c.gains = make([]complex128, len(txs))
+	for i := range out {
+		out[i] = 0
 	}
-	gains := c.gains[:len(txs)]
-	tiledAll = true
-	for i := range txs {
-		tx := &txs[i]
-		if !tx.hasWave() {
-			continue // no waveform: consumes no randomness, as before
+	c.superpose(out, txs)
+	if noise {
+		for t, lo := 0, 0; lo < len(out); t, lo = t+1, lo+tileSamples {
+			hi := min(lo+tileSamples, len(out))
+			st := dsp.StreamAt(key, uint64(t))
+			radio.AddAWGN(&st, out[lo:hi], c.NoisePower)
 		}
-		if !tx.tiled() {
-			tiledAll = false
-		}
-		gains[i] = carrierGain(tx.SNRdB, tx.FadeGain, tx.FixedPhase, c.Rng)
 	}
-	return tiledAll
+	return out
 }
 
 // carrierGain composes one link's carrier gain: SNR amplitude, then the
-// optional fade, then the random phase. The multi-AP channel builds its
+// optional fade, then the random phase. MultiChannel builds its
 // per-(device, AP) scales through this same function, so a scale and a
-// single-AP gain composed from the same inputs are the same bits.
+// Channel gain composed from the same inputs are the same bits.
 func carrierGain(snrDB float64, fade complex128, fixedPhase bool, rng *dsp.Rand) complex128 {
 	gain := complex(radio.AmplitudeForSNRdB(snrDB), 0)
 	if fade != 0 {
@@ -266,136 +189,13 @@ func carrierGain(snrDB float64, fade complex128, fixedPhase bool, rng *dsp.Rand)
 	return gain
 }
 
-// receiveWithKey runs the accumulate + noise phases of a receive with
-// the gains already prepared and the noise key fixed.
-func (c *Channel) receiveWithKey(out []complex128, txs []Transmission, tiledAll, noise bool, key int64) []complex128 {
-	if tiledAll {
-		// Tiled path: every contributing transmission synthesizes
-		// templates once, then disjoint tiles accumulate and
-		// noise-fill independently across the pool.
-		c.receiveTiled(out, txs, noise, key)
-		return out
-	}
-
-	for i := range out {
-		out[i] = 0
-	}
-	c.receiveLegacy(out, txs)
-	if noise {
-		c.addNoiseTiled(out, key)
-	}
-	return out
-}
-
-// receiveTiled is the tiled channel path. Phase one synthesizes every
-// transmission's mixed template symbols into the channel's template
-// arena (independent per transmission, fanned across the pool). Phase
-// two partitions out into fixed tileSamples-sized tiles; each tile
-// zeroes its span, accumulates every transmission's overlap in
-// transmission order, and adds its own noise stream — bit-identical to
-// the serial whole-buffer pass because each output sample sees the
-// same additions in the same order no matter how tiles are scheduled,
-// and each tile's noise comes from the tile-indexed stream, not from a
-// worker-owned generator.
-func (c *Channel) receiveTiled(out []complex128, txs []Transmission, noise bool, key int64) {
-	nTx := len(txs)
-	n2 := 2 * c.Params.N()
-	if cap(c.txAt) < nTx {
-		c.txAt = make([]int, nTx)
-		c.txFrac = make([]float64, nTx)
-		c.tmpls = make([][]complex128, nTx)
-	}
-	if cap(c.tmplArena) < nTx*n2 {
-		c.tmplArena = make([]complex128, nTx*n2)
-	}
-	c.txAt = c.txAt[:nTx]
-	c.txFrac = c.txFrac[:nTx]
-	c.tmpls = c.tmpls[:nTx]
-	fs := c.Params.SampleRate()
-	for i := range txs {
-		c.txAt[i], c.txFrac[i] = txs[i].placement(fs)
-		c.tmpls[i] = c.tmplArena[i*n2 : i*n2 : (i+1)*n2]
-	}
-
-	if c.tmplWorker == nil {
-		c.tmplWorker = c.tmplOne
-		c.tileWorker = c.tileOne
-	}
-	c.curTxs = txs
-	c.curOut = out
-	c.curKey = key
-	c.noiseOn = noise
-	pool.ForEach(nTx, c.tmplWorker)
-	nTiles := (len(out) + tileSamples - 1) / tileSamples
-	pool.ForEach(nTiles, c.tileWorker)
-	c.curTxs = nil
-	c.curOut = nil
-}
-
-// tmplOne synthesizes transmission i's template symbols into its arena
-// slot (frequency offset, carrier gain and fractional delay folded in).
-func (c *Channel) tmplOne(i int) {
-	tx := &c.curTxs[i]
-	if !tx.tiled() || !tx.hasWave() {
-		return
-	}
-	c.tmpls[i] = tx.MixedTmpl(c.tmpls[i], c.txFrac[i], tx.FreqOffsetHz, c.gains[i])
-}
-
-// tileOne builds tile t of the in-flight receive: zero, accumulate
-// every transmission's overlap in order, add the tile's noise stream.
-func (c *Channel) tileOne(t int) {
-	out := c.curOut
-	lo := t * tileSamples
-	hi := min(lo+tileSamples, len(out))
-	w := out[lo:hi]
-	for i := range w {
-		w[i] = 0
-	}
-	for i := range c.curTxs {
-		tx := &c.curTxs[i]
-		if !tx.tiled() {
-			continue
-		}
-		tx.MixedAddRange(out, lo, hi, c.txAt[i], c.tmpls[i], c.txFrac[i], tx.FreqOffsetHz)
-	}
-	if c.noiseOn {
-		st := dsp.StreamAt(c.curKey, uint64(t))
-		radio.AddAWGN(&st, w, c.NoisePower)
-	}
-}
-
-// addNoiseTiled adds the same tile-grid noise the tiled path would —
-// the legacy accumulate regimes share one noise definition, so a
-// channel's output depends only on its Rng sequence and configuration,
-// never on which synthesis closures the transmissions offered.
-func (c *Channel) addNoiseTiled(out []complex128, key int64) {
-	for t, lo := 0, 0; lo < len(out); t, lo = t+1, lo+tileSamples {
-		hi := min(lo+tileSamples, len(out))
-		st := dsp.StreamAt(key, uint64(t))
-		radio.AddAWGN(&st, out[lo:hi], c.NoisePower)
-	}
-}
-
-// receiveLegacy accumulates the composite signal for fleets that do not
-// (all) support the tiled path. Synthesis runs in bounded chunks: a
-// chunk's waveforms are built in parallel, then superposed serially in
-// transmission order before the next chunk starts, so peak memory stays
-// O(chunk) frames instead of O(devices) while the sample-level output
-// is identical. Slot buffers persist on the channel, so steady-state
-// rounds with DelayedInto transmissions synthesize into reused storage.
-//
-// With a single-slot pool the fan-out would run inline anyway, so the
-// channel takes the fused path instead: MixedAdd transmissions
-// accumulate straight into out from their template symbols, never
-// materializing a frame — bit-identical to synthesize + Superpose (see
-// synth.FrameMixedAccumulate) but without the frame-sized write+read
-// round trip per device.
-func (c *Channel) receiveLegacy(out []complex128, txs []Transmission) {
-	chunk := pool.Size() * 2
-	if chunk < 1 {
-		chunk = 1
-	}
+// superpose synthesizes every transmission chunk by chunk into the
+// channel's slot buffers (in parallel across the pool) and adds each
+// chunk into out in transmission order. Slot buffers persist on the
+// channel, so steady-state rounds of Mixed transmissions synthesize
+// into reused storage.
+func (c *Channel) superpose(out []complex128, txs []Transmission) {
+	chunk := max(pool.Size()*2, 1)
 	nSlots := min(chunk, len(txs))
 	if len(c.bufs) < nSlots {
 		c.bufs = append(c.bufs, make([][]complex128, nSlots-len(c.bufs))...)
@@ -406,60 +206,14 @@ func (c *Channel) receiveLegacy(out []complex128, txs []Transmission) {
 		c.worker = c.synthOne
 	}
 	c.curTxs = txs
-	c.serial = pool.Size() == 1
-	fs := c.Params.SampleRate()
 	for lo := 0; lo < len(txs); lo += chunk {
 		hi := min(lo+chunk, len(txs))
 		c.curLo = lo
-		if !c.serial {
-			// Fan synthesis out; fused transmissions are skipped by
-			// synthOne and handled inline below.
-			pool.ForEach(hi-lo, c.worker)
-		}
-		// Superpose in transmission order. MixedAdd transmissions that
-		// skipped slot synthesis accumulate inline; runs of synthesized
-		// slots between them land in one SuperposeBatch pass.
-		k := 0
-		for k < hi-lo {
-			tx := &txs[lo+k]
-			if c.fusedAdd(tx) {
-				at, frac := tx.placement(fs)
-				c.tmpl = tx.MixedAdd(out, at, c.tmpl, frac, tx.FreqOffsetHz, c.gains[lo+k])
-				c.results[k] = nil
-				k++
-				continue
-			}
-			if c.serial {
-				c.synthOne(k)
-			}
-			j := k + 1
-			for j < hi-lo && !c.fusedAdd(&txs[lo+j]) {
-				if c.serial {
-					c.synthOne(j)
-				}
-				j++
-			}
-			radio.SuperposeBatch(out, c.results[k:j], c.delays[k:j])
-			for ; k < j; k++ {
-				c.results[k] = nil
-			}
-		}
+		pool.ForEach(hi-lo, c.worker)
+		radio.SuperposeBatch(out, c.results[:hi-lo], c.delays[:hi-lo])
+		clear(c.results[:hi-lo])
 	}
 	c.curTxs = nil
-}
-
-// fusedAdd reports whether tx takes the fused accumulate path on this
-// receive: always when it offers only MixedAdd, and on the serial path
-// whenever MixedAdd is present. (In parallel mode a transmission with
-// both closures synthesizes through Mixed so the pool can build frames
-// concurrently; the two routes produce identical bits.) The decision
-// reads the per-call serial flag, not pool.Size(), so one receive never
-// mixes regimes even if GOMAXPROCS changes mid-call.
-func (c *Channel) fusedAdd(tx *Transmission) bool {
-	if tx.MixedAdd == nil {
-		return false
-	}
-	return tx.Mixed == nil || c.serial
 }
 
 // synthOne synthesizes chunk slot k of the in-flight ReceiveInto call:
@@ -468,14 +222,8 @@ func (c *Channel) fusedAdd(tx *Transmission) bool {
 func (c *Channel) synthOne(k int) {
 	i := c.curLo + k
 	tx := &c.curTxs[i]
-	if c.fusedAdd(tx) {
-		// Handled inline by the superposition loop — synthesizing a
-		// frame here would only be thrown away.
-		c.results[k] = nil
-		return
-	}
 	fs := c.Params.SampleRate()
-	intDelay, fracSamples := tx.placement(fs)
+	intDelay, fracSamples := splitDelay(tx.DelaySec, fs)
 	c.delays[k] = intDelay
 
 	if tx.Mixed != nil {
@@ -488,9 +236,6 @@ func (c *Channel) synthOne(k int) {
 	var buf []complex128
 	owned := false // does buf belong to the channel's slot storage?
 	switch {
-	case tx.DelayedInto != nil:
-		buf = tx.DelayedInto(c.bufs[k][:0], fracSamples)
-		owned = true
 	case tx.Delayed != nil:
 		// The callback owns the returned slice; superpose from it but
 		// never adopt it as slot storage a later call would overwrite.

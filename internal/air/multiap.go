@@ -2,12 +2,11 @@
 //
 // Every device transmits one waveform; each AP receives it over its own
 // link (its own SNR, fade composition, carrier phase) and adds its own
-// thermal noise. The fan-out exploits what the template-synthesis
-// regime already established for one AP: a frame is two mixed template
-// symbols plus constant-scaled copies, so the per-AP variation reduces
-// to a complex scale on the templates — the frequency offset (the
-// device's crystal, shared by every AP) and the fractional delay stay
-// inside the one base synthesis.
+// thermal noise. A frame is two mixed template symbols plus
+// constant-scaled copies, so the per-AP variation reduces to a complex
+// scale on the templates — the frequency offset (the device's crystal,
+// shared by every AP) and the fractional delay stay inside the one base
+// synthesis. With k = 1 this is the simulator's single-AP round.
 //
 // Per-AP timing uses the narrowband model: time-of-flight differences
 // between APs on an office floor are well under a sample, so they
@@ -28,11 +27,11 @@ import (
 )
 
 // MultiTransmission describes one device's contribution as heard by
-// every AP of a multi-AP receive. The synthesis closures follow the
-// tiled Transmission contract (MixedTmpl / MixedAddRange) and are the
-// same closures a single-AP round would install — MixedTmpl is called
-// exactly once per receive, with unit gain; per-AP gains are applied by
-// scaling the resulting templates (ScaleTemplate).
+// every AP of a multi-AP receive, as template closures: the frame is
+// never materialized. MixedTmpl is called exactly once per receive,
+// with unit gain; per-AP gains are applied by scaling the resulting
+// templates (ScaleTemplate), and every receive-buffer tile accumulates
+// its clip of the frame from those templates.
 type MultiTransmission struct {
 	// MixedTmpl synthesizes the device's mixed template symbols with
 	// the fractional delay, frequency offset and given carrier gain
@@ -75,9 +74,7 @@ func (tx *MultiTransmission) contributes() bool {
 
 // ScaleTemplate writes src scaled by c into dst (grown from its
 // capacity as needed) and returns it. This is the whole per-AP
-// synthesis cost of the multi-AP fan-out — and the exact operation the
-// single-AP oracle closures perform, so a MultiChannel buffer and its
-// oracle Channel receive are the same bits.
+// synthesis cost of the multi-AP fan-out.
 func ScaleTemplate(dst, src []complex128, c complex128) []complex128 {
 	dst = growComplex(dst[:0], len(src))
 	dsp.ScaleInto(dst, src, c)
@@ -89,15 +86,15 @@ func ScaleTemplate(dst, src []complex128, c complex128) []complex128 {
 // fanning them out to every AP's buffer with per-AP gain and per-AP
 // tile-indexed noise streams.
 //
-// Determinism contract (the single-AP Channel's, extended per AP): the
-// per-(device, AP) scales are drawn from the channel Rng serially in
-// (device, AP) order, one more serial draw keys the round's noise, and
-// AP a's tile t draws its noise from dsp.StreamAt(key^a, t). Signal
-// accumulation within a tile runs in transmission order. Output is
-// therefore bit-identical for a given seed at any GOMAXPROCS, and AP
-// a's buffer is bit-identical to a single-AP Channel.ReceiveIntoKeyed
-// with key^a and that AP's scaled-template transmissions — the
-// test-enforced oracle.
+// Determinism contract: the per-(device, AP) scales are drawn from the
+// channel Rng serially in (device, AP) order, one more serial draw keys
+// the round's noise, and AP a's tile t draws its noise from
+// dsp.StreamAt(key^a, t). Signal accumulation within a tile runs in
+// transmission order. Output is therefore bit-identical for a given
+// seed at any GOMAXPROCS, and AP a's buffer is bit-identical to a
+// serial whole-buffer pass — each device's unit-gain templates scaled
+// by its AP-a draw and added over the whole buffer in transmission
+// order, then the key^a tile noise — the test-enforced oracle.
 //
 // A tile adds runs of consecutive scheduled transmissions (MixedSchedule
 // set) in one fused pass each, and every other transmission through
@@ -206,10 +203,9 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	mc.apTmpls = mc.apTmpls[:k*nTx]
 
 	// Serial phase: per-(device, AP) scales in (device, AP) order —
-	// the same carrier-gain composition the single-AP channel uses per
-	// transmission — then the round's noise key. Everything after this
-	// point draws no randomness, so the fan-out cannot perturb the
-	// sequence.
+	// the same carrier-gain composition Channel uses per transmission —
+	// then the round's noise key. Everything after this point draws no
+	// randomness, so the fan-out cannot perturb the sequence.
 	fs := mc.Params.SampleRate()
 	for i := range txs {
 		tx := &txs[i]
@@ -222,7 +218,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 			slot := a*nTx + i
 			mc.apTmpls[slot] = mc.apArena[slot*n2 : slot*n2 : (slot+1)*n2]
 			if !tx.contributes() {
-				continue // consumes no randomness, like the single-AP path
+				continue // consumes no randomness, like Channel
 			}
 			mc.scales[i*k+a] = carrierGain(tx.SNRdB[a], tx.FadeGain, tx.FixedPhase, mc.Rng)
 		}
@@ -275,11 +271,10 @@ func (mc *MultiChannel) tmplOne(i int) {
 // tile, accumulate every device's overlap in transmission order from
 // that AP's scaled templates, then add the AP's tile-indexed noise
 // stream (dsp.StreamAt(key^ap, tile)). AP 0's noise streams are
-// exactly the single-AP channel's for the same key, so a one-AP multi
-// receive degenerates to the classic path. Consecutive scheduled
-// devices are gathered into runs of up to synth.FuseRun and added by
-// one fused pass per run; a closure-path transmission first flushes
-// the pending run, so per sample the adds stay in transmission order.
+// exactly Channel's for the same key. Consecutive scheduled devices are
+// gathered into runs of up to synth.FuseRun and added by one fused pass
+// per run; a closure-path transmission first flushes the pending run,
+// so per sample the adds stay in transmission order.
 func (mc *MultiChannel) tileOne(j int) {
 	a := j / mc.nTiles
 	t := j % mc.nTiles

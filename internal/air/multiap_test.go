@@ -17,8 +17,8 @@ import (
 
 // mirrorScalesAndKey replays the MultiChannel's serial randomness for a
 // fleet: per-(device, AP) carrier gains in (device, AP) order, then the
-// round's noise key — the documented draw-order contract the oracle
-// comparison (and replay tooling) depends on.
+// round's noise key — the documented draw-order contract the serial
+// reference (and replay tooling) depends on.
 func mirrorScalesAndKey(seed int64, txs []air.MultiTransmission, nAPs int) ([][]complex128, int64) {
 	rng := dsp.NewRand(seed)
 	scales := make([][]complex128, len(txs))
@@ -48,7 +48,7 @@ func silenced(tx *air.MultiTransmission) bool {
 	return tx.MixedTmpl == nil || tx.MixedAddRange == nil
 }
 
-// fleetKinds are the transmission fleets the channel oracles run:
+// fleetKinds are the transmission fleets the channel tests run:
 // every device on the MixedAddRange closure path; every device
 // scheduled, so tiles accumulate runs of devices in fused passes; and a
 // mixed fleet whose closure-only transmissions (devices 3 and 20) sit
@@ -79,18 +79,17 @@ func testFleet(p chirp.Params, kind string, nDev, k int, bits [][]byte) []air.Mu
 	return txs
 }
 
-// TestMultiChannelMatchesSingleAPOracles pins the tentpole's
+// TestMultiChannelMatchesSingleAPOracles pins the fan-out's
 // bit-exactness contract: each per-AP buffer of a MultiChannel receive
-// must be DeepEqual to an independent single-AP air.Channel receive
-// (the retained oracle) given the same per-AP noise key (masterKey^ap)
-// and that AP's scaled-template transmissions. The oracle channels
-// re-derive everything from scratch — fresh encoders, the mirrored
-// scale draws — so the equality validates the fan-out's scale
-// composition, accumulation order, tile grid and noise-key derivation
-// against the single-AP engine, for k ∈ {1, 2, 4}. The oracle always
-// accumulates through closures, so on the scheduled and mixed fleets it
-// also pins the fused accumulate — runs of devices per pass, across a
-// two-tile buffer — to per-device accumulation.
+// must be DeepEqual to serialReference, a serial whole-buffer pass that
+// re-derives everything from scratch — fresh encoders, the mirrored
+// scale draws, the per-AP noise key masterKey^ap — so the equality
+// validates the fan-out's scale composition, accumulation order, tile
+// grid and noise-key derivation, for k ∈ {1, 2, 4}. At k = 1 this is
+// the simulator's single-AP round. The reference always accumulates
+// device by device over the whole buffer, so on the scheduled and mixed
+// fleets it also pins the fused accumulate — runs of devices per pass,
+// across a two-tile buffer — to per-device accumulation.
 func TestMultiChannelMatchesSingleAPOracles(t *testing.T) {
 	p := simtest.SmallParams()
 	const nDev = 24
@@ -114,34 +113,45 @@ func checkMultiAgainstOracles(t *testing.T, p chirp.Params, kind string, k, nDev
 
 	scales, key := mirrorScalesAndKey(seed, txs, k)
 	for a := 0; a < k; a++ {
-		oracle := air.NewChannel(p, dsp.NewRand(1))
-		otxs := make([]air.Transmission, nDev)
-		for i := 0; i < nDev; i++ {
-			if silenced(&txs[i]) {
-				continue
-			}
-			enc := core.NewEncoder(p, (i*7+3)%p.N())
-			b := bits[i]
-			scale := scales[i][a]
-			otx := &otxs[i]
-			otx.DelaySec = txs[i].DelaySec
-			otx.FreqOffsetHz = txs[i].FreqOffsetHz
-			otx.FixedPhase = true // scale already carries the phase
-			otx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				base := enc.FrameBitsWaveformMixedTemplates(nil, b, frac, freqHz, 1)
-				return air.ScaleTemplate(tmpl, base, scale)
-			}
-			otx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
-				enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
-			}
-		}
-		want := oracle.ReceiveIntoKeyed(make([]complex128, length), otxs, key^int64(a))
+		want := serialReference(p, txs, bits, scales, key, a, length)
 		if !reflect.DeepEqual(outs[a], want) {
 			i := firstDiff(outs[a], want)
-			t.Fatalf("%s fleet, k=%d: AP %d diverges from single-AP oracle at sample %d: %v vs %v",
+			t.Fatalf("%s fleet, k=%d: AP %d diverges from the serial reference at sample %d: %v vs %v",
 				kind, k, a, i, outs[a][i], want[i])
 		}
 	}
+}
+
+// noiseTile is the channel's noise grain: tile t of AP a's buffer draws
+// its noise from dsp.StreamAt(key^a, t).
+const noiseTile = 4096
+
+// serialReference builds AP a's receive buffer the slow way: per
+// contributing device in transmission order, the unit-gain templates
+// scaled by the device's mirrored AP-a draw and added by one
+// FrameBitsWaveformMixedAddRange over the whole buffer; then each
+// noiseTile-sample tile's noise stream under the AP's key.
+func serialReference(p chirp.Params, txs []air.MultiTransmission, bits [][]byte, scales [][]complex128, key int64, a, length int) []complex128 {
+	out := make([]complex128, length)
+	fs := p.SampleRate()
+	for i := range txs {
+		tx := &txs[i]
+		if silenced(tx) {
+			continue
+		}
+		enc := core.NewEncoder(p, (i*7+3)%p.N())
+		delay := tx.DelaySec * fs
+		at := int(math.Floor(delay))
+		frac := delay - float64(at)
+		base := enc.FrameBitsWaveformMixedTemplates(nil, bits[i], frac, tx.FreqOffsetHz, 1)
+		tmpl := air.ScaleTemplate(nil, base, scales[i][a])
+		enc.FrameBitsWaveformMixedAddRange(out, 0, length, at, tmpl, bits[i], frac, tx.FreqOffsetHz)
+	}
+	for t, lo := 0, 0; lo < length; t, lo = t+1, lo+noiseTile {
+		st := dsp.StreamAt(key^int64(a), uint64(t))
+		radio.AddAWGN(&st, out[lo:min(lo+noiseTile, length)], 1)
+	}
+	return out
 }
 
 func firstDiff(a, b []complex128) int {
@@ -259,9 +269,9 @@ func TestMultiChannelZeroAllocSteadyState(t *testing.T) {
 
 // TestMultiChannelNoiseIndependentPerAP: with no transmissions the
 // buffers are pure noise; distinct APs must draw distinct streams
-// (key^ap), and AP 0's stream must be exactly the single-AP channel's
-// for the same Rng sequence — the degeneracy that makes a one-AP multi
-// deployment the classic deployment.
+// (key^ap), and AP 0's stream must be exactly the materialized-waveform
+// Channel's for the same Rng sequence, so both channels share one noise
+// definition.
 func TestMultiChannelNoiseIndependentPerAP(t *testing.T) {
 	p := simtest.SmallParams()
 	length := 3 * p.N()

@@ -79,9 +79,8 @@ func (e *Encoder) FrameBitsWaveformDelayed(bits []byte, frac float64) []complex1
 }
 
 // FrameBitsWaveformDelayedInto is FrameBitsWaveformDelayed writing into
-// dst's storage when its capacity suffices — the simulator's round
-// context reuses one buffer per device across rounds, keeping the
-// per-round synthesis path allocation-free.
+// dst's storage when its capacity suffices, so a caller reusing one
+// buffer per device synthesizes frames without allocating.
 func (e *Encoder) FrameBitsWaveformDelayedInto(dst []complex128, bits []byte, frac float64) []complex128 {
 	return e.syn.FrameDelayedInto(dst, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits, frac)
 }
@@ -95,21 +94,10 @@ func (e *Encoder) FrameBitsWaveformMixedInto(dst []complex128, bits []byte, frac
 	return e.syn.FrameMixedInto(dst, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega, gain)
 }
 
-// FrameBitsWaveformMixedAdd accumulates the mixed frame directly into a
-// receive buffer at sample offset at, clipped to out's bounds — the
-// superposition step fused into synthesis, so the frame is never
-// materialized. tmpl is caller-owned template scratch (grown to 2N and
-// returned for reuse); out must have been accumulated from zeroed
-// storage (see synth.FrameMixedAccumulate for the exactness contract).
-func (e *Encoder) FrameBitsWaveformMixedAdd(out []complex128, at int, tmpl []complex128, bits []byte, frac, freqOffsetHz float64, gain complex128) []complex128 {
-	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
-	return e.syn.FrameMixedAccumulate(out, at, tmpl, e.shift, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega, gain)
-}
-
 // FrameBitsWaveformMixedTemplates synthesizes the mixed frame's
 // template symbols into tmpl (grown to 2N and returned for reuse) —
-// the per-device setup step of the tiled channel path, after which any
-// sub-range of a receive buffer can be accumulated with
+// the per-device setup step of air.MultiChannel's receive, after which
+// any sub-range of a receive buffer can be accumulated with
 // FrameBitsWaveformMixedAddRange.
 func (e *Encoder) FrameBitsWaveformMixedTemplates(tmpl []complex128, bits []byte, frac, freqOffsetHz float64, gain complex128) []complex128 {
 	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
@@ -119,9 +107,8 @@ func (e *Encoder) FrameBitsWaveformMixedTemplates(tmpl []complex128, bits []byte
 // FrameBitsWaveformMixedAddRange accumulates the [lo, hi) clip of the
 // mixed frame (placed at sample offset at) into out, reading templates
 // prepared by FrameBitsWaveformMixedTemplates with the same arguments.
-// Accumulating disjoint tiles that cover the buffer reproduces
-// FrameBitsWaveformMixedAdd bit for bit (see
-// synth.FrameMixedAccumulateRange).
+// Accumulating disjoint tiles that cover the buffer reproduces one
+// whole-buffer call bit for bit (see synth.FrameMixedAccumulateRange).
 func (e *Encoder) FrameBitsWaveformMixedAddRange(out []complex128, lo, hi, at int, tmpl []complex128, bits []byte, frac, freqOffsetHz float64) {
 	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
 	e.syn.FrameMixedAccumulateRange(out, lo, hi, at, tmpl, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega)

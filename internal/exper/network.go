@@ -66,6 +66,10 @@ func networkSweep(cfg Config) ([]sweepPoint, error) {
 
 	rng := dsp.NewRand(cfg.Seed)
 	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 256, 500e3, rng)
+	// Every unit below builds a one-AP network over this deployment.
+	// Place the AP once, before the fan-out: a constructor handed an
+	// unplaced deployment places it, and concurrent placements race.
+	dep.PlaceAPs(1)
 	ns := []int{1, 16, 32, 64, 96, 128, 160, 192, 224, 256}
 	trials := 3
 	if cfg.Quick {
@@ -93,12 +97,13 @@ func networkSweep(cfg Config) ([]sweepPoint, error) {
 	pool.ForEach(len(outs), func(u int) {
 		n := ns[u/trials]
 		trial := u % trials
-		net, err := sim.NewNetwork(scfg, dep, n, cfg.Seed*1000+int64(n)*10+int64(trial))
+		net, err := sim.NewMultiAPNetwork(scfg, dep, 1, n, cfg.Seed*1000+int64(n)*10+int64(trial))
 		if err != nil {
 			outs[u].err = err
 			return
 		}
-		outs[u].stats, outs[u].err = net.RunRound(n)
+		round, err := net.RunRound(n)
+		outs[u].stats, outs[u].err = round.Combined, err
 	})
 	for _, o := range outs {
 		if o.err != nil {

@@ -12,7 +12,7 @@ package pool
 //
 //   - Per-key serialization: at most one job of a given tenant runs at
 //     a time, in submission order. A tenant's jobs may therefore close
-//     over shared mutable state (the deployment's roundCtx) without
+//     over shared mutable state (the deployment's round arena) without
 //     locking.
 //   - Round-robin fairness: runnable tenants are served in FIFO
 //     rotation, one job per turn, so a tenant with a deep backlog delays

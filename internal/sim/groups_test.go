@@ -13,6 +13,9 @@ import (
 // full sweep collects from everyone with bounded per-group SNR spread.
 func TestGroupScheduleSweepsWholeNetwork(t *testing.T) {
 	dep := testDeployment(t, 192, 21)
+	// Place the AP before slicing: every sub-deployment then carries the
+	// parent's one-AP links, and no network re-places a shared device.
+	dep.PlaceAPs(1)
 	ids := make([]uint8, 192)
 	snrs := make([]float64, 192)
 	for i := range ids {
@@ -44,14 +47,15 @@ func TestGroupScheduleSweepsWholeNetwork(t *testing.T) {
 			sub.Devices = append(sub.Devices, dep.Devices[id])
 			seen[id] = true
 		}
-		net, err := NewNetwork(cfg, &sub, len(g.Members), int64(round)+50)
+		net, err := NewMultiAPNetwork(cfg, &sub, 1, len(g.Members), int64(round)+50)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := net.RunRound(len(g.Members))
+		res, err := net.RunRound(len(g.Members))
 		if err != nil {
 			t.Fatal(err)
 		}
+		stats := res.Combined
 		totalGood += float64(stats.GoodBits())
 		totalSched += float64(stats.ScheduledBits)
 		if frac := stats.GoodFraction(); frac < 0.75 {

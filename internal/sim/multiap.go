@@ -6,7 +6,9 @@ package sim
 // fan-out), decodes the full candidate set through its own
 // ParallelDecoder arenas, and a cross-AP aggregator merges the per-AP
 // decodes — best-SNR selection with CRC preference, deduplicated by
-// device — into the network-wide round outcome. See DESIGN-multiap.md.
+// device — into the network-wide round outcome. A single-AP network is
+// the k = 1 case: its Combined stats are its only AP's. See
+// DESIGN-multiap.md.
 
 import (
 	"fmt"
@@ -55,7 +57,8 @@ func (m MultiRoundStats) DiversityFramesGained() int {
 }
 
 // MultiAPNetwork is a deployed NetScatter network heard by k APs,
-// ready to run diversity rounds.
+// ready to run rounds — the simulator's one round engine, single-AP
+// rounds included (k = 1).
 type MultiAPNetwork struct {
 	cfg      Config
 	dep      *deploy.Deployment
@@ -83,11 +86,13 @@ type MultiAPNetwork struct {
 	rc multiRoundCtx
 }
 
-// multiRoundCtx is the network's reusable round arena, the multi-AP
-// analogue of roundCtx: per-device transmissions and frame sections,
-// per-AP receive buffers, per-AP decode results and the aggregation
-// scratch — carved once at association, refilled in place each round,
-// so steady-state multi-AP rounds allocate nothing.
+// multiRoundCtx is the network's reusable round arena: per-device
+// transmissions and frame sections, per-AP receive buffers, per-AP
+// decode results and the aggregation scratch — carved once at
+// association, refilled in place each round, so steady-state rounds
+// allocate nothing. The fan-out closures are built once per device;
+// each round only rewrites the scalar channel fields and the arena
+// contents.
 type multiRoundCtx struct {
 	txs      []air.MultiTransmission
 	shifts   []int
@@ -130,8 +135,9 @@ type multiRoundCtx struct {
 // with a k-AP infrastructure. If the deployment does not already carry
 // a k-AP placement it is placed here (deploy.PlaceAPs); pre-place when
 // sharing one deployment across concurrently constructed networks.
-// Slot allocation and the association-time power rule run exactly as in
-// the single-AP network, but on each device's best-AP link — the
+// Slots are assigned with the power-aware allocator (strongest devices
+// nearest the anchor bin) after each device runs its association-time
+// power rule, both on the device's best-AP link — the
 // infrastructure-side controller sees every AP's RSSI and anchors each
 // device to its strongest AP.
 func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int, seed int64) (*MultiAPNetwork, error) {
@@ -370,8 +376,8 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 	payloadBits := n.cfg.PayloadBytes*8 + core.CRCBits
 
 	// Refill the round arena in place, drawing per device: payload
-	// bytes, fade, delay, oscillator — the single-AP order — with the
-	// per-(device, AP) carrier phases drawn later inside the channel.
+	// bytes, fade, delay, oscillator — with the per-(device, AP)
+	// carrier phases drawn later inside the channel.
 	// Silenced devices still consume their draws (payload, fade, delay,
 	// offset) so adversity never shifts another device's randomness.
 	rc := &n.rc

@@ -58,15 +58,17 @@ func TestMultiAPRoundSmallClean(t *testing.T) {
 	}
 }
 
-// TestMultiAPRunRoundSteadyStateZeroAlloc extends the single-AP round
-// context's allocation gate to the multi-AP path: after the warm-up
-// round, a k-AP round — template fan-out, k receive buffers, k decodes
-// and the aggregation — touches no heap at GOMAXPROCS=1.
-func TestMultiAPRunRoundSteadyStateZeroAlloc(t *testing.T) {
+// checkRoundZeroAlloc pins the round context's allocation-free claim
+// for a k-AP network: after the warm-up round, a round — template
+// fan-out, k receive buffers, k decodes and the aggregation — touches
+// no heap at GOMAXPROCS=1 (the worker pool runs inline; with workers it
+// spawns goroutines, which allocate by design).
+func checkRoundZeroAlloc(t *testing.T, k int) {
+	t.Helper()
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
 
-	net := testMultiAPNetwork(t, 16, 2, 3)
+	net := testMultiAPNetwork(t, 16, k, 3)
 	if _, err := net.RunRound(16); err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +78,23 @@ func TestMultiAPRunRoundSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state multi-AP RunRound allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("k=%d: steady-state RunRound allocates %.1f objects/op, want 0", k, allocs)
 	}
 }
 
-// TestMultiAPRoundDeterministicPerSeed: two networks built from the
-// same seed produce identical combined and per-AP statistics, round
-// after round.
-func TestMultiAPRoundDeterministicPerSeed(t *testing.T) {
-	a := testMultiAPNetwork(t, 24, 3, 11)
-	b := testMultiAPNetwork(t, 24, 3, 11)
+// TestRunRoundSteadyStateZeroAlloc: the single-AP round (k = 1).
+func TestRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 1) }
+
+// TestMultiAPRunRoundSteadyStateZeroAlloc: a diversity round (k = 2).
+func TestMultiAPRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 2) }
+
+// checkRoundDeterministicPerSeed asserts the arena refill preserves the
+// draw order: two k-AP networks built from the same seed produce
+// identical combined and per-AP statistics, round after round.
+func checkRoundDeterministicPerSeed(t *testing.T, k int) {
+	t.Helper()
+	a := testMultiAPNetwork(t, 24, k, 11)
+	b := testMultiAPNetwork(t, 24, k, 11)
 	for round := 0; round < 3; round++ {
 		sa, err := a.RunRound(24)
 		if err != nil {
@@ -96,37 +105,66 @@ func TestMultiAPRoundDeterministicPerSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sa.Combined != sb.Combined || !reflect.DeepEqual(sa.PerAP, sb.PerAP) {
-			t.Fatalf("round %d diverged: %+v vs %+v", round, sa, sb)
+			t.Fatalf("k=%d round %d diverged: %+v vs %+v", k, round, sa, sb)
 		}
 	}
 }
 
-// TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace pins the tentpole's
-// sim-level determinism contract under the race detector: for a fixed
-// seed, every round's combined and per-AP statistics are identical
-// across GOMAXPROCS ∈ {1, 2, 4}. The worker pool fans out template
-// synthesis, the (AP, tile) grid and k parallel decodes; none of that
-// scheduling may leak into the outcome.
-func TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
-	const nDev = 20
-	const nAPs = 2
-	const rounds = 3
+// TestRunRoundDeterministicPerSeed: the single-AP round (k = 1).
+func TestRunRoundDeterministicPerSeed(t *testing.T) { checkRoundDeterministicPerSeed(t, 1) }
 
+// TestMultiAPRoundDeterministicPerSeed: a three-AP round.
+func TestMultiAPRoundDeterministicPerSeed(t *testing.T) { checkRoundDeterministicPerSeed(t, 3) }
+
+// gomaxprocsCase is one network shape swept by
+// checkRoundBitIdenticalAcrossGOMAXPROCS.
+type gomaxprocsCase struct {
+	small         bool // simtest.SmallParams instead of the paper's SF 9
+	nDev, nAPs    int
+	payloadBytes  int
+	depSeed, seed int64
+}
+
+// checkRoundBitIdenticalAcrossGOMAXPROCS pins the round path's hard
+// determinism contract at the sample level: for a fixed seed, every
+// round's receive buffers — signal accumulation and tile-stream noise —
+// and its combined and per-AP statistics are identical across
+// GOMAXPROCS ∈ {1, 2, 4}. The worker pool fans out template synthesis,
+// the (AP, tile) grid and k parallel decodes; none of that scheduling
+// may leak into the outcome. Run under -race in CI, this also sweeps
+// those workers for data races.
+func checkRoundBitIdenticalAcrossGOMAXPROCS(t *testing.T, tc gomaxprocsCase) {
+	t.Helper()
+	const rounds = 3
 	type roundOut struct {
 		Combined RoundStats
 		PerAP    []RoundStats
+		Sigs     [][]complex128
 	}
 	run := func(procs int) []roundOut {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		net := testMultiAPNetwork(t, nDev, nAPs, 17)
+		dep := simtest.Deployment(t, tc.nDev, tc.depSeed)
+		cfg := DefaultConfig()
+		if tc.small {
+			cfg.Params = simtest.SmallParams()
+		}
+		cfg.PayloadBytes = tc.payloadBytes
+		net, err := NewMultiAPNetwork(cfg, dep, tc.nAPs, tc.nDev, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var outs []roundOut
 		for r := 0; r < rounds; r++ {
-			stats, err := net.RunRound(nDev)
+			stats, err := net.RunRound(tc.nDev)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs = append(outs, roundOut{stats.Combined, append([]RoundStats(nil), stats.PerAP...)})
+			out := roundOut{Combined: stats.Combined, PerAP: append([]RoundStats(nil), stats.PerAP...)}
+			for _, sig := range net.rc.sigs {
+				out.Sigs = append(out.Sigs, append([]complex128(nil), sig...))
+			}
+			outs = append(outs, out)
 		}
 		return outs
 	}
@@ -135,11 +173,30 @@ func TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		got := run(procs)
 		for r := range want {
-			if !reflect.DeepEqual(got[r], want[r]) {
-				t.Fatalf("GOMAXPROCS=%d round %d diverges: %+v vs %+v", procs, r, got[r], want[r])
+			if got[r].Combined != want[r].Combined || !reflect.DeepEqual(got[r].PerAP, want[r].PerAP) {
+				t.Fatalf("GOMAXPROCS=%d round %d stats diverge: %+v vs %+v", procs, r, got[r], want[r])
+			}
+			for a, sig := range want[r].Sigs {
+				for i := range sig {
+					if got[r].Sigs[a][i] != sig[i] {
+						t.Fatalf("GOMAXPROCS=%d round %d: AP %d's receive buffer diverges at sample %d",
+							procs, r, a, i)
+					}
+				}
 			}
 		}
 	}
+}
+
+// TestRunRoundBitIdenticalAcrossGOMAXPROCSRace: the single-AP round
+// (k = 1) at the paper's SF 9.
+func TestRunRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
+	checkRoundBitIdenticalAcrossGOMAXPROCS(t, gomaxprocsCase{nDev: 24, nAPs: 1, payloadBytes: 3, depSeed: 17, seed: 99})
+}
+
+// TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace: a two-AP round.
+func TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
+	checkRoundBitIdenticalAcrossGOMAXPROCS(t, gomaxprocsCase{small: true, nDev: 20, nAPs: 2, payloadBytes: 2, depSeed: 17, seed: 18})
 }
 
 // TestMultiAPSingleAPDegeneracy: a 1-AP multi network places its AP at

@@ -1,5 +1,13 @@
 package sim
 
+// Concurrency tests for the round path: rounds of independent networks
+// run side by side must each reproduce their serial statistics (the
+// synth bank, FFT plans and worker pool are shared), and a seeded round
+// must not depend on the pool width — exercised under -race in CI.
+// Networks that share one deployment are built after it is placed:
+// NewMultiAPNetwork places an unplaced deployment itself, and
+// concurrent constructors would race on that write.
+
 import (
 	"runtime"
 	"sync"
@@ -9,12 +17,13 @@ import (
 	"netscatter/internal/simtest"
 )
 
-// TestConcurrentRunRoundRace drives several independent networks'
-// RunRound simultaneously — each round internally fans waveform
-// synthesis and the decode pipeline across the shared pool — so `go
-// test -race` sweeps the whole parallel receive path for data races.
+// TestConcurrentRunRoundRace drives several independent one-AP
+// networks' RunRound simultaneously over one shared deployment — each
+// round internally fans template synthesis, the tile grid and the
+// decode pipeline across the shared pool — so `go test -race` sweeps
+// the whole parallel receive path for data races.
 func TestConcurrentRunRoundRace(t *testing.T) {
-	dep := simtest.Deployment(t, 16, 3)
+	dep := simtest.MultiAPDeployment(t, 16, 1, 3)
 	cfg := DefaultConfig()
 	cfg.PayloadBytes = 2
 
@@ -26,7 +35,7 @@ func TestConcurrentRunRoundRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			net, err := NewNetwork(cfg, dep, 16, int64(g)+1)
+			net, err := NewMultiAPNetwork(cfg, dep, 1, 16, int64(g)+1)
 			if err != nil {
 				errs[g] = err
 				return
@@ -37,7 +46,7 @@ func TestConcurrentRunRoundRace(t *testing.T) {
 					errs[g] = err
 					return
 				}
-				stats[g] = s
+				stats[g] = s.Combined
 			}
 		}(g)
 	}
@@ -54,74 +63,78 @@ func TestConcurrentRunRoundRace(t *testing.T) {
 	}
 }
 
-// TestRunRoundBitIdenticalAcrossGOMAXPROCSRace pins the tiled channel
-// path's hard determinism contract at the sample level: for a fixed
-// seed the composite received stream of every round — signal
-// accumulation and tile-stream noise — is bit-identical across
-// GOMAXPROCS ∈ {1, 2, 4}. Run under -race in CI, this simultaneously
-// sweeps the template fan-out and tile workers for data races.
-func TestRunRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
-	const nDev = 24
-	const rounds = 3
-
-	run := func(procs int) ([][]complex128, []RoundStats) {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		dep := simtest.Deployment(t, nDev, 17)
-		cfg := DefaultConfig()
-		cfg.PayloadBytes = 3
-		net, err := NewNetwork(cfg, dep, nDev, 99)
+// TestConcurrentRoundsAcrossNetworks runs several independent one-AP
+// networks over one shared placed deployment concurrently and checks
+// each produces exactly its serial statistics.
+func TestConcurrentRoundsAcrossNetworks(t *testing.T) {
+	const nets = 4
+	const rounds = 2
+	dep := simtest.MultiAPDeployment(t, 16, 1, 100)
+	cfg := DefaultConfig()
+	cfg.Params = simtest.SmallParams()
+	cfg.PayloadBytes = 2
+	run := func(i int) ([]RoundStats, error) {
+		net, err := NewMultiAPNetwork(cfg, dep, 1, 16, int64(101+i))
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		var sigs [][]complex128
-		var stats []RoundStats
+		var out []RoundStats
 		for r := 0; r < rounds; r++ {
-			s, err := net.RunRound(nDev)
+			stats, err := net.RunRound(16)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			stats = append(stats, s)
-			sigs = append(sigs, append([]complex128(nil), net.rc.sig...))
+			out = append(out, stats.Combined)
 		}
-		return sigs, stats
+		return out, nil
 	}
 
-	wantSigs, wantStats := run(1)
-	for _, procs := range []int{2, 4} {
-		gotSigs, gotStats := run(procs)
-		for r := range wantStats {
-			if gotStats[r] != wantStats[r] {
-				t.Fatalf("GOMAXPROCS=%d round %d stats diverge: %+v vs %+v",
-					procs, r, gotStats[r], wantStats[r])
-			}
-			for i := range wantSigs[r] {
-				if gotSigs[r][i] != wantSigs[r][i] {
-					t.Fatalf("GOMAXPROCS=%d round %d: received stream diverges at sample %d",
-						procs, r, i)
-				}
+	// Serial baseline.
+	want := make([][]RoundStats, nets)
+	for i := 0; i < nets; i++ {
+		var err error
+		if want[i], err = run(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got := make([][]RoundStats, nets)
+	errs := make([]error, nets)
+	var wg sync.WaitGroup
+	for i := 0; i < nets; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < nets; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for r := range want[i] {
+			if got[i][r] != want[i][r] {
+				t.Fatalf("network %d round %d: concurrent %+v != serial %+v", i, r, got[i][r], want[i][r])
 			}
 		}
 	}
 }
 
 // TestRunRoundDeterministicAcrossGOMAXPROCS pins the parallelization
-// contract: a seeded round produces identical statistics whether the
-// pool has one slot or many.
+// contract: a seeded one-AP round produces identical statistics whether
+// the pool has one slot or many.
 func TestRunRoundDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func() RoundStats {
 		dep := simtest.Deployment(t, 24, 17)
 		cfg := DefaultConfig()
 		cfg.PayloadBytes = 3
-		net, err := NewNetwork(cfg, dep, 24, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := newOneAPNetwork(t, cfg, dep, 24, 99)
 		stats, err := net.RunRound(24)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return stats
+		return stats.Combined
 	}
 
 	prev := runtime.GOMAXPROCS(1)

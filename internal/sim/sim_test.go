@@ -55,18 +55,37 @@ func TestRateForSNR(t *testing.T) {
 	}
 }
 
+// newOneAPNetwork associates the first maxDevices of dep with a
+// single-AP infrastructure — the simulator's single-AP round.
+func newOneAPNetwork(t *testing.T, cfg Config, dep *deploy.Deployment, maxDevices int, seed int64) *MultiAPNetwork {
+	t.Helper()
+	net, err := NewMultiAPNetwork(cfg, dep, 1, maxDevices, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// effectiveSNRs returns the post-power-control SNRs of a one-AP
+// network's first k devices.
+func effectiveSNRs(net *MultiAPNetwork, k int) []float64 {
+	out := make([]float64, k)
+	for i := range out {
+		out[i] = net.dep.Devices[i].UplinkSNRdB + net.gains[i]
+	}
+	return out
+}
+
 func TestNetworkRoundSmallClean(t *testing.T) {
 	dep := testDeployment(t, 16, 1)
 	cfg := DefaultConfig()
 	cfg.PayloadBytes = 3
-	net, err := NewNetwork(cfg, dep, 16, 2)
+	net := newOneAPNetwork(t, cfg, dep, 16, 2)
+	round, err := net.RunRound(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := net.RunRound(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := round.Combined
 	if stats.Detected < 15 {
 		t.Fatalf("detected %d/16", stats.Detected)
 	}
@@ -80,11 +99,7 @@ func TestNetworkRoundSmallClean(t *testing.T) {
 
 func TestNetworkAutoSkipSpreads(t *testing.T) {
 	dep := testDeployment(t, 32, 3)
-	cfg := DefaultConfig()
-	net, err := NewNetwork(cfg, dep, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newOneAPNetwork(t, DefaultConfig(), dep, 32, 4)
 	// 32 devices in 512 bins -> effective SKIP 16.
 	if got := net.Book().Skip(); got != 16 {
 		t.Fatalf("effective skip = %d, want 16", got)
@@ -94,18 +109,14 @@ func TestNetworkAutoSkipSpreads(t *testing.T) {
 func TestNetworkErrors(t *testing.T) {
 	dep := testDeployment(t, 4, 5)
 	cfg := DefaultConfig()
-	if _, err := NewNetwork(cfg, dep, 10, 1); err == nil {
+	if _, err := NewMultiAPNetwork(cfg, dep, 1, 10, 1); err == nil {
 		t.Error("oversubscribed deployment accepted")
 	}
 	cfg.Skip = 0
-	if _, err := NewNetwork(cfg, dep, 4, 1); err == nil {
+	if _, err := NewMultiAPNetwork(cfg, dep, 1, 4, 1); err == nil {
 		t.Error("zero skip accepted")
 	}
-	cfg = DefaultConfig()
-	net, err := NewNetwork(cfg, dep, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newOneAPNetwork(t, DefaultConfig(), dep, 4, 1)
 	if _, err := net.RunRound(8); err == nil {
 		t.Error("round larger than network accepted")
 	}
@@ -113,23 +124,16 @@ func TestNetworkErrors(t *testing.T) {
 
 func TestPowerControlTightensSpread(t *testing.T) {
 	dep := testDeployment(t, 64, 6)
-	cfgOn := DefaultConfig()
-	netOn, err := NewNetwork(cfgOn, dep, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	netOn := newOneAPNetwork(t, DefaultConfig(), dep, 64, 7)
 	cfgOff := DefaultConfig()
 	cfgOff.DisablePowerControl = true
-	netOff, err := NewNetwork(cfgOff, dep, 64, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	netOff := newOneAPNetwork(t, cfgOff, dep, 64, 7)
 	spread := func(snrs []float64) float64 {
 		min, max := dsp.MinMax(snrs)
 		return max - min
 	}
-	on := spread(netOn.EffectiveSNRs(64))
-	off := spread(netOff.EffectiveSNRs(64))
+	on := spread(effectiveSNRs(netOn, 64))
+	off := spread(effectiveSNRs(netOff, 64))
 	if on >= off {
 		t.Fatalf("power control did not tighten the spread: %v vs %v", on, off)
 	}
@@ -137,17 +141,13 @@ func TestPowerControlTightensSpread(t *testing.T) {
 
 func TestPowerAwareAllocationOrdersSlots(t *testing.T) {
 	dep := testDeployment(t, 64, 8)
-	cfg := DefaultConfig()
-	net, err := NewNetwork(cfg, dep, 64, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := newOneAPNetwork(t, DefaultConfig(), dep, 64, 9)
 	// Device in slot 0 must be the strongest.
-	snrs := net.EffectiveSNRs(64)
+	snrs := effectiveSNRs(net, 64)
 	var slot0SNR float64
 	maxSNR := math.Inf(-1)
 	for i := 0; i < 64; i++ {
-		if net.SlotOf(i) == 0 {
+		if net.slots[i] == 0 {
 			slot0SNR = snrs[i]
 		}
 		if snrs[i] > maxSNR {
@@ -191,14 +191,12 @@ func TestNetScatterBeatsBaselinesAtScale(t *testing.T) {
 	dep := testDeployment(t, 256, 11)
 	cfg := DefaultConfig()
 	cfg.PayloadBytes = 4
-	net, err := NewNetwork(cfg, dep, 256, 12)
+	net := newOneAPNetwork(t, cfg, dep, 256, 12)
+	round, err := net.RunRound(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := net.RunRound(256)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := round.Combined
 	p := chirp.Default500k9
 	tm := DefaultTiming()
 	ns := NetScatterMetrics(stats, p, 4)

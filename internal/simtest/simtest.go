@@ -1,9 +1,9 @@
 // Package simtest holds the seed-pinned constructors the repository's
 // test suites share: office deployments, small chirp parameter sets and
-// template-path transmission fleets. Before it existed every test file
-// rebuilt the same deploy.Generate / encoder-closure boilerplate by
-// hand; centralizing it keeps the seeds (and therefore the pinned
-// statistics across sim, air and deploy tests) in one place.
+// transmission fleets. Before it existed every test file rebuilt the
+// same deploy.Generate / encoder-closure boilerplate by hand;
+// centralizing it keeps the seeds (and therefore the pinned statistics
+// across sim, air and deploy tests) in one place.
 //
 // The package deliberately does not import internal/sim: sim's
 // in-package tests import simtest, and a simtest→sim edge would be an
@@ -69,27 +69,19 @@ func txLink(p chirp.Params, i int) (snrDB, delaySec, freqHz float64) {
 		float64(i*13%90) - 40
 }
 
-// TiledTxs builds a fleet of template-path (MixedTmpl + MixedAddRange)
-// transmissions over the given bit sections; with mixed, the
-// equivalent legacy Mixed-path fleet instead.
-func TiledTxs(p chirp.Params, nDev int, bits [][]byte, mixed bool) []air.Transmission {
+// MixedTxs builds a fleet of materialized-waveform transmissions over
+// the given bit sections: each device's frame is synthesized through
+// its Mixed closure, with the frequency offset and carrier gain folded
+// into the recurrence.
+func MixedTxs(p chirp.Params, nDev int, bits [][]byte) []air.Transmission {
 	txs := make([]air.Transmission, nDev)
 	for i := 0; i < nDev; i++ {
 		enc := core.NewEncoder(p, (i*7+3)%p.N())
 		b := bits[i]
 		tx := &txs[i]
 		tx.SNRdB, tx.DelaySec, tx.FreqOffsetHz = txLink(p, i)
-		if mixed {
-			tx.Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, b, frac, freqHz, gain)
-			}
-		} else {
-			tx.MixedTmpl = func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedTemplates(tmpl, b, frac, freqHz, gain)
-			}
-			tx.MixedAddRange = func(out []complex128, lo, hi, at int, tmpl []complex128, frac, freqHz float64) {
-				enc.FrameBitsWaveformMixedAddRange(out, lo, hi, at, tmpl, b, frac, freqHz)
-			}
+		tx.Mixed = func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
+			return enc.FrameBitsWaveformMixedInto(dst, b, frac, freqHz, gain)
 		}
 	}
 	return txs
@@ -97,9 +89,8 @@ func TiledTxs(p chirp.Params, nDev int, bits [][]byte, mixed bool) []air.Transmi
 
 // MultiTxs builds a fleet of multi-AP transmissions over the given bit
 // sections, with per-AP SNRs spread deterministically per (device, AP).
-// The closures are the same encoder closures TiledTxs installs, so a
-// multi fleet and a tiled fleet over the same bits describe the same
-// devices.
+// The encoders and link scalars are MixedTxs's, so a multi fleet and a
+// Mixed fleet over the same bits describe the same devices.
 func MultiTxs(p chirp.Params, nDev, nAPs int, bits [][]byte) []air.MultiTransmission {
 	txs := make([]air.MultiTransmission, nDev)
 	for i := 0; i < nDev; i++ {

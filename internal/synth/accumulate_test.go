@@ -6,6 +6,18 @@ import (
 	"netscatter/internal/chirp"
 )
 
+// FrameMixedAccumulate adds the FrameMixedInto waveform, placed at
+// sample offset at, directly into out — without materializing the
+// frame: FrameMixedTemplates into the caller-owned scratch tmpl (grown
+// to 2N and returned for reuse), then one whole-buffer
+// FrameMixedAccumulateRange. It is the serial reference the tiled and
+// fused accumulate paths are pinned against.
+func (s *Synthesizer) FrameMixedAccumulate(out []complex128, at int, tmpl []complex128, shift, upPreamble, downPreamble int, bits []byte, frac, omega float64, gain complex128) []complex128 {
+	tmpl = s.FrameMixedTemplates(tmpl, shift, upPreamble, downPreamble, bits, frac, omega, gain)
+	s.FrameMixedAccumulateRange(out, 0, len(out), at, tmpl, upPreamble, downPreamble, bits, frac, omega)
+	return tmpl
+}
+
 // TestFrameMixedAccumulateBitExact pins the fused accumulate contract:
 // adding a frame directly into a receive buffer must be bit-identical
 // to materializing it with FrameMixedInto and superposing it sample by

@@ -200,7 +200,7 @@ func frameTemplateSlots(upPreamble, downPreamble int, bits []byte, frac float64)
 }
 
 // FrameMixedTemplates synthesizes the frame's mixed template symbols —
-// everything FrameMixedAccumulate needs besides plain scaled adds —
+// everything accumulating the frame needs besides plain scaled adds —
 // into tmpl, grown to 2N and returned for reuse: the upchirp template
 // (with kUp's mix phase and the carrier gain baked in) at tmpl[:N] and
 // the downchirp template at tmpl[N:2N]. A frame that is all silence
@@ -238,10 +238,18 @@ func (s *Synthesizer) FrameMixedTemplates(tmpl []complex128, shift, upPreamble, 
 // come from FrameMixedTemplates with identical frame arguments). Only
 // symbols overlapping the range are touched, so accumulating a tile
 // costs O(overlap), not O(frame) — tiles covering the whole buffer
-// reproduce FrameMixedAccumulate's additions exactly: per sample the
+// reproduce one whole-buffer call's additions exactly: per sample the
 // same products in the same order, regardless of how [0, len(out)) is
 // partitioned. That per-sample invariance is what makes the tiled
 // parallel transmit path bit-identical to the serial pass.
+//
+// Each added value is the exact product scaledCopy would have stored
+// (same expression, same order), so a whole-buffer call leaves out
+// bit-identical to FrameMixedInto followed by radio.Superpose at offset
+// at — provided out was accumulated from (+0.0)-zeroed storage.
+// (Skipping a silent symbol differs from adding its +0.0 samples only
+// on a -0.0 accumulator element, and a sum seeded with +0.0 can never
+// produce -0.0.)
 //
 // The overlapping symbols are planned a few at a time into stack
 // storage by the code that fills a FrameSchedule (fillSymbols), and
@@ -285,29 +293,6 @@ func (s *Synthesizer) FrameMixedAccumulateRange(out []complex128, lo, hi, at int
 			addTerm(out[cLo:cHi], src[:cHi-cLo], rot[i])
 		}
 	}
-}
-
-// FrameMixedAccumulate adds the FrameMixedInto waveform, placed at
-// sample offset at, directly into out — without materializing the
-// frame. The frame is two recurrence-synthesized template symbols plus
-// constant-scaled copies, so accumulation needs only the templates:
-// each symbol segment adds tmpl[i]·rot into its clipped slice of out,
-// and silent symbols are skipped outright. tmpl is caller-owned
-// template scratch (grown to 2N and returned for reuse), which keeps
-// the synthesizer shareable across goroutines. It is the composition
-// of FrameMixedTemplates and a whole-buffer FrameMixedAccumulateRange.
-//
-// Bit-exactness contract: for every sample, the value added is the
-// exact product scaledCopy would have stored (same expression, same
-// order), so out ends bit-identical to FrameMixedInto followed by
-// radio.Superpose at offset `at` — provided out was accumulated from
-// (+0.0)-zeroed storage. (Skipping a silent symbol differs from adding
-// its +0.0 samples only on a -0.0 accumulator element, and a sum seeded
-// with +0.0 can never produce -0.0.)
-func (s *Synthesizer) FrameMixedAccumulate(out []complex128, at int, tmpl []complex128, shift, upPreamble, downPreamble int, bits []byte, frac, omega float64, gain complex128) []complex128 {
-	tmpl = s.FrameMixedTemplates(tmpl, shift, upPreamble, downPreamble, bits, frac, omega, gain)
-	s.FrameMixedAccumulateRange(out, 0, len(out), at, tmpl, upPreamble, downPreamble, bits, frac, omega)
-	return tmpl
 }
 
 // floorDiv returns ⌊a/b⌋ for positive b.

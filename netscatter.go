@@ -61,8 +61,13 @@ func (p Params) chirp() chirp.Params {
 func (p Params) DeviceBitRate() float64 { return p.chirp().OOKBitRate() }
 
 // MaxDevices returns the number of concurrent devices supported:
-// Oversample·2^SF/Skip.
-func (p Params) MaxDevices() int { return p.chirp().N() / p.Skip }
+// Oversample·2^SF/Skip, or 0 for a Skip below 1.
+func (p Params) MaxDevices() int {
+	if p.Skip < 1 {
+		return 0
+	}
+	return p.chirp().N() / p.Skip
+}
 
 // Options configures a simulated network.
 type Options struct {
@@ -128,6 +133,9 @@ func NewNetwork(params Params, opts Options) (*Network, error) {
 	cp := params.chirp()
 	if err := cp.Validate(); err != nil {
 		return nil, err
+	}
+	if params.Skip < 1 {
+		return nil, fmt.Errorf("netscatter: Params.Skip must be at least 1 (got %d)", params.Skip)
 	}
 	if opts.Devices <= 0 {
 		return nil, fmt.Errorf("netscatter: Options.Devices must be positive")

@@ -2,6 +2,7 @@ package netscatter
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +74,16 @@ func TestNetworkValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(Params{SF: 99, BandwidthHz: 1, Skip: 2}, Options{Devices: 4}); err == nil {
 		t.Error("invalid params accepted")
+	}
+	for _, skip := range []int{0, -1} {
+		p := Params{SF: 9, BandwidthHz: 500e3, Skip: skip, Oversample: 1}
+		if got := p.MaxDevices(); got != 0 {
+			t.Errorf("Skip %d: MaxDevices = %d, want 0", skip, got)
+		}
+		_, err := NewNetwork(p, Options{Devices: 4})
+		if err == nil || !strings.Contains(err.Error(), "Skip") {
+			t.Errorf("Skip %d: error %v does not reject the spacing", skip, err)
+		}
 	}
 	net, err := NewNetwork(DefaultParams(), Options{Devices: 4, Seed: 3})
 	if err != nil {

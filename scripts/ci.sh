@@ -56,12 +56,14 @@ echo "== fuzz seed corpus =="
 go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp
 
 echo "== race: concurrent paths =="
-# The rewired sim round path, the batched parallel decoder (including
-# the batch-vs-oracle bit-exactness sweep), the tiled channel path
-# (template fan-out + tile workers, with the GOMAXPROCS ∈ {1,2,4}
-# bit-exactness sweeps), the multi-AP fan-out (shared-template per-AP
-# scaling, (AP, tile) workers, per-AP decodes — with its own
-# GOMAXPROCS and single-AP-oracle sweeps), the adversarial trajectory
+# The sim round path (one-AP and k-AP networks, including networks
+# built concurrently over one shared deployment), the batched parallel
+# decoder (including the batch-vs-oracle bit-exactness sweep), the
+# materialized-waveform channel (parallel chunked synthesis with its
+# tile-grid noise, GOMAXPROCS ∈ {1,2,4} bit-exactness sweep), the
+# multi-AP fan-out (template fan-out, shared-template per-AP scaling,
+# (AP, tile) workers, per-AP decodes — with its own GOMAXPROCS and
+# serial-reference sweeps at k ∈ {1,2,4}), the adversarial trajectory
 # runner (oracle bit-identity, churn/dropout recovery accounting, the
 # full-adversity GOMAXPROCS sweep), the soft cross-AP combining path
 # (emit arenas filled by pool workers, serial bin-wise sum, its own
@@ -81,8 +83,13 @@ echo "== race: concurrent paths =="
 # multi-source accumulate kernel against sequential AxpyInto on both
 # bodies, the fused accumulate against per-frame accumulation in
 # ./internal/synth, and the round's fused receive against the closure
-# path in ./internal/sim.
+# path in ./internal/sim. Tiled pulls in the interference-burst tile
+# gate (TestBurstTiledBitIdentical) and the channel's tile-grid noise
+# tests. The Fig. 17 sweep builds its one-AP networks concurrently over
+# one deployment, so TestFig17Shape fails here if that deployment is
+# left unplaced before the fan-out.
 go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
+go test -race -count=1 -run 'TestFig17Shape' ./internal/exper
 
 echo "== campaign: unit + resume + race =="
 # The declarative campaign runner: spec expansion, shard-order
