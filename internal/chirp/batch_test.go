@@ -45,7 +45,7 @@ func windowPlan(bins int, centers []int, half int) *dsp.BinPlan {
 // bit-identical to the single-symbol Spectrum oracle across SF and
 // zero-pad combinations, including tiles larger than one batch pass —
 // at every bin without a plan, and at every plan bin with a window
-// plan (which prunes the last butterfly pass at SF 9 / zero-pad 8).
+// plan (which prunes every butterfly pass after the first stage).
 func TestSpectraBatchBitExact(t *testing.T) {
 	for _, sf := range []int{7, 9} {
 		for _, zp := range []int{1, 2, 8} {
@@ -138,8 +138,8 @@ func TestScanBatchBitExact(t *testing.T) {
 					}
 				}
 				// Without a plan, and with the plan of exactly the
-				// scanned windows (the last butterfly pass then runs
-				// only their groups).
+				// scanned windows (every butterfly pass then runs only
+				// the groups that reach them).
 				for _, plan := range []*dsp.BinPlan{nil, windowPlan(bins, centers, half)} {
 					got := make([]float64, len(centers)*stride)
 					for i := range got {

@@ -30,12 +30,12 @@ import (
 // butterflies fit inside a block of blockElems elements runs
 // block-by-block while the block is resident in L1, leaving only the
 // last log2(n/block) stages as full-array passes. ForwardBatch can
-// prune the last of those passes to the butterfly groups a BinPlan's
-// bins need. Reordering butterfly
-// execution never changes results — each butterfly's operands and
-// operation order are identical to FFTPlan's radix-2 cascade, so a
-// BatchPlan transform is bit-identical to ForwardPruned on the same
-// input (the oracle the tests enforce).
+// prune every pass, in-block and full-array, to the butterfly groups a
+// BinPlan's bins need. Reordering butterfly execution never changes
+// results — each butterfly's operands and operation order are identical
+// to FFTPlan's radix-2 cascade, so a BatchPlan transform is
+// bit-identical to ForwardPruned on the same input (the oracle the
+// tests enforce).
 //
 // A BatchPlan is safe for concurrent use; transforms only read it.
 type BatchPlan struct {
@@ -139,13 +139,18 @@ func (bp *BatchPlan) Forward(re, im []float64) {
 // planar buffers re and im, each transform occupying one Size()-long
 // stride. len(re) and len(im) must be at least batch·Size().
 //
-// out, when non-nil, names the only output bins the caller reads: the
-// last full-array butterfly pass then runs only the groups with an
-// output in out (BinPlan's group runs), and every bin outside out is
-// left unspecified. Bins inside out are bit-identical to the unplanned
-// transform, since a skipped group writes only bins outside out. A
-// transform small enough to run entirely cache-blocked has no
-// full-array pass and is never pruned.
+// out, when non-nil, names the only output bins the caller reads: every
+// butterfly pass then runs only the groups whose outputs reach a bin in
+// out (BinPlan's group runs for the pass's stride), and every bin
+// outside out is left unspecified. After the stage of size s, offset t
+// of each s-long sub-block holds bin t of one decimated subsequence,
+// and final bin k reads offset k mod s of every sub-block; so a pass
+// with stride h is needed only at groups j ≡ k (mod h) for some k in
+// out. A needed group reads only outputs of needed groups of the pass
+// before (j in out mod h implies j mod h/2 in out mod h/2), so bins
+// inside out are bit-identical to the unplanned transform. Groups run
+// only to widen a run to the vector width may read stale values, but
+// their outputs reach no bin in out.
 func (bp *BatchPlan) ForwardBatch(re, im []float64, batch int, out *BinPlan) {
 	n := bp.n
 	if len(re) < batch*n || len(im) < batch*n {
@@ -188,6 +193,8 @@ func (bp *BatchPlan) transform(re, im []float64, out *BinPlan) {
 	// full-array tail — consecutive stages run pairwise fused: one pass
 	// over the data performs both stages' butterflies with the
 	// intermediate values held in registers, halving loads and stores.
+	// The fused first stage writes every element and runs whole; every
+	// later pass runs only out's groups for its stride.
 	nBlocks := bp.n / bp.block
 	inBlock := 0
 	for inBlock < len(bp.stages) && bp.stages[inBlock].size <= bp.block {
@@ -200,59 +207,20 @@ func (bp *BatchPlan) transform(re, im []float64, out *BinPlan) {
 			bp.fusedFirstStage(re, im, base)
 			si = 1
 		}
-		for si < inBlock {
-			if si+1 < inBlock {
-				bp.stagePairSpan(re, im, base, bp.block, si)
-				si += 2
-			} else {
-				bp.stageSpan(re, im, base, bp.block, si)
-				si++
-			}
-		}
+		bp.passes(re, im, base, bp.block, si, inBlock, out)
 	}
-	// Remaining stages span more than one block: full-array passes,
-	// still pairwise fused. The last one, whose stage size is n, may be
-	// pruned to out's groups.
-	for si := inBlock; si < len(bp.stages); {
-		pair := si+1 < len(bp.stages)
-		next := si + 1
-		if pair {
-			next++
-		}
-		switch {
-		case out != nil && next == len(bp.stages):
-			bp.prunedLastPass(re, im, si, pair, out)
-		case pair:
-			bp.stagePairSpan(re, im, 0, bp.n, si)
-		default:
-			bp.stageSpan(re, im, 0, bp.n, si)
-		}
-		si = next
-	}
+	// Remaining stages span more than one block: full-array passes.
+	bp.passes(re, im, 0, bp.n, inBlock, len(bp.stages), out)
 }
 
-// prunedLastPass runs the final full-array pass — stage si alone (size
-// n, stride h = n/2) or the fused pair si, si+1 (sizes n/2 and n,
-// stride h = n/4) — over only out's group runs for that stride. Group j
-// reads and writes exactly the bins {j + m·h}, so skipping a group whose
-// bins all lie outside out changes no bin inside it.
-func (bp *BatchPlan) prunedLastPass(re, im []float64, si int, pair bool, out *BinPlan) {
-	if pair {
-		st1, st2 := &bp.stages[si], &bp.stages[si+1]
-		h := st1.size >> 1
-		runs := out.groups[1]
-		for k := 0; k < len(runs); k += 2 {
-			lo, hi := runs[k], runs[k+1]
-			stagePair(re, im, lo, h, hi-lo, st1.twr[lo:], st1.twi[lo:], st2.twr[lo:], st2.twi[lo:])
-		}
-		return
+// passes runs stages [si, end) over [base, base+span), pairwise fused
+// with a single stage left over when the count is odd.
+func (bp *BatchPlan) passes(re, im []float64, base, span, si, end int, out *BinPlan) {
+	for ; si+1 < end; si += 2 {
+		bp.stagePairSpan(re, im, base, span, si, out)
 	}
-	st := &bp.stages[si]
-	h := st.size >> 1
-	runs := out.groups[0]
-	for k := 0; k < len(runs); k += 2 {
-		lo, hi := runs[k], runs[k+1]
-		stage(re, im, lo, h, hi-lo, st.twr[lo:], st.twi[lo:])
+	if si < end {
+		bp.stageSpan(re, im, base, span, si, out)
 	}
 }
 
@@ -292,151 +260,177 @@ func (bp *BatchPlan) fusedFirstStage(re, im []float64, base int) {
 	}
 }
 
-// stageSpan runs butterfly stage si over [base, base+span), one stage
-// kernel call per size-long block.
-func (bp *BatchPlan) stageSpan(re, im []float64, base, span int, si int) {
+// stageSpan runs butterfly stage si over [base, base+span), whose
+// size-long sub-blocks all share one group schedule: one kernel call
+// per run of out's groups for the stage's stride, each walking every
+// sub-block of the span.
+func (bp *BatchPlan) stageSpan(re, im []float64, base, span, si int, out *BinPlan) {
 	st := &bp.stages[si]
 	h := st.size >> 1
-	for start := base; start < base+span; start += st.size {
-		stage(re, im, start, h, h, st.twr, st.twi)
+	blocks := span / st.size
+	runs, all := out.groupRuns(h)
+	if all {
+		stage(re, im, base, h, h, blocks, st.twr, st.twi)
+		return
+	}
+	for k := 0; k < len(runs); k += 2 {
+		lo, hi := runs[k], runs[k+1]
+		stage(re, im, base+lo, h, hi-lo, blocks, st.twr[lo:], st.twi[lo:])
 	}
 }
 
 // stagePairSpan runs butterfly stages si and si+1 (sizes s and 2s) over
-// [base, base+span) in a single pass, one fused-pair kernel call per
-// 2s-long block.
-func (bp *BatchPlan) stagePairSpan(re, im []float64, base, span int, si int) {
+// [base, base+span) in a single pass: one fused-pair kernel call per
+// run of out's groups for stride s/2, each walking every 2s-long
+// sub-block of the span. A pair group j is needed exactly when the
+// first stage's group j is: the second stage's groups j and j + s/2
+// fold onto it.
+func (bp *BatchPlan) stagePairSpan(re, im []float64, base, span, si int, out *BinPlan) {
 	st1 := &bp.stages[si]
 	st2 := &bp.stages[si+1]
-	s := st1.size
-	h := s >> 1
-	for start := base; start < base+span; start += 2 * s {
-		stagePair(re, im, start, h, h, st1.twr, st1.twi, st2.twr, st2.twi)
+	h := st1.size >> 1
+	blocks := span / st2.size
+	runs, all := out.groupRuns(h)
+	if all {
+		stagePair(re, im, base, h, h, blocks, st1.twr, st1.twi, st2.twr, st2.twi)
+		return
+	}
+	for k := 0; k < len(runs); k += 2 {
+		lo, hi := runs[k], runs[k+1]
+		stagePair(re, im, base+lo, h, hi-lo, blocks, st1.twr[lo:], st1.twi[lo:], st2.twr[lo:], st2.twi[lo:])
 	}
 }
 
 // stage runs butterfly groups j in [0, count) of one radix-2 stage with
-// half-size h over the planar halves a = x[start+j], b = x[start+h+j]
-// with twiddle tw[j]. The operand expressions mirror
+// half-size h in each of blocks sub-blocks 2h apart, the first at
+// start: the planar halves a = x[sb+j], b = x[sb+h+j] with twiddle
+// tw[j], sb = start + i·2h. The operand expressions mirror
 // FFTPlan.butterflies exactly (t = w·b; b' = a − t; a' = a + t, with the
 // complex products expanded in the same order), so results are
-// bit-identical to the complex128 cascade. A whole stage block is
-// count = h; the pruned last pass passes shorter runs.
-func stage(re, im []float64, start, h, count int, twr, twi []float64) {
-	if count <= 0 {
+// bit-identical to the complex128 cascade. A whole stage is count = h
+// at the sub-blocks' start; a pruned pass passes shorter runs at an
+// offset, with the twiddles sliced from the run's first group.
+func stage(re, im []float64, start, h, count, blocks int, twr, twi []float64) {
+	if count <= 0 || blocks <= 0 {
 		return
 	}
 	if simdAVX2 && count%groupAlign == 0 {
-		// Bounds the vector body relies on; the scalar body's slicing
-		// checks the same.
-		_, _ = re[start+h+count-1], im[start+h+count-1]
+		// Bounds the vector body relies on (its last sub-block's last
+		// element); the scalar body's slicing checks the same.
+		last := start + (blocks-1)*2*h + h + count - 1
+		_, _ = re[last], im[last]
 		_, _ = twr[count-1], twi[count-1]
 		// Vector lanes run the identical expressions on independent
 		// elements — bit-exact with the scalar body (see simd.go).
-		stageAVX2(re, im, start, h, count, twr, twi)
+		stageAVX2(re, im, start, h, count, blocks, twr, twi)
 		return
 	}
-	stageScalar(re, im, start, h, count, twr, twi)
+	stageScalar(re, im, start, h, count, blocks, twr, twi)
 }
 
-func stageScalar(re, im []float64, start, h, count int, twr, twi []float64) {
-	ar := re[start : start+count : start+count]
-	ai := im[start : start+count : start+count]
-	br := re[start+h : start+h+count : start+h+count]
-	bi := im[start+h : start+h+count : start+h+count]
+func stageScalar(re, im []float64, start, h, count, blocks int, twr, twi []float64) {
 	twr = twr[:count]
 	twi = twi[:count]
-	for j := range ar {
-		wr, wi := twr[j], twi[j]
-		xr, xi := br[j], bi[j]
-		tr := wr*xr - wi*xi
-		ti := wr*xi + wi*xr
-		ur, ui := ar[j], ai[j]
-		br[j] = ur - tr
-		bi[j] = ui - ti
-		ar[j] = ur + tr
-		ai[j] = ui + ti
+	for sb := start; blocks > 0; sb, blocks = sb+2*h, blocks-1 {
+		ar := re[sb : sb+count : sb+count]
+		ai := im[sb : sb+count : sb+count]
+		br := re[sb+h : sb+h+count : sb+h+count]
+		bi := im[sb+h : sb+h+count : sb+h+count]
+		for j := range ar {
+			wr, wi := twr[j], twi[j]
+			xr, xi := br[j], bi[j]
+			tr := wr*xr - wi*xi
+			ti := wr*xi + wi*xr
+			ur, ui := ar[j], ai[j]
+			br[j] = ur - tr
+			bi[j] = ui - ti
+			ar[j] = ur + tr
+			ai[j] = ui + ti
+		}
 	}
 }
 
 // stagePair runs groups j in [0, count) of two fused butterfly stages
-// (sizes s = 2h and 2s): each group of four elements
-// {a, b, c, d} = {x[start+j], x[start+h+j], x[start+2h+j],
-// x[start+3h+j]} flows through its two size-s butterflies (twiddle
-// w1[j]) and then its two size-2s butterflies (twiddles w2[j] and
-// w2[h+j]) entirely in registers before being stored. Every individual
-// butterfly computes exactly the operands and operation order of stage
-// — fusing only reorders independent butterflies, which cannot change
-// any value — so the pass stays bit-identical to running the two stages
-// separately.
-func stagePair(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64) {
-	if count <= 0 {
+// (sizes s = 2h and 2s) in each of blocks sub-blocks 4h apart, the
+// first at start: each group of four elements {a, b, c, d} =
+// {x[sb+j], x[sb+h+j], x[sb+2h+j], x[sb+3h+j]} flows through its two
+// size-s butterflies (twiddle w1[j]) and then its two size-2s
+// butterflies (twiddles w2[j] and w2[h+j]) entirely in registers before
+// being stored. Every individual butterfly computes exactly the
+// operands and operation order of stage — fusing only reorders
+// independent butterflies, which cannot change any value — so the pass
+// stays bit-identical to running the two stages separately.
+func stagePair(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r, w2i []float64) {
+	if count <= 0 || blocks <= 0 {
 		return
 	}
 	if simdAVX2 && count%groupAlign == 0 {
-		_, _ = re[start+3*h+count-1], im[start+3*h+count-1]
+		last := start + (blocks-1)*4*h + 3*h + count - 1
+		_, _ = re[last], im[last]
 		_, _ = w1r[count-1], w1i[count-1]
 		_, _ = w2r[h+count-1], w2i[h+count-1]
 		// Same fused two-stage flow with the intermediates in vector
 		// registers; bit-exact with the scalar body (see simd.go).
-		stagePairAVX2(re, im, start, h, count, w1r, w1i, w2r, w2i)
+		stagePairAVX2(re, im, start, h, count, blocks, w1r, w1i, w2r, w2i)
 		return
 	}
-	stagePairScalar(re, im, start, h, count, w1r, w1i, w2r, w2i)
+	stagePairScalar(re, im, start, h, count, blocks, w1r, w1i, w2r, w2i)
 }
 
-func stagePairScalar(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64) {
-	a, b, c, d := start, start+h, start+2*h, start+3*h
-	ar := re[a : a+count : a+count]
-	ai := im[a : a+count : a+count]
-	br := re[b : b+count : b+count]
-	bi := im[b : b+count : b+count]
-	cr := re[c : c+count : c+count]
-	ci := im[c : c+count : c+count]
-	dr := re[d : d+count : d+count]
-	di := im[d : d+count : d+count]
+func stagePairScalar(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r, w2i []float64) {
 	w1r = w1r[:count]
 	w1i = w1i[:count]
 	w2ar := w2r[:count:count]
 	w2ai := w2i[:count:count]
 	w2br := w2r[h : h+count : h+count]
 	w2bi := w2i[h : h+count : h+count]
-	for j := range w1r {
-		wr, wi := w1r[j], w1i[j]
-		// Stage s, lower block: (a, b).
-		xr, xi := br[j], bi[j]
-		t1r := wr*xr - wi*xi
-		t1i := wr*xi + wi*xr
-		ur, ui := ar[j], ai[j]
-		b1r := ur - t1r
-		b1i := ui - t1i
-		a1r := ur + t1r
-		a1i := ui + t1i
-		// Stage s, upper block: (c, d), same twiddle index.
-		yr, yi := dr[j], di[j]
-		t2r := wr*yr - wi*yi
-		t2i := wr*yi + wi*yr
-		vr, vi := cr[j], ci[j]
-		d1r := vr - t2r
-		d1i := vi - t2i
-		c1r := vr + t2r
-		c1i := vi + t2i
-		// Stage 2s, twiddle j: (a1, c1).
-		pr, pi := w2ar[j], w2ai[j]
-		t3r := pr*c1r - pi*c1i
-		t3i := pr*c1i + pi*c1r
-		cr[j] = a1r - t3r
-		ci[j] = a1i - t3i
-		ar[j] = a1r + t3r
-		ai[j] = a1i + t3i
-		// Stage 2s, twiddle j + s/2: (b1, d1).
-		qr, qi := w2br[j], w2bi[j]
-		t4r := qr*d1r - qi*d1i
-		t4i := qr*d1i + qi*d1r
-		dr[j] = b1r - t4r
-		di[j] = b1i - t4i
-		br[j] = b1r + t4r
-		bi[j] = b1i + t4i
+	for sb := start; blocks > 0; sb, blocks = sb+4*h, blocks-1 {
+		a, b, c, d := sb, sb+h, sb+2*h, sb+3*h
+		ar := re[a : a+count : a+count]
+		ai := im[a : a+count : a+count]
+		br := re[b : b+count : b+count]
+		bi := im[b : b+count : b+count]
+		cr := re[c : c+count : c+count]
+		ci := im[c : c+count : c+count]
+		dr := re[d : d+count : d+count]
+		di := im[d : d+count : d+count]
+		for j := range w1r {
+			wr, wi := w1r[j], w1i[j]
+			// Stage s, lower block: (a, b).
+			xr, xi := br[j], bi[j]
+			t1r := wr*xr - wi*xi
+			t1i := wr*xi + wi*xr
+			ur, ui := ar[j], ai[j]
+			b1r := ur - t1r
+			b1i := ui - t1i
+			a1r := ur + t1r
+			a1i := ui + t1i
+			// Stage s, upper block: (c, d), same twiddle index.
+			yr, yi := dr[j], di[j]
+			t2r := wr*yr - wi*yi
+			t2i := wr*yi + wi*yr
+			vr, vi := cr[j], ci[j]
+			d1r := vr - t2r
+			d1i := vi - t2i
+			c1r := vr + t2r
+			c1i := vi + t2i
+			// Stage 2s, twiddle j: (a1, c1).
+			pr, pi := w2ar[j], w2ai[j]
+			t3r := pr*c1r - pi*c1i
+			t3i := pr*c1i + pi*c1r
+			cr[j] = a1r - t3r
+			ci[j] = a1i - t3i
+			ar[j] = a1r + t3r
+			ai[j] = a1i + t3i
+			// Stage 2s, twiddle j + s/2: (b1, d1).
+			qr, qi := w2br[j], w2bi[j]
+			t4r := qr*d1r - qi*d1i
+			t4i := qr*d1i + qi*d1r
+			dr[j] = b1r - t4r
+			di[j] = b1i - t4i
+			br[j] = b1r + t4r
+			bi[j] = b1i + t4i
+		}
 	}
 }
 

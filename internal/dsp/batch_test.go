@@ -144,3 +144,54 @@ func BenchmarkForwardBatch4096Pruned(b *testing.B) {
 		bp.Forward(re, im)
 	}
 }
+
+// BenchmarkForwardBatchPlanned times an 8-transform 4096/512 tile (the
+// receiver's payload tile at SF 9 and zero-pad 8) under three window
+// plans, each with half-width R = 18: full (every bin), dense64 (64
+// centres 64 bins apart) and soft16 (16 centres 256 bins apart, the
+// plan of a 16-device soft-combining round). Each iteration restores
+// the tile's input prefixes first, since the transform runs in place.
+func BenchmarkForwardBatchPlanned(b *testing.B) {
+	const n, nonzero, batch, r = 4096, 512, 8, 18
+	comb := func(count, step int) *BinPlan {
+		centers := make([]int, count)
+		for i := range centers {
+			centers[i] = i * step
+		}
+		p := new(BinPlan)
+		p.SetWindows(n, centers, r)
+		return p
+	}
+	full := new(BinPlan)
+	full.SetFull(n)
+	bp := PlanBatch(n, nonzero)
+	rng := NewRand(1)
+	inRe := make([]float64, batch*nonzero)
+	inIm := make([]float64, batch*nonzero)
+	for i := range inRe {
+		v := rng.ComplexNormal(1)
+		inRe[i], inIm[i] = real(v), imag(v)
+	}
+	re := make([]float64, batch*n)
+	im := make([]float64, batch*n)
+	for _, c := range []struct {
+		name string
+		plan *BinPlan
+	}{
+		{"full", full},
+		{"dense64", comb(64, 64)},
+		{"soft16", comb(16, 256)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for t := 0; t < batch; t++ {
+					copy(re[t*n:t*n+nonzero], inRe[t*nonzero:(t+1)*nonzero])
+					copy(im[t*n:t*n+nonzero], inIm[t*nonzero:(t+1)*nonzero])
+				}
+				bp.ForwardBatch(re, im, batch, c.plan)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/transform")
+		})
+	}
+}

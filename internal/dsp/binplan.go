@@ -8,28 +8,30 @@ import "fmt"
 // pass or a row sum may leave any other bin holding whatever it held
 // before, or an intermediate value. A nil *BinPlan means every bin.
 //
-// Besides the spans, a plan carries the butterfly groups of
-// BatchPlan's last full-array pass that produce its bins (see
+// Besides the spans, a plan carries, for every butterfly stride of
+// BatchPlan's cascade, the groups whose outputs reach its bins (see
 // BatchPlan.ForwardBatch), so a transform over a sparse plan skips the
-// groups whose outputs nobody reads. Both are computed once per Set*
-// call; a plan is read-only afterwards and safe for concurrent readers.
+// groups whose outputs nobody reads in every pass. Both are computed
+// once per Set* call; a plan is read-only afterwards and safe for
+// concurrent readers.
 type BinPlan struct {
 	n     int
 	full  bool
 	spans []int // lo0, hi0, lo1, hi1, … in ascending order
 
 	// groups[k] lists, as lo/hi pairs, the runs of butterfly group
-	// indices j of a final pass with stride h = n>>(k+1) — k = 0 for a
-	// single size-n stage, k = 1 for a fused pair of sizes n/2 and n —
-	// whose outputs {j + m·h} meet the plan. Runs are widened to
-	// multiples of 4, the vector kernels' lane count.
-	groups [2][]int
+	// indices j of a pass with stride h = n>>(k+1) whose outputs reach
+	// the plan: j is listed when some plan bin b has b mod h = j. There
+	// is one list per stride h >= groupAlign of a power-of-two n, and
+	// runs are widened outward to multiples of groupAlign. Narrower
+	// strides run whole.
+	groups [][]int
 
 	mark []bool // SetWindows scratch, kept to rebuild without allocating
 }
 
-// groupAlign is the run granularity of the pruned last pass: the AVX2
-// butterfly kernels process four groups per iteration.
+// groupAlign is the run granularity of pruned butterfly passes: the
+// AVX2 butterfly kernels process four groups per iteration.
 const groupAlign = 4
 
 // SetFull makes p the whole n-bin spectrum.
@@ -39,9 +41,34 @@ func (p *BinPlan) SetFull(n int) {
 	}
 	p.n, p.full = n, true
 	p.spans = append(p.spans[:0], 0, n)
+	p.resetGroups()
 	for k := range p.groups {
 		p.groups[k] = append(p.groups[k][:0], 0, n>>(k+1))
 	}
+}
+
+// resetGroups sizes groups to one run list per stride h >= groupAlign
+// of p.n, none when p.n is not a power of two, keeping the lists'
+// storage so a rebuild allocates nothing.
+func (p *BinPlan) resetGroups() {
+	strides := 0
+	if IsPow2(p.n) && p.n >= 2*groupAlign {
+		strides = Log2(p.n) - Log2(groupAlign)
+	}
+	if cap(p.groups) < strides {
+		p.groups = append(p.groups[:cap(p.groups)], make([][]int, strides-cap(p.groups))...)
+	}
+	p.groups = p.groups[:strides]
+}
+
+// groupRuns returns the group runs of a butterfly pass with stride h,
+// or all = true when the pass must run every group: for a nil or full
+// plan, and for strides narrower than groupAlign.
+func (p *BinPlan) groupRuns(h int) (runs []int, all bool) {
+	if p.Full() || h < groupAlign {
+		return nil, true
+	}
+	return p.groups[Log2(p.n)-Log2(h)-1], false
 }
 
 // SetWindows makes p the union of the circular windows [c−r, c+r]
@@ -77,19 +104,16 @@ func (p *BinPlan) SetWindows(n int, centers []int, r int) {
 	p.n = n
 	p.spans = appendRuns(p.spans[:0], mark, 1)
 	p.full = len(p.spans) == 2 && p.spans[0] == 0 && p.spans[1] == n
+	p.resetGroups()
 	// Fold the mask in place: after folding at stride h, mark[j] for
-	// j < h is set when any bin j + m·h is in the plan. Only power-of-two
-	// sizes have butterfly passes to prune.
+	// j < h is set when some plan bin b has b mod h = j. Each fold
+	// halves the live prefix, so every stride together costs O(n).
 	for k := range p.groups {
 		h := n >> (k + 1)
-		p.groups[k] = p.groups[k][:0]
-		if h == 0 || !IsPow2(n) {
-			continue
-		}
 		for j := 0; j < h; j++ {
 			mark[j] = mark[j] || mark[j+h]
 		}
-		p.groups[k] = appendRuns(p.groups[k], mark[:h], min(groupAlign, h))
+		p.groups[k] = appendRuns(p.groups[k][:0], mark[:h], groupAlign)
 	}
 }
 

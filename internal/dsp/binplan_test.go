@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -63,9 +64,11 @@ func TestBinPlanSetWindowsMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestBinPlanGroupsCoverFoldedBins checks the last-pass group runs: a
-// group j of stride h must be listed whenever any of its bins j + m·h
-// is in the plan, and runs must be 4-aligned.
+// TestBinPlanGroupsCoverFoldedBins checks the group runs of every
+// stride h >= groupAlign: the runs are sorted, disjoint, non-adjacent
+// and groupAlign-aligned, and they hold exactly the aligned quads of
+// groups j that contain some plan bin's residue b mod h — every needed
+// group, and no unneeded one beyond the alignment widening.
 func TestBinPlanGroupsCoverFoldedBins(t *testing.T) {
 	rng := NewRand(6)
 	var p BinPlan
@@ -73,22 +76,46 @@ func TestBinPlanGroupsCoverFoldedBins(t *testing.T) {
 		n := 1 << (4 + rng.Intn(9))
 		centers, r := randomPlan(rng, n)
 		p.SetWindows(n, centers, r)
+		if want := Log2(n) - Log2(groupAlign); len(p.groups) != want {
+			t.Fatalf("trial %d (n=%d): %d run lists, want one per stride >= %d (%d)", trial, n, len(p.groups), groupAlign, want)
+		}
 		for k := range p.groups {
 			h := n >> (k + 1)
+			if runs, all := p.groupRuns(h); all != p.Full() || (!all && !slices.Equal(runs, p.groups[k])) {
+				t.Fatalf("trial %d k=%d: groupRuns(%d) does not return the stride's list", trial, k, h)
+			}
+			needed := make([]bool, h)
+			for bin := 0; bin < n; bin++ {
+				if p.Contains(bin) {
+					needed[bin%h] = true
+				}
+			}
 			listed := make([]bool, h)
 			runs := p.groups[k]
 			for i := 0; i < len(runs); i += 2 {
-				if runs[i]%groupAlign != 0 || runs[i+1]%groupAlign != 0 {
-					t.Fatalf("trial %d k=%d: run [%d, %d) not %d-aligned", trial, k, runs[i], runs[i+1], groupAlign)
+				lo, hi := runs[i], runs[i+1]
+				if lo%groupAlign != 0 || hi%groupAlign != 0 || lo >= hi || hi > h || (i > 0 && lo <= runs[i-1]) {
+					t.Fatalf("trial %d k=%d: run [%d, %d) of %v is not an aligned, sorted, maximal run of [0, %d)", trial, k, lo, hi, runs, h)
 				}
-				for j := runs[i]; j < runs[i+1]; j++ {
+				for j := lo; j < hi; j++ {
 					listed[j] = true
 				}
 			}
-			for bin := 0; bin < n; bin++ {
-				if p.Contains(bin) && !listed[bin%h] {
-					t.Fatalf("trial %d k=%d: plan bin %d needs group %d, not listed", trial, k, bin, bin%h)
+			for q := 0; q < h; q += groupAlign {
+				want := false
+				for _, nd := range needed[q : q+groupAlign] {
+					want = want || nd
 				}
+				for j := q; j < q+groupAlign; j++ {
+					if listed[j] != want {
+						t.Fatalf("trial %d k=%d (stride %d): group %d listed %v, its quad needed %v", trial, k, h, j, listed[j], want)
+					}
+				}
+			}
+		}
+		for h := 1; h < groupAlign; h <<= 1 {
+			if _, all := p.groupRuns(h); !all {
+				t.Fatalf("trial %d: stride %d below the vector width is pruned", trial, h)
 			}
 		}
 	}
@@ -97,9 +124,14 @@ func TestBinPlanGroupsCoverFoldedBins(t *testing.T) {
 // TestBinPlanSoftWorkloadSizing pins the plan arithmetic of a 16-device
 // SKIP-32 network at SF 9 and zero-pad 8: centres 256 padded bins
 // apart, R = int(2·8) + int(0.3·8) = 18. The plan holds 16·37 = 592 of
-// 4096 bins, and the last pass (a fused pair of stride 1024) needs 160
-// of its 1024 groups: the windows fold onto four 37-bin windows, each
-// widened to 40 groups.
+// 4096 bins. Folded onto the strides of the 4096/512 cascade's pair
+// passes, it needs every group at stride 16, 40 of 64 at stride 64, 40
+// of 256 at stride 256 and 160 of 1024 at stride 1024 (four 37-bin
+// windows, each widened to 40 groups). Per transform the pair passes
+// then run 1024 + 640 + 160 + 160 = 1984 of 4096 groups in
+// 4·(1 + 2 + 2) + 5 = 25 kernel calls: the three in-block passes once
+// per run in each of four cache blocks, the full-array pass once per
+// run.
 func TestBinPlanSoftWorkloadSizing(t *testing.T) {
 	const n, r = 4096, 18
 	centers := make([]int, 16)
@@ -114,12 +146,45 @@ func TestBinPlanSoftWorkloadSizing(t *testing.T) {
 			bins++
 		}
 	}
-	groups := 0
-	for k := 0; k < len(p.groups[1]); k += 2 {
-		groups += p.groups[1][k+1] - p.groups[1][k]
+	if bins != 592 {
+		t.Fatalf("plan holds %d bins, want 592", bins)
 	}
-	if bins != 592 || groups != 160 {
-		t.Fatalf("plan holds %d bins and %d last-pass groups, want 592 and 160", bins, groups)
+	for _, c := range []struct{ h, groups, runs int }{
+		{16, 16, 1}, {64, 40, 2}, {256, 40, 2}, {1024, 160, 5},
+	} {
+		runs, all := p.groupRuns(c.h)
+		groups := 0
+		for k := 0; k < len(runs); k += 2 {
+			groups += runs[k+1] - runs[k]
+		}
+		if all || groups != c.groups || len(runs)/2 != c.runs {
+			t.Errorf("stride %d: %d groups in %d runs (all %v), want %d in %d", c.h, groups, len(runs)/2, all, c.groups, c.runs)
+		}
+	}
+}
+
+// TestBinPlanRebuildAllocatesNothing checks that a plan's storage is
+// reused across rebuilds: once grown, switching between sparse, dense
+// and full plans allocates nothing.
+func TestBinPlanRebuildAllocatesNothing(t *testing.T) {
+	const n, r = 4096, 18
+	soft, dense := make([]int, 16), make([]int, 64)
+	for i := range soft {
+		soft[i] = i * 256
+	}
+	for i := range dense {
+		dense[i] = i * 64
+	}
+	var p BinPlan
+	rebuild := func() {
+		p.SetWindows(n, soft, r)
+		p.SetWindows(n, dense, r)
+		p.SetFull(n)
+		p.SetWindows(512, soft, 2)
+	}
+	rebuild()
+	if allocs := testing.AllocsPerRun(20, rebuild); allocs != 0 {
+		t.Fatalf("rebuilding a plan allocates %v times", allocs)
 	}
 }
 
@@ -148,10 +213,12 @@ func checkPrunedTransform(t *testing.T, n, nonzero int, centers []int, r int, se
 	}
 }
 
-// TestPrunedTransformMatchesFullAtPlanBins pins the pruned last pass:
-// over SF 7–12 and zero-pad 1–16, random window plans (one window
-// always wrapping past bin 0) give bit-identical outputs at every plan
-// bin, with the vector kernels and with the scalar bodies.
+// TestPrunedTransformMatchesFullAtPlanBins pins the pruned cascade,
+// every pass of which runs only its plan's groups: over SF 7–12 and
+// zero-pad 1–16, random window plans (one window always wrapping past
+// bin 0) and the decoder's comb of 16 evenly spaced candidates give
+// bit-identical outputs at every plan bin, with the vector kernels and
+// with the scalar bodies.
 func TestPrunedTransformMatchesFullAtPlanBins(t *testing.T) {
 	for _, scalar := range []bool{false, true} {
 		t.Run(fmt.Sprintf("scalar=%v", scalar), func(t *testing.T) {
@@ -167,13 +234,19 @@ func TestPrunedTransformMatchesFullAtPlanBins(t *testing.T) {
 						centers, r := randomPlan(rng, n)
 						checkPrunedTransform(t, n, nonzero, centers, r, int64(sf*100+zp*10+trial))
 					}
+					// R = int(2·zp) + int(0.3·zp), the decoder's window.
+					comb := make([]int, 16)
+					for i := range comb {
+						comb[i] = i * n / 16
+					}
+					checkPrunedTransform(t, n, nonzero, comb, 2*zp+3*zp/10, int64(sf*100+zp*10+9))
 				}
 			}
 		})
 	}
 }
 
-// FuzzPrunedTransform explores window plans for the pruned last pass:
+// FuzzPrunedTransform explores window plans for the pruned cascade:
 // the planned transform must equal the full one at every plan bin.
 func FuzzPrunedTransform(f *testing.F) {
 	f.Add(int64(1), uint8(9), uint8(3), uint16(4095), uint16(18), uint16(256))
@@ -195,13 +268,12 @@ func FuzzPrunedTransform(f *testing.F) {
 	})
 }
 
-// TestStageKernelsMatchScalar pins the stage kernels with an explicit
-// group count against their scalar bodies, over partial runs at
-// offsets inside a stage, as the pruned last pass calls them.
+// TestStageKernelsMatchScalar pins the stage kernels against their
+// scalar bodies as the pruned passes call them: partial runs at offsets
+// inside a stage, walked over 1, 2 and 5 sub-blocks, in buffers that
+// end exactly at the last sub-block's last element. It also checks
+// that the dispatching wrappers bound-check the last sub-block.
 func TestStageKernelsMatchScalar(t *testing.T) {
-	if !simdAVX2 {
-		t.Skip("no AVX2 on this machine; scalar path is the only body")
-	}
 	rng := NewRand(8)
 	fill := func(n int) []float64 {
 		x := make([]float64, n)
@@ -210,32 +282,61 @@ func TestStageKernelsMatchScalar(t *testing.T) {
 		}
 		return x
 	}
-	for _, h := range []int{4, 8, 64, 1024} {
-		for trial := 0; trial < 10; trial++ {
-			lo := groupAlign * rng.Intn(h/groupAlign)
-			count := groupAlign * (1 + rng.Intn((h-lo)/groupAlign))
-			n := 4 * h
-			re, im := fill(n), fill(n)
-			w1r, w1i, w2r, w2i := fill(h), fill(h), fill(2*h), fill(2*h)
-
-			gotRe, gotIm := append([]float64(nil), re...), append([]float64(nil), im...)
-			wantRe, wantIm := append([]float64(nil), re...), append([]float64(nil), im...)
-			stageAVX2(gotRe, gotIm, lo, 2*h, count, w1r[lo:], w1i[lo:])
-			stageScalar(wantRe, wantIm, lo, 2*h, count, w1r[lo:], w1i[lo:])
-			for i := range gotRe {
-				if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
-					t.Fatalf("stage h=%d lo=%d count=%d: element %d differs", 2*h, lo, count, i)
-				}
+	same := func(what string, gotRe, gotIm, wantRe, wantIm []float64) {
+		t.Helper()
+		for i := range gotRe {
+			if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
+				t.Fatalf("%s: element %d differs", what, i)
 			}
-
-			gotRe, gotIm = append(gotRe[:0], re...), append(gotIm[:0], im...)
-			wantRe, wantIm = append(wantRe[:0], re...), append(wantIm[:0], im...)
-			stagePairAVX2(gotRe, gotIm, lo, h, count, w1r[lo:], w1i[lo:], w2r[lo:], w2i[lo:])
-			stagePairScalar(wantRe, wantIm, lo, h, count, w1r[lo:], w1i[lo:], w2r[lo:], w2i[lo:])
-			for i := range gotRe {
-				if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
-					t.Fatalf("stage pair h=%d lo=%d count=%d: element %d differs", h, lo, count, i)
+		}
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: a buffer one element short did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, h := range []int{4, 8, 64, 1024} {
+		for _, blocks := range []int{1, 2, 5} {
+			for trial := 0; trial < 6; trial++ {
+				lo := groupAlign * rng.Intn(h/groupAlign)
+				count := groupAlign * (1 + rng.Intn((h-lo)/groupAlign))
+				if trial == 0 {
+					lo, count = h-groupAlign, groupAlign // last quad of each sub-block
 				}
+				w1r, w1i, w2r, w2i := fill(h), fill(h), fill(2*h), fill(2*h)
+				what := fmt.Sprintf("h=%d blocks=%d lo=%d count=%d", h, blocks, lo, count)
+
+				// Single stage of size 2h: sub-blocks 2h apart.
+				n := lo + (blocks-1)*2*h + h + count
+				re, im := fill(n), fill(n)
+				wantRe, wantIm := append([]float64(nil), re...), append([]float64(nil), im...)
+				stageScalar(wantRe, wantIm, lo, h, count, blocks, w1r[lo:], w1i[lo:])
+				if simdAVX2 {
+					gotRe, gotIm := append([]float64(nil), re...), append([]float64(nil), im...)
+					stageAVX2(gotRe, gotIm, lo, h, count, blocks, w1r[lo:], w1i[lo:])
+					same("stage "+what, gotRe, gotIm, wantRe, wantIm)
+				}
+				mustPanic("stage "+what, func() {
+					stage(re[:n-1], im[:n-1], lo, h, count, blocks, w1r[lo:], w1i[lo:])
+				})
+
+				// Fused pair of sizes 2h and 4h: sub-blocks 4h apart.
+				n = lo + (blocks-1)*4*h + 3*h + count
+				re, im = fill(n), fill(n)
+				wantRe, wantIm = append([]float64(nil), re...), append([]float64(nil), im...)
+				stagePairScalar(wantRe, wantIm, lo, h, count, blocks, w1r[lo:], w1i[lo:], w2r[lo:], w2i[lo:])
+				if simdAVX2 {
+					gotRe, gotIm := append([]float64(nil), re...), append([]float64(nil), im...)
+					stagePairAVX2(gotRe, gotIm, lo, h, count, blocks, w1r[lo:], w1i[lo:], w2r[lo:], w2i[lo:])
+					same("stage pair "+what, gotRe, gotIm, wantRe, wantIm)
+				}
+				mustPanic("stage pair "+what, func() {
+					stagePair(re[:n-1], im[:n-1], lo, h, count, blocks, w1r[lo:], w1i[lo:], w2r[lo:], w2i[lo:])
+				})
 			}
 		}
 	}

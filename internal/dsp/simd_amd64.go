@@ -47,10 +47,10 @@ func axpyMultiAVX2(dst []complex128, terms *AxpyTerm, m int)
 func scaleIntoAVX2(dst, src []complex128, c complex128)
 
 //go:noescape
-func stageAVX2(re, im []float64, start, h, count int, twr, twi []float64)
+func stageAVX2(re, im []float64, start, h, count, blocks int, twr, twi []float64)
 
 //go:noescape
-func stagePairAVX2(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64)
+func stagePairAVX2(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r, w2i []float64)
 
 //go:noescape
 func firstStageBlockAVX2(re, im []float64, base, block int, twr, twi []float64)

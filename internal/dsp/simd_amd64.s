@@ -405,33 +405,41 @@ done:
 	VZEROUPPER
 	RET
 
-// func stageAVX2(re, im []float64, start, h, count int, twr, twi []float64)
+// func stageAVX2(re, im []float64, start, h, count, blocks int, twr, twi []float64)
 //
-// Groups j in [0, count) of one radix-2 butterfly stage over the planar
-// halves a = x[start:], b = x[start+h:]:
+// Groups j in [0, count) of one radix-2 butterfly stage in each of
+// blocks sub-blocks 2h apart, over the planar halves a = x[sb:],
+// b = x[sb+h:] with sb = start + i·2h:
 //
 //	t  = w·b   (complex, expanded as in stageScalar)
 //	b' = a − t
 //	a' = a + t
 //
-// Caller guarantees count a multiple of 4 and the slices long enough.
-// Each j is an independent lane running the scalar expressions
-// verbatim.
-TEXT ·stageAVX2(SB), NOSPLIT, $0-120
+// Every sub-block reads the same twiddles tw[0:count]. Caller
+// guarantees count a multiple of 4 and the slices long enough for the
+// last sub-block. Each j is an independent lane running the scalar
+// expressions verbatim.
+TEXT ·stageAVX2(SB), NOSPLIT, $0-128
 	MOVQ count+64(FP), CX
 	TESTQ CX, CX
+	JEQ  done
+	MOVQ blocks+72(FP), DX
+	TESTQ DX, DX
 	JEQ  done
 	MOVQ re_base+0(FP), R8
 	MOVQ im_base+24(FP), R9
 	MOVQ start+48(FP), AX
 	LEAQ (R8)(AX*8), R8   // a_re
 	LEAQ (R9)(AX*8), R9   // a_im
-	MOVQ h+56(FP), AX
-	LEAQ (R8)(AX*8), R10  // b_re
-	LEAQ (R9)(AX*8), R11  // b_im
-	MOVQ twr_base+72(FP), R12
-	MOVQ twi_base+96(FP), R13
-	XORQ AX, AX
+	MOVQ h+56(FP), BX
+	LEAQ (R8)(BX*8), R10  // b_re
+	LEAQ (R9)(BX*8), R11  // b_im
+	SHLQ $4, BX           // sub-block stride: 2h elements, in bytes
+	MOVQ twr_base+80(FP), R12
+	MOVQ twi_base+104(FP), R13
+
+block:
+	XORQ AX, AX // group index: data and twiddles restart per sub-block
 
 loop:
 	VMOVUPD (R12)(AX*8), Y0 // wr
@@ -458,49 +466,71 @@ loop:
 	CMPQ    AX, CX
 	JL      loop
 
+	ADDQ BX, R8
+	ADDQ BX, R9
+	ADDQ BX, R10
+	ADDQ BX, R11
+	DECQ DX
+	JNZ  block
+
 	VZEROUPPER
 
 done:
 	RET
 
-// func stagePairAVX2(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64)
+// func stagePairAVX2(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r, w2i []float64)
 //
-// Groups j in [0, count) of BatchPlan's fused stage pair: the four
-// planar quarters a/b/c/d at re[start:], re[start+h:], re[start+2h:],
-// re[start+3h:] (and likewise im) flow through their two size-s
-// butterflies (twiddles w1[j]) and two size-2s butterflies (twiddles
-// w2[j] and w2[h+j]) with intermediates in registers. Caller guarantees
-// count a multiple of 4 and the slices long enough. Every butterfly
-// computes the scalar stagePairScalar expressions lane for lane.
+// Groups j in [0, count) of BatchPlan's fused stage pair in each of
+// blocks sub-blocks 4h apart: the four planar quarters a/b/c/d at
+// re[sb:], re[sb+h:], re[sb+2h:], re[sb+3h:] (and likewise im), with
+// sb = start + i·4h, flow through their two size-s butterflies
+// (twiddles w1[j]) and two size-2s butterflies (twiddles w2[j] and
+// w2[h+j]) with intermediates in registers. Caller guarantees count a
+// multiple of 4 and the slices long enough for the last sub-block.
+// Every butterfly computes the scalar stagePairScalar expressions lane
+// for lane.
 // Register budget: the fourteen array pointers (four planar quarters
 // per plane plus six twiddle pointers) take every general-purpose
-// register except BP/SP, so the loop advances the pointers in place and
-// keeps its end sentinel (w1r + 8·count) in the local stack slot.
-TEXT ·stagePairAVX2(SB), NOSPLIT, $8-168
+// register except BP/SP, so the loop advances the pointers in place.
+// The four local stack slots hold what a sub-block restarts from: the
+// end sentinel (w1r + 8·count) at 0(SP), the sub-blocks left at 8(SP),
+// and the next sub-block's re and im start pointers at 16(SP) and
+// 24(SP). Each sub-block reloads the six twiddle pointers from the
+// arguments.
+TEXT ·stagePairAVX2(SB), NOSPLIT, $32-176
 	MOVQ count+64(FP), AX
 	TESTQ AX, AX
 	JEQ  done
-	MOVQ re_base+0(FP), R8   // a_re
-	MOVQ im_base+24(FP), R12 // a_im
+	MOVQ blocks+72(FP), BX
+	TESTQ BX, BX
+	JEQ  done
+	MOVQ BX, 8(SP)
+	MOVQ w1r_base+80(FP), BX
+	LEAQ (BX)(AX*8), AX
+	MOVQ AX, 0(SP)
 	MOVQ start+48(FP), AX
+	MOVQ re_base+0(FP), R8
 	LEAQ (R8)(AX*8), R8
+	MOVQ R8, 16(SP)
+	MOVQ im_base+24(FP), R12
 	LEAQ (R12)(AX*8), R12
+	MOVQ R12, 24(SP)
+
+block:
 	MOVQ h+56(FP), AX
+	MOVQ 16(SP), R8       // a_re
 	LEAQ (R8)(AX*8), R9   // b_re
 	LEAQ (R9)(AX*8), R10  // c_re
 	LEAQ (R10)(AX*8), R11 // d_re
+	MOVQ 24(SP), R12      // a_im
 	LEAQ (R12)(AX*8), R13 // b_im
 	LEAQ (R13)(AX*8), R14 // c_im
 	LEAQ (R14)(AX*8), R15 // d_im
-	MOVQ w1r_base+72(FP), BX
-	MOVQ w1i_base+96(FP), CX
-	MOVQ w2r_base+120(FP), DX
-	MOVQ w2i_base+144(FP), SI
+	MOVQ w1r_base+80(FP), BX
+	MOVQ w1i_base+104(FP), CX
+	MOVQ w2r_base+128(FP), DX
+	MOVQ w2i_base+152(FP), SI
 	LEAQ (DX)(AX*8), DI // w2b real = w2r[h:]
-	MOVQ count+64(FP), AX
-	LEAQ (BX)(AX*8), AX
-	MOVQ AX, 0(SP)      // end sentinel: w1r + 8·count
-	MOVQ h+56(FP), AX
 	LEAQ (SI)(AX*8), AX // w2b imag = w2i[h:]
 
 loop:
@@ -586,6 +616,13 @@ loop:
 	ADDQ $32, AX
 	CMPQ BX, 0(SP)
 	JB   loop
+
+	MOVQ h+56(FP), AX
+	SHLQ $5, AX // sub-block stride: 4h elements, in bytes
+	ADDQ AX, 16(SP)
+	ADDQ AX, 24(SP)
+	DECQ 8(SP)
+	JNZ  block
 
 	VZEROUPPER
 

@@ -25,11 +25,11 @@ func scaleIntoAVX2(dst, src []complex128, c complex128) {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 
-func stageAVX2(re, im []float64, start, h, count int, twr, twi []float64) {
+func stageAVX2(re, im []float64, start, h, count, blocks int, twr, twi []float64) {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 
-func stagePairAVX2(re, im []float64, start, h, count int, w1r, w1i, w2r, w2i []float64) {
+func stagePairAVX2(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r, w2i []float64) {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 

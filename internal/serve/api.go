@@ -93,6 +93,41 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	writeJSON(w, code, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes caps every JSON request body. Valid bodies are well
+// under 1 KiB; the cap bounds what one request can make the server
+// read.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v. A body over maxBodyBytes is
+// refused with 413; an unknown field, a malformed value or trailing
+// data after it with 400. An empty body leaves v as it was when
+// allowEmpty is set and is malformed otherwise. False means the error
+// response was written.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any, allowEmpty bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	switch {
+	case allowEmpty && errors.Is(err, io.EOF):
+		return true
+	case err == nil:
+		// Reading on to the end applies the cap to the whole body, not
+		// only to the value.
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, "%s body exceeds %d bytes", what, maxBodyBytes)
+	} else {
+		s.writeError(w, http.StatusBadRequest, "malformed %s: %v", what, err)
+	}
+	return false
+}
+
 // tenantFromPath resolves {id}; nil means the response was written.
 func (s *Server) tenantFromPath(w http.ResponseWriter, r *http.Request) *tenant {
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
@@ -126,8 +161,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg DeploymentConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed deployment config: %v", err)
+	if !s.decodeBody(w, r, "deployment config", &cfg, false) {
 		return
 	}
 	cfg = cfg.withDefaults()
@@ -210,8 +244,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := StepRequest{Rounds: 1}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, "malformed step request: %v", err)
+	if !s.decodeBody(w, r, "step request", &req, true) {
 		return
 	}
 	if req.Rounds == 0 {
@@ -291,8 +324,7 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ConfigRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed config request: %v", err)
+	if !s.decodeBody(w, r, "config request", &req, false) {
 		return
 	}
 	if req.Adversity != nil && req.DisableAdversity {

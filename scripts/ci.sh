@@ -5,8 +5,9 @@
 # fuzz-seed gates), an explicit fuzz-seed pass, a race-detector pass
 # over the concurrent paths, the benchmark-trajectory guard over the
 # committed BENCH_<tag>.json reports, and the docs gate (route-coverage
-# test, markdown link check, short-mode service soak), plus vet and
-# self-tests of the nsbench benchmark module.
+# test, markdown link check, short-mode service soak), plus vet,
+# self-tests and short output-checked runs of the nsbench benchmark
+# module.
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,7 +50,7 @@ echo "== fuzz seed corpus =="
 # (chain path vs serial recurrence), cyclic-shift identity, decoder
 # round-trip, the cross-AP aggregator's never-drop/never-double
 # invariants, the pruned transform's plan bins (FuzzPrunedTransform:
-# window-planned last pass vs full transform), the grouped ghost
+# window-planned cascade vs full transform), the grouped ghost
 # rejection (FuzzRejectGhosts: vs the all-pairs loop) and the fused
 # receive accumulate (FuzzFusedAccumulate: scheduled frame runs vs
 # per-frame range accumulation).
@@ -73,8 +74,9 @@ echo "== race: concurrent paths =="
 # noise add, dechirp, window-power scan, interleaved synthesis chains,
 # ziggurat batch fill) so the vector dispatch seams also run raced; the
 # BinPlan|Pruned|StageKernels|WindowedSum names pull in the window-plan
-# gates (plan construction, pruned last pass vs full transform, the
-# stage kernels' group-count runs, the windowed soft-combining sum).
+# gates (plan construction and its per-stride group runs, the pruned
+# cascade vs full transform, the stage kernels' partial runs and
+# sub-block walks, the windowed soft-combining sum).
 # The Scratch names pull in the scratch-loan gates (the dsp free list's
 # own tests, decodes over NaN-poisoned scratch, bounded retention across
 # 32 decoders), and Concurrent in ./internal/chirp drives one
@@ -113,6 +115,26 @@ echo "== nsbench: vet + self-tests =="
 # a signature change that breaks the benchmark fail CI, not the
 # benchmark run.
 (cd nsbench && go vet ./... && go test -count=1 ./...)
+
+echo "== nsbench: output checks =="
+# A one-second run of each round workload holds its decode totals to
+# nsbench/reference.json, so a change that keeps speed but moves decode
+# bits fails here and not only in a later benchmark run. The last line
+# must report "correct":true, and the reference check must be exact.
+for w in dense-256 soft-16x4; do
+    out=$(bash nsbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0)
+    last=$(printf '%s\n' "$out" | tail -n 1)
+    if [[ "$last" != *'"correct":true'* ]]; then
+        echo "nsbench $w: output checks failed: $last" >&2
+        exit 1
+    fi
+    if ! printf '%s\n' "$out" | grep -q '"name":"reference","ok":true,"exact":true'; then
+        echo "nsbench $w: reference check is not exact:" >&2
+        printf '%s\n' "$out" | grep '"nsbench_report"' >&2
+        exit 1
+    fi
+    echo "nsbench $w: correct, reference exact"
+done
 
 echo "== benchguard: perf trajectory =="
 scripts/benchguard.sh
