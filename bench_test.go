@@ -2,7 +2,9 @@
 // evaluation (one benchmark per artifact, delegating to the
 // internal/exper registry), plus the ablation benches DESIGN.md calls
 // out: decoder scaling, SKIP spacing, allocation policy, zero-padding
-// and the OOK threshold.
+// and the OOK threshold. The hot-path micro-benchmarks are one-line
+// wrappers over internal/benchsuite, which cmd/netscatter-bench runs
+// too.
 //
 // Run a single figure with, e.g.:
 //
@@ -11,10 +13,11 @@ package netscatter
 
 import (
 	"fmt"
-	"runtime"
+	"strings"
 	"testing"
 
 	"netscatter/internal/air"
+	"netscatter/internal/benchsuite"
 	"netscatter/internal/chirp"
 	"netscatter/internal/core"
 	"netscatter/internal/deploy"
@@ -62,49 +65,15 @@ func BenchmarkBandwidthAggregation(b *testing.B) { benchExperiment(b, "B1") }
 // --- ablation: receiver complexity (the §3.1 single-FFT claim) ---
 
 // BenchmarkDecoderScaling decodes the same 64-device frame against
-// growing candidate sets. Receiver work should stay nearly flat in the
-// number of devices — the whole point of distributed CSS.
+// growing candidate sets, serially and with the parallel pipeline.
+// Receiver work should stay nearly flat in the number of devices — the
+// whole point of distributed CSS.
 func BenchmarkDecoderScaling(b *testing.B) {
-	p := chirp.Default500k9
-	book, err := core.NewCodeBook(p, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := dsp.NewRand(1)
-	payload := []byte{1, 2, 3, 4, 5}
-	bits := len(payload)*8 + core.CRCBits
-	var txs []air.Transmission
-	for i := 0; i < 64; i++ {
-		enc := core.NewEncoder(p, book.ShiftOfSlot(i))
-		txs = append(txs, air.Transmission{Waveform: enc.FrameWaveform(payload), SNRdB: 8})
-	}
-	ch := air.NewChannel(p, rng)
-	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), txs)
-
-	for _, candidates := range []int{1, 16, 64, 256} {
-		shifts := book.AllShifts()[:candidates]
-		b.Run(fmt.Sprintf("candidates=%d", candidates), func(b *testing.B) {
-			dec := core.NewDecoder(book, core.DefaultDecoderConfig(2))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := dec.DecodeFrame(sig, 0, shifts, bits); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	// The parallel pipeline on the same frame: spectra fan out over
-	// GOMAXPROCS workers with bit-identical output.
-	shifts := book.AllShifts()
-	b.Run("candidates=256/parallel", func(b *testing.B) {
-		dec := core.NewParallelDecoder(book, core.DefaultDecoderConfig(2), 0)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := dec.DecodeFrame(sig, 0, shifts, bits); err != nil {
-				b.Fatal(err)
-			}
+	for _, c := range benchsuite.Cases() {
+		if sub, ok := strings.CutPrefix(c.Name, "DecoderScaling/"); ok {
+			b.Run(sub, func(b *testing.B) { benchsuite.Run(b, c) })
 		}
-	})
+	}
 }
 
 // --- ablation: SKIP spacing vs decode reliability (§3.2.1) ---
@@ -301,253 +270,22 @@ func BenchmarkOOKThresholdAblation(b *testing.B) {
 	}
 }
 
-// --- micro-benchmarks of the hot paths ---
+// --- micro-benchmarks of the hot paths (defined in internal/benchsuite) ---
 
-func BenchmarkFFT4096(b *testing.B) {
-	plan := dsp.Plan(4096)
-	buf := make([]complex128, 4096)
-	rng := dsp.NewRand(1)
-	for i := range buf {
-		buf[i] = rng.ComplexNormal(1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.Forward(buf)
-	}
-}
-
-func BenchmarkFFT4096Pruned(b *testing.B) {
-	// The receiver's actual transform: 512 nonzero dechirped samples
-	// zero-padded 8x, with the early stages pruned away.
-	plan := dsp.Plan(4096)
-	buf := make([]complex128, 4096)
-	rng := dsp.NewRand(1)
-	for i := 0; i < 512; i++ {
-		buf[i] = rng.ComplexNormal(1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan.ForwardPruned(buf, 512)
-	}
-}
-
-func BenchmarkFFT4096PrunedBatch(b *testing.B) {
-	// The batched receiver's transform: the same pruned FFT through the
-	// planar split re/im layout with fused and cache-blocked stages.
-	bp := dsp.PlanBatch(4096, 512)
-	re := make([]float64, 4096)
-	im := make([]float64, 4096)
-	rng := dsp.NewRand(1)
-	for i := 0; i < 512; i++ {
-		v := rng.ComplexNormal(1)
-		re[i] = real(v)
-		im[i] = imag(v)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bp.Forward(re, im)
-	}
-}
-
-func BenchmarkSymbolSpectrum(b *testing.B) {
-	// One dechirp + padded FFT: the per-symbol receiver cost that is
-	// independent of the number of devices.
-	p := chirp.Default500k9
-	dem := chirp.NewDemodulator(p, 8)
-	mod := chirp.NewModulator(p)
-	sym := mod.Symbol(37)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dem.Spectrum(sym)
-	}
-}
-
-func BenchmarkEncodeFrame(b *testing.B) {
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	payload := []byte{1, 2, 3, 4, 5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.FrameWaveform(payload)
-	}
-}
-
-func BenchmarkEncodeFrameDelayed(b *testing.B) {
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	payload := []byte{1, 2, 3, 4, 5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc.FrameWaveformDelayed(payload, 0.37)
-	}
-}
-
-func BenchmarkEncodeFrameDelayedInto(b *testing.B) {
-	// The round context's reuse pattern: same frame, preallocated
-	// destination — the steady-state synthesis cost per device.
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	bits := core.FrameBits([]byte{1, 2, 3, 4, 5})
-	dst := enc.FrameBitsWaveformDelayedInto(nil, bits, 0.37)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = enc.FrameBitsWaveformDelayedInto(dst, bits, 0.37)
-	}
-}
-
-func BenchmarkEncodeFrameMixedInto(b *testing.B) {
-	// The simulator's hot path: synthesis with frequency offset and
-	// carrier gain folded into the recurrence.
-	enc := core.NewEncoder(chirp.Default500k9, 42)
-	bits := core.FrameBits([]byte{1, 2, 3, 4, 5})
-	dst := enc.FrameBitsWaveformMixedInto(nil, bits, 0.37, 230, complex(1.4, -0.3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = enc.FrameBitsWaveformMixedInto(dst, bits, 0.37, 230, complex(1.4, -0.3))
-	}
-}
-
-// BenchmarkNetworkRound64 runs the 64-device round heard by a single
-// AP: the simulator's single-AP round on the multi-AP engine at k = 1.
-func BenchmarkNetworkRound64(b *testing.B) {
-	rng := dsp.NewRand(9)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
-	cfg := sim.DefaultConfig()
-	net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 64, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.RunRound(64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMultiAPRound64x2 runs the 64-device round heard by two APs:
-// template synthesis once per device, per-AP scaled fan-out over the
-// tile grid, two parallel decodes and the cross-AP aggregation —
-// allocation-free in steady state like the single-AP round. The ratio
-// against BenchmarkNetworkRound64 is the marginal cost of an AP.
-func BenchmarkMultiAPRound64x2(b *testing.B) {
-	rng := dsp.NewRand(9)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
-	dep.PlaceAPs(2)
-	cfg := sim.DefaultConfig()
-	net, err := sim.NewMultiAPNetwork(cfg, dep, 2, 64, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.RunRound(64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFFT4096(b *testing.B)                { benchsuite.Bench(b, "FFT4096") }
+func BenchmarkFFT4096Pruned(b *testing.B)          { benchsuite.Bench(b, "FFT4096Pruned") }
+func BenchmarkFFT4096PrunedBatch(b *testing.B)     { benchsuite.Bench(b, "FFT4096PrunedBatch") }
+func BenchmarkSymbolSpectrum(b *testing.B)         { benchsuite.Bench(b, "SymbolSpectrum") }
+func BenchmarkScanBatch48(b *testing.B)            { benchsuite.Bench(b, "ScanBatch48") }
+func BenchmarkEncodeFrame(b *testing.B)            { benchsuite.Bench(b, "EncodeFrame") }
+func BenchmarkEncodeFrameDelayed(b *testing.B)     { benchsuite.Bench(b, "EncodeFrameDelayed") }
+func BenchmarkEncodeFrameDelayedInto(b *testing.B) { benchsuite.Bench(b, "EncodeFrameDelayedInto") }
+func BenchmarkEncodeFrameMixedInto(b *testing.B)   { benchsuite.Bench(b, "EncodeFrameMixedInto") }
+func BenchmarkNoiseFill64k(b *testing.B)           { benchsuite.Bench(b, "NoiseFill64k") }
+func BenchmarkNetworkRound64(b *testing.B)         { benchsuite.Bench(b, "NetworkRound64") }
+func BenchmarkMultiAPRound64x2(b *testing.B)       { benchsuite.Bench(b, "MultiAPRound64x2") }
+func BenchmarkCombinedRound64x4(b *testing.B)      { benchsuite.Bench(b, "CombinedRound64x4") }
+func BenchmarkTrajectoryRound64(b *testing.B)      { benchsuite.Bench(b, "TrajectoryRound64") }
+func BenchmarkNetworkRound64Parallel(b *testing.B) { benchsuite.Bench(b, "NetworkRound64/parallel") }
 
 func BenchmarkMultiAPDiversity(b *testing.B) { benchExperiment(b, "M1") }
-
-// BenchmarkCombinedRound64x4 runs the 64-device round heard by four
-// APs with soft spectral combining on: four emit decodes filling the
-// planar spectra arenas, the bin-wise arena sum, the combined-spectra
-// decode and both aggregations. The ratio against MultiAPRound64x2 is
-// the soft path's overhead; steady state stays allocation-free
-// (test-enforced in internal/sim).
-func BenchmarkCombinedRound64x4(b *testing.B) {
-	rng := dsp.NewRand(9)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
-	dep.PlaceAPs(4)
-	cfg := sim.DefaultConfig()
-	net, err := sim.NewMultiAPNetwork(cfg, dep, 4, 64, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.SetSoftCombining(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.RunRound(64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrajectoryRound64 steps a 64-device, 2-AP adversarial
-// trajectory in its event-free steady state: correlated fading and CFO
-// drift evolve every round (per-device AR(1) and random-walk updates,
-// power-rule adjustment, SNR refresh) but no churn/burst/dropout
-// events fire, so no re-association or burst synthesis happens. The
-// ratio against MultiAPRound64x2 is the adversity layer's overhead on
-// top of a plain round — it must stay allocation-free.
-func BenchmarkTrajectoryRound64(b *testing.B) {
-	rng := dsp.NewRand(9)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
-	dep.PlaceAPs(2)
-	cfg := sim.DefaultConfig()
-	net, err := sim.NewMultiAPNetwork(cfg, dep, 2, 64, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := sim.NewTrajectory(net, sim.TrajectoryConfig{
-		Rounds:      1 << 15, // pre-size the stats arenas past any b.N
-		Seed:        9,
-		Correlation: 0.9,
-		KFactorDB:   20,
-		CFODriftHz:  0.5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNetworkRound64Parallel is the same round with the worker
-// pool widened to four slots: the channel fans template synthesis and
-// the tile grid across the pool and the decoder fans symbol batches,
-// with output bit-identical to the serial round (test-enforced). On a
-// single hardware thread this measures the parallel path's overhead
-// floor; on multi-core hosts it tracks round-time scaling with cores.
-func BenchmarkNetworkRound64Parallel(b *testing.B) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	rng := dsp.NewRand(9)
-	dep := deploy.Generate(deploy.DefaultOffice, radio.DefaultLinkBudget, 64, 500e3, rng)
-	cfg := sim.DefaultConfig()
-	net, err := sim.NewMultiAPNetwork(cfg, dep, 1, 64, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.RunRound(64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNoiseFill64k tracks the vectorized noise engine: 64k
-// Gaussian draws filled and fused-added as unit AWGN over a 32k-sample
-// receive buffer, the per-round noise cost of the simulator.
-func BenchmarkNoiseFill64k(b *testing.B) {
-	st := dsp.NewStream(1)
-	sig := make([]complex128, 32768)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		radio.AddAWGN(st, sig, 1)
-	}
-}

@@ -1,29 +1,31 @@
 // Command benchguard enforces the repository's benchmark trajectory:
 // it loads the committed BENCH_<tag>.json reports (written by
 // cmd/netscatter-bench), orders them by run timestamp, and diffs the
-// newest report against its predecessor. The diff fails — exit status
-// 1 — when any benchmark present in both reports regressed by more
-// than the threshold in ns/op, when a benchmark that was
-// allocation-free starts allocating (the steady-state zero-alloc
-// property is part of the trajectory), or when a baseline benchmark is
-// missing from the candidate (deleting a regressed benchmark must not
-// bypass the gate).
+// newest report against the newest earlier report from the same host.
+// The diff fails — exit status 1 — when any benchmark present in both
+// reports regressed by more than the threshold in ns/op, when a
+// benchmark that was allocation-free starts allocating (the
+// steady-state zero-alloc property is part of the trajectory), or when
+// a baseline benchmark is missing from the candidate (deleting a
+// regressed benchmark must not bypass the gate).
 //
-// Reports carry machine metadata (GOOS/GOARCH, CPU count, GOMAXPROCS,
-// CPU model); benchguard refuses to compare reports measured on
-// different machines, since such a diff says nothing about the code.
-// Metadata absent from an older report (e.g. cpu_model before it was
-// recorded) is treated as unknown and compatible.
+// Reports carry machine metadata. A host is GOOS, GOARCH, CPU model
+// and CPU count, all recorded and equal: a diff across hosts says
+// nothing about the code, so a report with no earlier same-host report
+// is the new baseline for its host and passes with a note. The run
+// settings — GOMAXPROCS and bench time — must match within a host; a
+// same-host pair measured under different settings is refused (exit
+// 1), so a new -benchtime cannot start a fresh, ungated trajectory.
 //
 // Usage:
 //
 //	go run ./cmd/benchguard [-dir .] [-threshold 1.10] [-allow-new spec] [files...]
 //
 // Reports are ordered by their embedded run timestamp; the newest is
-// the candidate and its predecessor the baseline. With explicit file
-// arguments only those reports are considered — scripts/benchguard.sh
-// passes the git-tracked ones, so a stray uncommitted BENCH_*.json in
-// the working tree cannot hijack the gate.
+// the candidate. With explicit file arguments only those reports are
+// considered — scripts/benchguard.sh passes the git-tracked ones, so a
+// stray uncommitted BENCH_*.json in the working tree cannot hijack the
+// gate.
 //
 // Benchmark suites evolve: a PR that renames a benchmark (or retires
 // one deliberately) would otherwise trip the missing-benchmark gate.
@@ -88,10 +90,22 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if baseline == nil {
+		if *allowNew != "" {
+			fatal(fmt.Errorf("-allow-new %q: %s has no baseline to apply it to", *allowNew, candidate.Tag))
+		}
+		h := host(candidate)
+		if h == "" {
+			h = "with unrecorded machine metadata"
+		}
+		fmt.Printf("benchguard: %s (%s) has no earlier report from its host (%s): it is the new baseline for that host\n",
+			filepath.Base(candidate.path), candidate.Tag, h)
+		return
+	}
 	fmt.Printf("benchguard: %s (%s) vs %s (%s)\n",
 		filepath.Base(candidate.path), candidate.Tag, filepath.Base(baseline.path), baseline.Tag)
 
-	if err := compatible(baseline, candidate); err != nil {
+	if err := sameSettings(baseline, candidate); err != nil {
 		fatal(fmt.Errorf("refusing apples-to-oranges diff: %w", err))
 	}
 
@@ -139,9 +153,11 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// pickReports resolves the (baseline, candidate) pair: the two most
-// recent reports — by embedded run timestamp — among either the
-// explicit file arguments or dir's BENCH_*.json files.
+// pickReports resolves the (baseline, candidate) pair among either the
+// explicit file arguments or dir's BENCH_*.json files: the candidate is
+// the most recent report by embedded run timestamp, the baseline the
+// most recent earlier one from the same host, or nil when there is
+// none.
 func pickReports(dir string, args []string) (baseline, candidate *Report, err error) {
 	paths := args
 	if len(paths) == 0 {
@@ -150,8 +166,8 @@ func pickReports(dir string, args []string) (baseline, candidate *Report, err er
 			return nil, nil, err
 		}
 	}
-	if len(paths) < 2 {
-		return nil, nil, fmt.Errorf("need at least two BENCH_*.json reports, found %d", len(paths))
+	if len(paths) == 0 {
+		return nil, nil, fmt.Errorf("no BENCH_*.json reports found")
 	}
 
 	reports := make([]*Report, 0, len(paths))
@@ -170,7 +186,15 @@ func pickReports(dir string, args []string) (baseline, candidate *Report, err er
 		}
 		return reports[i].path < reports[j].path
 	})
-	return reports[len(reports)-2], reports[len(reports)-1], nil
+	candidate = reports[len(reports)-1]
+	if h := host(candidate); h != "" {
+		for i := len(reports) - 2; i >= 0; i-- {
+			if host(reports[i]) == h {
+				return reports[i], candidate, nil
+			}
+		}
+	}
+	return nil, candidate, nil
 }
 
 func load(path string) (*Report, error) {
@@ -189,40 +213,29 @@ func load(path string) (*Report, error) {
 	return &r, nil
 }
 
-// compatible reports whether two reports were measured in the same
-// environment. String fields compare only when both are non-empty,
-// integer fields only when both are non-zero — older reports may
-// predate a field, and an unknown value can't prove a mismatch.
-func compatible(a, b *Report) error {
-	type check struct {
-		name string
-		av   string
-		bv   string
+// host names the machine a report was measured on: GOOS, GOARCH, CPU
+// count and CPU model. It is empty when any of them was not recorded,
+// so such a report matches no host.
+func host(r *Report) string {
+	if r.GOOS == "" || r.GOARCH == "" || r.NumCPU == 0 || r.CPUModel == "" {
+		return ""
 	}
-	checks := []check{
-		{"goos", a.GOOS, b.GOOS},
-		{"goarch", a.GOARCH, b.GOARCH},
-		{"cpu_model", a.CPUModel, b.CPUModel},
-		{"bench_time", a.BenchTime, b.BenchTime},
-		{"num_cpu", nz(a.NumCPU), nz(b.NumCPU)},
-		{"gomaxprocs", nz(a.GOMAXPROCS), nz(b.GOMAXPROCS)},
+	return fmt.Sprintf("%s/%s, %d x %s", r.GOOS, r.GOARCH, r.NumCPU, r.CPUModel)
+}
+
+// sameSettings reports whether a same-host pair ran under the same
+// run settings: GOMAXPROCS and bench time.
+func sameSettings(a, b *Report) error {
+	if a.GOMAXPROCS != b.GOMAXPROCS {
+		return fmt.Errorf("gomaxprocs differs: %d (%s) vs %d (%s)", a.GOMAXPROCS, a.Tag, b.GOMAXPROCS, b.Tag)
 	}
-	for _, c := range checks {
-		if c.av != "" && c.bv != "" && c.av != c.bv {
-			return fmt.Errorf("%s differs: %q (%s) vs %q (%s)", c.name, c.av, a.Tag, c.bv, b.Tag)
-		}
+	if a.BenchTime != b.BenchTime {
+		return fmt.Errorf("bench_time differs: %q (%s) vs %q (%s)", a.BenchTime, a.Tag, b.BenchTime, b.Tag)
 	}
 	if a.GoVersion != b.GoVersion {
 		fmt.Printf("benchguard: note: go versions differ (%s vs %s)\n", a.GoVersion, b.GoVersion)
 	}
 	return nil
-}
-
-func nz(v int) string {
-	if v == 0 {
-		return ""
-	}
-	return fmt.Sprint(v)
 }
 
 // diff returns one failure message per shared benchmark that regressed,

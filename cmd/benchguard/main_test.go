@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -136,5 +139,101 @@ func TestDiffNoSharedBenchmarks(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no-shared-benchmarks not flagged: %v", f)
+	}
+}
+
+// writeReport stores r as BENCH_<tag>.json in dir, measured on host
+// cpu with the given settings at the given timestamp.
+func writeReport(t *testing.T, dir, tag, cpu, ts string, procs int, benchtime string) string {
+	t.Helper()
+	r := Report{
+		Tag: tag, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64",
+		NumCPU: 2, GOMAXPROCS: procs, CPUModel: cpu, BenchTime: benchtime,
+		Timestamp: ts, Results: []Result{res("A", 100, 0)},
+	}
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "BENCH_"+tag+".json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestPickSameHostOverNewerForeignReport(t *testing.T) {
+	dir := t.TempDir()
+	writeReport(t, dir, "a1", "cpu A", "2026-01-01T00:00:00Z", 2, "1s")
+	writeReport(t, dir, "a2", "cpu A", "2026-01-02T00:00:00Z", 2, "1s")
+	writeReport(t, dir, "b1", "cpu B", "2026-01-03T00:00:00Z", 2, "1s")
+	writeReport(t, dir, "a3", "cpu A", "2026-01-04T00:00:00Z", 2, "1s")
+	base, cand, err := pickReports(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cand.Tag != "a3" || base == nil || base.Tag != "a2" {
+		t.Fatalf("picked %v vs %s, want a3 vs a2", base, cand.Tag)
+	}
+}
+
+func TestPickNewHostIsBaseline(t *testing.T) {
+	dir := t.TempDir()
+	a1 := writeReport(t, dir, "a1", "cpu A", "2026-01-01T00:00:00Z", 2, "1s")
+	b1 := writeReport(t, dir, "b1", "cpu B", "2026-01-02T00:00:00Z", 2, "1s")
+	// A report missing its CPU model matches no host, not even its own.
+	c1 := writeReport(t, dir, "c1", "", "2026-01-03T00:00:00Z", 2, "1s")
+	c2 := writeReport(t, dir, "c2", "", "2026-01-04T00:00:00Z", 2, "1s")
+	for want, paths := range map[string][]string{"b1": {a1, b1}, "c2": {a1, c1, c2}} {
+		base, cand, err := pickReports("", paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cand.Tag != want || base != nil {
+			t.Fatalf("picked %v vs %s, want %s as a new baseline", base, cand.Tag, want)
+		}
+	}
+}
+
+func TestSameHostDifferentSettingsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		procs     int
+		benchtime string
+	}{{2, "2s"}, {1, "1s"}} {
+		dir := t.TempDir()
+		writeReport(t, dir, "a1", "cpu A", "2026-01-01T00:00:00Z", 2, "1s")
+		writeReport(t, dir, "a2", "cpu A", "2026-01-02T00:00:00Z", tc.procs, tc.benchtime)
+		base, cand, err := pickReports(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base == nil || base.Tag != "a1" {
+			t.Fatalf("settings change made a new baseline: %v vs %s", base, cand.Tag)
+		}
+		if err := sameSettings(base, cand); err == nil {
+			t.Fatalf("gomaxprocs %d, bench_time %s vs 2, 1s: compared", tc.procs, tc.benchtime)
+		}
+	}
+}
+
+// TestCommittedPR9VsPR8 keeps the 1-vCPU trajectory's last pair gated:
+// among the single-digit reports, PR9 is diffed against PR8 and passes.
+func TestCommittedPR9VsPR8(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_PR[0-9].json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, cand, err := pickReports("", paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base == nil || base.Tag != "PR8" || cand.Tag != "PR9" {
+		t.Fatalf("picked %v vs %s, want PR9 vs PR8", base, cand.Tag)
+	}
+	if err := sameSettings(base, cand); err != nil {
+		t.Fatal(err)
+	}
+	if f := diff(base, cand, 1.10, noAllow(t)); len(f) != 0 {
+		t.Fatalf("PR9 vs PR8: %v", f)
 	}
 }

@@ -18,10 +18,13 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"netscatter/internal/dsp"
@@ -78,15 +81,37 @@ type Cell struct {
 	Config serve.DeploymentConfig `json:"config"`
 }
 
+// maxCells caps a spec's grid, the product of its axis lengths: the
+// expansion allocates every cell up front, so an unbounded product
+// would exhaust memory before any cell runs.
+const maxCells = 1 << 16
+
 // LoadSpec reads and expands-checks a spec file.
 func LoadSpec(path string) (*Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := parseSpec(data)
+	if err != nil {
 		return nil, fmt.Errorf("campaign: parsing %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// parseSpec decodes one JSON spec and expands-checks it. Unknown
+// fields, nested ones included, are errors: a misspelt axis would
+// otherwise fall back to its default without a word. So is any data
+// after the spec's object.
+func parseSpec(data []byte) (*Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var s Spec
+	if err := dec.Decode(&s); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return nil, errors.New("trailing data after the spec")
 	}
 	if _, err := s.Cells(); err != nil {
 		return nil, err
@@ -155,7 +180,18 @@ func (s *Spec) Cells() ([]Cell, error) {
 		}
 	}
 
-	cells := make([]Cell, 0, len(seeds)*len(channels)*len(rounds)*len(aps)*len(s.Devices))
+	// Multiply up the grid size one axis at a time, failing before the
+	// product can pass maxCells (and so before it can overflow).
+	size := 1
+	for _, n := range []int{len(seeds), len(channels), len(rounds), len(aps), len(s.Devices)} {
+		if n > maxCells/size {
+			return nil, fmt.Errorf("campaign: grid of %d seeds × %d channels × %d rounds × %d aps × %d devices exceeds %d cells",
+				len(seeds), len(channels), len(rounds), len(aps), len(s.Devices), maxCells)
+		}
+		size *= n
+	}
+
+	cells := make([]Cell, 0, size)
 	idx := 0
 	for _, seed := range seeds {
 		for _, ch := range channels {

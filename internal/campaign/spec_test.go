@@ -1,8 +1,12 @@
 package campaign
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"netscatter/internal/serve"
@@ -131,4 +135,97 @@ func TestLoadSpecAndDigest(t *testing.T) {
 	if _, err := LoadSpec(path); err == nil {
 		t.Error("LoadSpec accepted a spec with no devices axis")
 	}
+}
+
+// TestLoadSpecStrict: a misspelt field, top-level or inside a channel's
+// adversity object, is an error that names it, and so is data after
+// the spec.
+func TestLoadSpecStrict(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spec.json")
+	for body, want := range map[string]string{
+		`{"name":"t","devices":[16],"seed":[5],"aps":[2]}`:                                 `"seed"`,
+		`{"name":"t","devices":[1],"channels":[{"name":"m","adversity":{"dopler_hz":4}}]}`: `"dopler_hz"`,
+		`{"name":"t","devices":[1],"channels":[{"name":"m","adverity":{"doppler_hz":4}}]}`: `"adverity"`,
+		`{"name":"t","devices":[1]} {"name":"u","devices":[2]}`:                            "trailing data",
+		`{"name":"t","devices":[1]}]`:                                                      "trailing data",
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadSpec(path)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadSpec(%s) = %v, want an error naming %s", body, err, want)
+		}
+	}
+}
+
+// TestSpecGridCap: a grid past maxCells cells is an error, not a
+// makeslice panic or a multi-gigabyte allocation, and a grid at the
+// cap still expands.
+func TestSpecGridCap(t *testing.T) {
+	axis := func(n int) []int {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = i + 1
+		}
+		return v
+	}
+	seeds := make([]int64, 3000)
+	channels := make([]ChannelSpec, 3000)
+	for i := range seeds {
+		seeds[i] = int64(i)
+		channels[i].Name = fmt.Sprint(i)
+	}
+	huge := &Spec{Name: "huge", Devices: axis(3000), APs: axis(3000), Rounds: axis(3000), Seeds: seeds, Channels: channels}
+	if _, err := huge.Cells(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("3000^5-cell grid: %v", err)
+	}
+	over := &Spec{Name: "over", Devices: axis(257), APs: axis(256)}
+	if _, err := over.Cells(); err == nil {
+		t.Fatal("257×256-cell grid expanded past the cap")
+	}
+	at := &Spec{Name: "at", Devices: axis(256), APs: axis(256)}
+	cells, err := at.Cells()
+	if err != nil || len(cells) != maxCells {
+		t.Fatalf("256×256-cell grid: %d cells, %v", len(cells), err)
+	}
+}
+
+// FuzzLoadSpec feeds arbitrary bytes to the spec parser. It must never
+// panic, and a spec it accepts must re-marshal and re-parse to the same
+// digest and the same grid.
+func FuzzLoadSpec(f *testing.F) {
+	office, err := os.ReadFile(filepath.Join("..", "..", "examples", "campaign", "office.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(office)
+	f.Add([]byte(`{"name":"t","devices":[16],"seed":[5],"aps":[2]}`))
+	f.Add([]byte(`{"name":"t","devices":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17],` +
+		`"aps":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16],"rounds":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16],` +
+		`"seeds":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"name":"t","devices":[1]} {}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := parseSpec(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := parseSpec(again)
+		if err != nil {
+			t.Fatalf("re-parsing %s: %v", again, err)
+		}
+		if s.Digest() != s2.Digest() {
+			t.Fatalf("digest moved across a round trip: %s", again)
+		}
+		c1, err1 := s.Cells()
+		c2, err2 := s2.Cells()
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(c1, c2) {
+			t.Fatalf("grid moved across a round trip (%v, %v): %s", err1, err2, again)
+		}
+	})
 }

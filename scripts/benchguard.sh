@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # benchguard.sh — the benchmark-trajectory gate: diffs the newest
-# committed BENCH_<tag>.json against its predecessor and fails on any
-# >10% ns/op regression (or a zero-alloc benchmark starting to
-# allocate, or a dropped benchmark) in the reports' shared set. Reports
-# from different machines or bench times are refused rather than
-# compared.
+# committed BENCH_<tag>.json against the newest earlier report from the
+# same host and fails on any >10% ns/op regression (or a zero-alloc
+# benchmark starting to allocate, or a dropped benchmark) in the
+# reports' shared set. A report with no earlier same-host report is
+# the new baseline for its host; a same-host pair measured under
+# different GOMAXPROCS or bench times is refused rather than compared.
 #
 # Usage: scripts/benchguard.sh [-threshold X] [-allow-new spec] [report.json ...]
 # Leading flags are forwarded to cmd/benchguard (e.g. -allow-new for
 # intentionally renamed or retired benchmarks). With no file arguments
-# the git-tracked BENCH_*.json reports are compared (newest two by
+# the git-tracked BENCH_*.json reports are considered (ordered by
 # embedded run timestamp), so stray local bench runs in the working
 # tree never hijack the gate; outside a git checkout it falls back to
 # globbing the repo root.
@@ -51,7 +52,7 @@ if command -v git >/dev/null 2>&1 && git rev-parse --is-inside-work-tree >/dev/n
     # Reports staged in this checkout but not yet committed still count:
     # ls-files covers the index, which is exactly "what the PR ships".
 fi
-if [ "${#tracked[@]}" -ge 2 ]; then
+if [ "${#tracked[@]}" -gt 0 ]; then
     exec go run ./cmd/benchguard "${flags[@]}" "${tracked[@]}"
 fi
 exec go run ./cmd/benchguard "${flags[@]}"

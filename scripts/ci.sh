@@ -2,9 +2,10 @@
 # ci.sh — the repository's tier-1 gate: formatting, vet (plus
 # staticcheck when available), build, tests (which include the
 # golden-vector, zero-allocation, batch-vs-oracle bit-exactness and
-# fuzz-seed gates), an explicit fuzz-seed pass, a race-detector pass
-# over the concurrent paths, the benchmark-trajectory guard over the
-# committed BENCH_<tag>.json reports, and the docs gate (route-coverage
+# fuzz-seed gates), an explicit fuzz-seed pass, one iteration of every
+# root benchmark, a race-detector pass over the concurrent paths, the
+# benchmark-trajectory guard over the committed BENCH_<tag>.json
+# reports, and the docs gate (route-coverage
 # test, markdown link check, short-mode service soak), plus vet,
 # self-tests and short output-checked runs of the nsbench benchmark
 # module.
@@ -51,10 +52,19 @@ echo "== fuzz seed corpus =="
 # round-trip, the cross-AP aggregator's never-drop/never-double
 # invariants, the pruned transform's plan bins (FuzzPrunedTransform:
 # window-planned cascade vs full transform), the grouped ghost
-# rejection (FuzzRejectGhosts: vs the all-pairs loop) and the fused
+# rejection (FuzzRejectGhosts: vs the all-pairs loop), the fused
 # receive accumulate (FuzzFusedAccumulate: scheduled frame runs vs
-# per-frame range accumulation).
-go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp
+# per-frame range accumulation) and the campaign spec parser
+# (FuzzLoadSpec: never panics, accepted specs round-trip to the same
+# digest and grid).
+go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp ./internal/campaign
+
+echo "== benchmarks: one iteration each =="
+# Every root benchmark once: the internal/benchsuite wrappers, the
+# experiment benchmarks and the ablations. A wrapper naming a missing
+# case, or a benchmark that no longer runs, fails here rather than in
+# the next perf run.
+go test -count=1 -run '^$' -bench . -benchtime 1x .
 
 echo "== race: concurrent paths =="
 # The sim round path (one-AP and k-AP networks, including networks
@@ -137,6 +147,9 @@ for w in dense-256 soft-16x4; do
 done
 
 echo "== benchguard: perf trajectory =="
+# Diffs the newest committed report with the newest earlier report from
+# the same host (GOOS, GOARCH, CPU model and count); a report from a new
+# host passes as that host's baseline.
 scripts/benchguard.sh
 
 echo "== docs =="
