@@ -22,14 +22,16 @@ import (
 const batchTile = 8
 
 // borrowTile lends the planar scratch of one batch call from the dsp
-// free list: a single buffer whose halves are the real and imaginary
-// planes of a batchTile-symbol tile. Every batch call borrows the same
-// length, so the calls of a decode reuse one cache-warm buffer. The
-// caller hands buf back with dsp.ReturnFloat64 when the call ends.
+// free list: a single buffer holding the real and imaginary planes of a
+// batchTile-symbol tile, the imaginary plane dsp.PlaneSkew floats past
+// the real one's end so the two planes do not 4K-alias. Every batch
+// call borrows the same length, so the calls of a decode reuse one
+// cache-warm buffer. The caller hands buf back with dsp.ReturnFloat64
+// when the call ends.
 func (d *Demodulator) borrowTile() (buf, re, im []float64) {
 	m := batchTile * d.padN
-	buf = dsp.BorrowFloat64(2 * m)
-	return buf, buf[:m:m], buf[m:]
+	buf = dsp.BorrowFloat64(2*m + dsp.PlaneSkew)
+	return buf, buf[:m:m], buf[m+dsp.PlaneSkew:]
 }
 
 // dechirpTile writes the dechirped products of count consecutive

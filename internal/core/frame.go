@@ -21,21 +21,33 @@ const (
 	CRCBits = 8
 )
 
-// crc8 computes the CRC-8/ATM (poly 0x07) checksum over data bits
-// (one bit per byte). Operating on bits keeps the frame layout explicit;
-// payloads are small (tens of bits) so performance is irrelevant.
-func crc8(bits []byte) byte {
+// crc8 computes the CRC-8/ATM (poly 0x07, init 0, MSB first) checksum
+// of data, a byte at a time from crc8Table. Over packed bytes it equals
+// the bitwise CRC of their MSB-first bits, the frame's on-air order.
+func crc8(data []byte) byte {
 	var crc byte
-	for _, b := range bits {
-		crc ^= (b & 1) << 7
-		if crc&0x80 != 0 {
-			crc = crc<<1 ^ 0x07
-		} else {
-			crc <<= 1
-		}
+	for _, d := range data {
+		crc = crc8Table[crc^d]
 	}
 	return crc
 }
+
+// crc8Table[b] is the CRC-8/ATM register after shifting the byte b
+// through it from zero: eight steps of the bitwise division.
+var crc8Table = func() (t [256]byte) {
+	for i := range t {
+		crc := byte(i)
+		for k := 0; k < 8; k++ {
+			if crc&0x80 != 0 {
+				crc = crc<<1 ^ 0x07
+			} else {
+				crc <<= 1
+			}
+		}
+		t[i] = crc
+	}
+	return t
+}()
 
 // BytesToBits expands data into MSB-first bits, one per output byte.
 func BytesToBits(data []byte) []byte {
@@ -85,7 +97,7 @@ func FrameBitsInto(dst []byte, payload []byte) {
 			k++
 		}
 	}
-	crc := crc8(dst[:k])
+	crc := crc8(payload)
 	for i := 7; i >= 0; i-- {
 		dst[k] = (crc >> uint(i)) & 1
 		k++
@@ -127,7 +139,7 @@ func CheckFrameBitsInto(dst []byte, bits []byte) bool {
 	for _, b := range bits[len(bits)-CRCBits:] {
 		rx = rx<<1 | (b & 1)
 	}
-	return crc8(data) == rx
+	return crc8(dst) == rx
 }
 
 // FrameSymbols returns the total number of chirp-symbol periods a frame

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -65,11 +66,53 @@ func TestFrameSymbols(t *testing.T) {
 	}
 }
 
+// crc8Bits is the bitwise CRC-8/ATM over data bits (one bit per
+// byte, MSB first): the definition the table-driven crc8 must match.
+func crc8Bits(bits []byte) byte {
+	var crc byte
+	for _, b := range bits {
+		crc ^= (b & 1) << 7
+		if crc&0x80 != 0 {
+			crc = crc<<1 ^ 0x07
+		} else {
+			crc <<= 1
+		}
+	}
+	return crc
+}
+
 func TestCRC8KnownValue(t *testing.T) {
 	// CRC-8/ATM of "123456789" is 0xF4.
-	bits := BytesToBits([]byte("123456789"))
-	if got := crc8(bits); got != 0xF4 {
+	data := []byte("123456789")
+	if got := crc8(data); got != 0xF4 {
 		t.Fatalf("crc8(123456789) = %#x, want 0xF4", got)
+	}
+	if got := crc8Bits(BytesToBits(data)); got != 0xF4 {
+		t.Fatalf("crc8Bits(123456789) = %#x, want 0xF4", got)
+	}
+}
+
+// TestCRC8TableMatchesBitwise pins the table-driven crc8 to the bitwise
+// definition on every 1- and 2-byte input and on random longer ones.
+func TestCRC8TableMatchesBitwise(t *testing.T) {
+	check := func(data []byte) {
+		t.Helper()
+		if got, want := crc8(data), crc8Bits(BytesToBits(data)); got != want {
+			t.Fatalf("crc8(%x) = %#x, bitwise %#x", data, got, want)
+		}
+	}
+	check(nil)
+	for a := 0; a < 256; a++ {
+		check([]byte{byte(a)})
+		for b := 0; b < 256; b++ {
+			check([]byte{byte(a), byte(b)})
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		data := make([]byte, 3+rng.Intn(62))
+		rng.Read(data)
+		check(data)
 	}
 }
 

@@ -15,36 +15,49 @@ import (
 // Everything that the per-call pruned transform recomputes is hoisted
 // into the plan:
 //
-//   - The prefix bit-reversal permutation is stored as an explicit swap
-//     list (ForwardPruned re-derives it from the full permutation on
-//     every call).
+//   - The prefix bit reversal is a table (rev) the transform reads
+//     through instead of permuting the buffer (ForwardPruned re-derives
+//     the permutation and swaps in place on every call).
 //   - Twiddle factors are repacked per butterfly stage into compact
 //     planar tables, so every stage reads its twiddles at unit stride
 //     instead of striding through the full-size table.
-//   - The zero-pad broadcast is fused into the first butterfly stage:
-//     the stage reads the two prefix values of each block directly and
-//     writes the stage output, eliminating a full write+read pass over
-//     the buffer.
+//   - The zero-pad broadcast, the prefix permutation and the first
+//     three butterfly stages are one front pass: each 8z-element
+//     sub-block reads its eight prefix values through rev, runs the
+//     stages of sizes 2z, 4z and 8z in registers and stores every
+//     element once.
 //
-// Stages are additionally executed cache-blocked: every stage whose
-// butterflies fit inside a block of blockElems elements runs
-// block-by-block while the block is resident in L1, leaving only the
-// last log2(n/block) stages as full-array passes. ForwardBatch can
-// prune every pass, in-block and full-array, to the butterfly groups a
-// BinPlan's bins need. Reordering butterfly execution never changes
-// results — each butterfly's operands and operation order are identical
-// to FFTPlan's radix-2 cascade, so a BatchPlan transform is
-// bit-identical to ForwardPruned on the same input (the oracle the
-// tests enforce).
+// Stages are additionally executed cache-blocked: the front pass and
+// every stage whose butterflies fit inside a block of blockElems
+// elements run block-by-block while the block is resident in L1,
+// leaving only the last log2(n/block) stages as full-array passes.
+// ForwardBatch can prune every pass after the front pass, in-block and
+// full-array, to the butterfly groups a BinPlan's bins need.
+// Reordering butterfly execution never changes results — each
+// butterfly's operands and operation order are identical to FFTPlan's
+// radix-2 cascade, so a BatchPlan transform is bit-identical to
+// ForwardPruned on the same input (the oracle the tests enforce).
 //
 // A BatchPlan is safe for concurrent use; transforms only read it.
 type BatchPlan struct {
 	n       int
 	nonzero int
-	z       int // zero-pad factor n/nonzero
-	block   int // cache-block span in elements (power of two)
-	swaps   []int32
+	z       int     // zero-pad factor n/nonzero
+	block   int     // cache-block span in elements (power of two)
+	rev     []int32 // rev[i]: i bit-reversed over log2(nonzero) bits
 	stages  []batchStage
+
+	// Front pass state, set when nonzero >= 8 and z > 1. The low
+	// blocks' span overlaps the natural-order prefix the other blocks
+	// read, so before any block is written the transform gathers every
+	// gather-th prefix value — the only ones the low blocks read — into
+	// per-call scratch, and the low blocks read that copy through
+	// lowRev. frontTw packs the three front stages' twiddles per group
+	// of four for frontAVX2 (z >= 4).
+	low     int
+	gather  int
+	lowRev  []int32
+	frontTw []float64
 }
 
 // batchStage is one butterfly stage's compact twiddle table:
@@ -55,6 +68,15 @@ type batchStage struct {
 	size     int
 	twr, twi []float64
 }
+
+// PlaneSkew is the gap, in float64s, a planar buffer carved from one
+// allocation leaves between its real and imaginary planes. Planes of a
+// power-of-two length placed back to back start a multiple of 4 KiB
+// apart, so re[i] and im[i] share their low 12 address bits, and the
+// CPU's store-to-load check, which compares only those bits, makes a
+// butterfly's loads of one plane wait on its stores to the other (4K
+// aliasing). Five cache lines move the imaginary plane off that alias.
+const PlaneSkew = 40
 
 // blockElems is the cache-block span: 1024 complex elements = 16 KiB of
 // planar floats, comfortably inside a 32 KiB L1d alongside the twiddle
@@ -75,23 +97,17 @@ func NewBatchPlan(n, nonzero int) *BatchPlan {
 	src := Plan(n)
 	bp := &BatchPlan{n: n, nonzero: nonzero, z: n / nonzero}
 
-	// Prefix bit-reversal as an explicit swap list. For i < nonzero the
-	// full-size permutation satisfies perm[i] = rev_m(i)·z with
-	// m = nonzero, so rev_m(i) = perm[i]/z and every swap stays inside
-	// the prefix (see FFTPlan.ForwardPruned).
-	for i := 0; i < nonzero; i++ {
-		if j := src.perm[i] / bp.z; i < j {
-			bp.swaps = append(bp.swaps, int32(i), int32(j))
-		}
+	// Prefix bit reversal as a table. For i < nonzero the full-size
+	// permutation satisfies perm[i] = rev_m(i)·z with m = nonzero, so
+	// rev_m(i) = perm[i]/z (see FFTPlan.ForwardPruned).
+	bp.rev = make([]int32, nonzero)
+	for i := range bp.rev {
+		bp.rev[i] = int32(src.perm[i] / bp.z)
 	}
 
 	// Compact per-stage twiddles for every stage the pruned cascade
-	// runs: sizes firstSize, 2·firstSize, …, n.
-	firstSize := 2 * bp.z
-	if bp.z == 1 {
-		firstSize = 2
-	}
-	for size := firstSize; size <= n; size <<= 1 {
+	// runs: sizes 2z, 4z, …, n.
+	for size := 2 * bp.z; size <= n; size <<= 1 {
 		half := size >> 1
 		step := n / size
 		st := batchStage{
@@ -107,15 +123,55 @@ func NewBatchPlan(n, nonzero int) *BatchPlan {
 		bp.stages = append(bp.stages, st)
 	}
 
-	bp.block = blockElems
-	if bp.block > n {
-		bp.block = n
+	// A block holds whole front-pass sub-blocks (8z elements) where
+	// the transform is large enough to have them.
+	bp.block = min(n, max(blockElems, 8*bp.z))
+	if !bp.hasFront() {
+		return bp
 	}
-	if bp.block < firstSize {
-		bp.block = firstSize
+
+	// The low blocks cover [0, low·block) ⊇ [0, nonzero). Their
+	// sub-blocks read rev[k] for k < g = low·block/z, and for those k
+	// rev_m(k) = c·rev_g(k) with c = nonzero/g (k's top log2(c) bits are
+	// zero), so the values they read are exactly every c-th prefix
+	// value, and the gathered copy x[c·j], j < g, is read through
+	// lowRev[k] = rev[k]/c.
+	bp.low = (nonzero + bp.block - 1) / bp.block
+	g := bp.low * bp.block / bp.z
+	bp.gather = nonzero / g
+	bp.lowRev = make([]int32, g)
+	for k := range bp.lowRev {
+		bp.lowRev[k] = bp.rev[k] / int32(bp.gather)
+	}
+
+	if z := bp.z; z >= 4 {
+		// frontAVX2's twiddle layout: for each group of four j, the
+		// fourteen planar quads w1[j], w2[j], w2[z+j], w3[j], w3[z+j],
+		// w3[2z+j], w3[3z+j] (real quad, then imaginary quad), read
+		// front to back with one pointer.
+		w1, w2, w3 := &bp.stages[0], &bp.stages[1], &bp.stages[2]
+		quads := [][2][]float64{
+			{w1.twr, w1.twi},
+			{w2.twr, w2.twi}, {w2.twr[z:], w2.twi[z:]},
+			{w3.twr, w3.twi}, {w3.twr[z:], w3.twi[z:]},
+			{w3.twr[2*z:], w3.twi[2*z:]}, {w3.twr[3*z:], w3.twi[3*z:]},
+		}
+		bp.frontTw = make([]float64, 0, 14*z)
+		for q := 0; q < z; q += 4 {
+			for _, w := range quads {
+				bp.frontTw = append(bp.frontTw, w[0][q:q+4]...)
+				bp.frontTw = append(bp.frontTw, w[1][q:q+4]...)
+			}
+		}
 	}
 	return bp
 }
+
+// hasFront reports whether transforms start with the front pass: the
+// prefix holds at least one 8-value sub-block and is zero-padded. A
+// plan without it (z = 1, or fewer than eight nonzero values) starts
+// with permutePrefix and runs every stage as a pass.
+func (bp *BatchPlan) hasFront() bool { return bp.nonzero >= 8 && bp.z > 1 }
 
 // Size returns the transform size.
 func (bp *BatchPlan) Size() int { return bp.n }
@@ -132,7 +188,7 @@ func (bp *BatchPlan) Forward(re, im []float64) {
 	if len(re) != bp.n || len(im) != bp.n {
 		panic(fmt.Sprintf("dsp: batch FFT input lengths %d/%d do not match plan size %d", len(re), len(im), bp.n))
 	}
-	bp.transform(re[:bp.n], im[:bp.n], nil)
+	bp.ForwardBatch(re, im, 1, nil)
 }
 
 // ForwardBatch computes batch consecutive pruned transforms over the
@@ -140,17 +196,17 @@ func (bp *BatchPlan) Forward(re, im []float64) {
 // stride. len(re) and len(im) must be at least batch·Size().
 //
 // out, when non-nil, names the only output bins the caller reads: every
-// butterfly pass then runs only the groups whose outputs reach a bin in
-// out (BinPlan's group runs for the pass's stride), and every bin
-// outside out is left unspecified. After the stage of size s, offset t
-// of each s-long sub-block holds bin t of one decimated subsequence,
-// and final bin k reads offset k mod s of every sub-block; so a pass
-// with stride h is needed only at groups j ≡ k (mod h) for some k in
-// out. A needed group reads only outputs of needed groups of the pass
-// before (j in out mod h implies j mod h/2 in out mod h/2), so bins
-// inside out are bit-identical to the unplanned transform. Groups run
-// only to widen a run to the vector width may read stale values, but
-// their outputs reach no bin in out.
+// butterfly pass after the front pass then runs only the groups whose
+// outputs reach a bin in out (BinPlan's group runs for the pass's
+// stride), and every bin outside out is left unspecified. After the
+// stage of size s, offset t of each s-long sub-block holds bin t of one
+// decimated subsequence, and final bin k reads offset k mod s of every
+// sub-block; so a pass with stride h is needed only at groups
+// j ≡ k (mod h) for some k in out. A needed group reads only outputs of
+// needed groups of the pass before (j in out mod h implies j mod h/2 in
+// out mod h/2), so bins inside out are bit-identical to the unplanned
+// transform. Groups run only to widen a run to the vector width may
+// read stale values, but their outputs reach no bin in out.
 func (bp *BatchPlan) ForwardBatch(re, im []float64, batch int, out *BinPlan) {
 	n := bp.n
 	if len(re) < batch*n || len(im) < batch*n {
@@ -162,19 +218,25 @@ func (bp *BatchPlan) ForwardBatch(re, im []float64, batch int, out *BinPlan) {
 	if out.Full() {
 		out = nil
 	}
+	// The low blocks' gathered prefix values, one copy per transform
+	// in turn, lent from the scratch free list for the whole call.
+	var buf, gr, gi []float64
+	if g := len(bp.lowRev); g > 0 {
+		buf = BorrowFloat64(2 * g)
+		gr, gi = buf[:g:g], buf[g:]
+	}
 	for b := 0; b < batch; b++ {
-		bp.transform(re[b*n:(b+1)*n], im[b*n:(b+1)*n], out)
+		bp.transform(re[b*n:(b+1)*n], im[b*n:(b+1)*n], gr, gi, out)
+	}
+	if buf != nil {
+		ReturnFloat64(buf)
 	}
 }
 
-func (bp *BatchPlan) transform(re, im []float64, out *BinPlan) {
-	// Prefix bit reversal.
-	sw := bp.swaps
-	for k := 0; k+1 < len(sw); k += 2 {
-		i, j := sw[k], sw[k+1]
-		re[i], re[j] = re[j], re[i]
-		im[i], im[j] = im[j], im[i]
-	}
+// transform runs one pruned transform in place; gr and gi are the low
+// blocks' gather scratch (len(bp.lowRev) each) when the plan has a
+// front pass.
+func (bp *BatchPlan) transform(re, im, gr, gi []float64, out *BinPlan) {
 	if bp.nonzero == 1 {
 		// Single nonzero input: the DFT is a constant broadcast.
 		vr, vi := re[0], im[0]
@@ -185,32 +247,75 @@ func (bp *BatchPlan) transform(re, im []float64, out *BinPlan) {
 		return
 	}
 
-	// Cache-blocked stages. Blocks run back to front so the fused
-	// broadcast stage never overwrites prefix values a lower block has
-	// yet to read (block b's prefix reads all land strictly below its
-	// own span for b >= 1, and block 0 handles its self-overlap by
-	// walking its chunks backwards). Within a block — and again for the
-	// full-array tail — consecutive stages run pairwise fused: one pass
-	// over the data performs both stages' butterflies with the
-	// intermediate values held in registers, halving loads and stores.
-	// The fused first stage writes every element and runs whole; every
-	// later pass runs only out's groups for its stride.
-	nBlocks := bp.n / bp.block
+	// Cache-blocked stages. Each block runs the front pass (or, without
+	// one, its first stages) and then every later stage that fits in a
+	// block while the block is resident. Blocks run back to front, so
+	// every block above the low ones reads the prefix before a low
+	// block overwrites it. Within a block — and again for the
+	// full-array tail — consecutive stages after the front pass run
+	// pairwise fused: one pass over the data performs both stages'
+	// butterflies with the intermediate values held in registers,
+	// halving loads and stores. The front pass writes every element and
+	// runs whole; every later pass runs only out's groups for its
+	// stride.
+	first := 0
+	if bp.hasFront() {
+		// Gather before any block is written: the low blocks overwrite
+		// the prefix every block reads.
+		c := bp.gather
+		for j := range gr {
+			gr[j] = re[j*c]
+			gi[j] = im[j*c]
+		}
+		first = 3
+	} else {
+		bp.permutePrefix(re, im)
+	}
 	inBlock := 0
 	for inBlock < len(bp.stages) && bp.stages[inBlock].size <= bp.block {
 		inBlock++
 	}
-	for b := nBlocks - 1; b >= 0; b-- {
-		base := b * bp.block
-		si := 0
-		if bp.z > 1 {
-			bp.fusedFirstStage(re, im, base)
-			si = 1
+	for base := bp.n - bp.block; base >= 0; base -= bp.block {
+		if first > 0 {
+			if base < bp.low*bp.block {
+				bp.front(re, im, base, bp.block, gr, gi, bp.lowRev)
+			} else {
+				bp.front(re, im, base, bp.block, re, im, bp.rev)
+			}
 		}
-		bp.passes(re, im, base, bp.block, si, inBlock, out)
+		bp.passes(re, im, base, bp.block, first, inBlock, out)
 	}
 	// Remaining stages span more than one block: full-array passes.
 	bp.passes(re, im, 0, bp.n, inBlock, len(bp.stages), out)
+}
+
+// permutePrefix is the transform's start without a front pass. At
+// z = 1 it bit-reverses the prefix in place through rev. At z > 1 the
+// prefix holds fewer than eight values: they are read into locals, and
+// z-block i is filled with value rev[i] (the zero-pad broadcast of the
+// permuted prefix, as in ForwardPruned).
+func (bp *BatchPlan) permutePrefix(re, im []float64) {
+	z := bp.z
+	if z == 1 {
+		for i, j := range bp.rev {
+			if i < int(j) {
+				re[i], re[j] = re[j], re[i]
+				im[i], im[j] = im[j], im[i]
+			}
+		}
+		return
+	}
+	var vr, vi [8]float64
+	copy(vr[:], re[:bp.nonzero])
+	copy(vi[:], im[:bp.nonzero])
+	for i, k := range bp.rev {
+		br := re[i*z : i*z+z]
+		bi := im[i*z : i*z+z]
+		for j := range br {
+			br[j] = vr[k]
+			bi[j] = vi[k]
+		}
+	}
 }
 
 // passes runs stages [si, end) over [base, base+span), pairwise fused
@@ -224,40 +329,76 @@ func (bp *BatchPlan) passes(re, im []float64, base, span, si, end int, out *BinP
 	}
 }
 
-// fusedFirstStage runs the first butterfly stage (size 2z) of the pruned
-// cascade over [base, base+block), reading each 2z-chunk's pair of
-// prefix values directly instead of materializing the zero-pad
-// broadcast. Chunks walk backwards so the chunk at offset 0 — whose
-// output overwrites the prefix entries it reads — loads them into
-// locals first.
-func (bp *BatchPlan) fusedFirstStage(re, im []float64, base int) {
+// front runs the front pass over [base, base+span), a whole number of
+// 8z-element sub-blocks: the sub-block at sb reads its eight prefix
+// values (vr, vi)[rev[sb/z+k]], k = 0…7 — the z-blocks' values of the
+// zero-pad broadcast in bit-reversed order — and runs the stages of
+// sizes 2z, 4z and 8z over them in registers, storing each element
+// once. rev is a bit-reversal table whose values index (vr, vi): the
+// plan's rev over the natural-order prefix, or lowRev over the low
+// blocks' gathered copy. One AVX2 call covers the span at z >= 4.
+func (bp *BatchPlan) front(re, im []float64, base, span int, vr, vi []float64, rev []int32) {
 	z := bp.z
-	st := &bp.stages[0]
-	twr, twi := st.twr[:z], st.twi[:z]
+	// Bounds the vector body relies on: its last stores, its last table
+	// entry and the largest value rev can hold (rev permutes
+	// [0, len(rev))). The scalar body's slicing checks the same.
+	_, _ = re[base+span-1], im[base+span-1]
+	_ = rev[(base+span)/z-1]
+	_, _ = vr[len(rev)-1], vi[len(rev)-1]
 	if simdAVX2 && z >= 4 {
-		// Whole-block kernel: the backward chunk walk, per-chunk prefix
-		// broadcasts and stage-output stores run in one asm call — at
-		// small z a per-chunk call spent more time in call overhead
-		// than in butterflies.
-		firstStageBlockAVX2(re, im, base, bp.block, twr, twi)
+		// Vector lanes run the scalar body's expressions on four
+		// consecutive j — bit-exact with it (see simd.go).
+		frontAVX2(re, im, base, span, z, vr, vi, rev, bp.frontTw)
 		return
 	}
-	for start := base + bp.block - 2*z; start >= base; start -= 2 * z {
-		pv := start / z
-		v0r, v0i := re[pv], im[pv]
-		v1r, v1i := re[pv+1], im[pv+1]
-		or := re[start : start+2*z]
-		oi := im[start : start+2*z]
+	frontScalar(re, im, base, span, vr, vi, rev, bp.stages[:3])
+}
+
+// frontScalar is the front pass's portable body and the oracle of
+// frontAVX2. st holds the stages of sizes 2z, 4z and 8z. Per offset j
+// in [0, z) of a sub-block, the size-2z butterflies pair the broadcast
+// values (v0, v1), (v2, v3), (v4, v5), (v6, v7) with twiddle w1[j];
+// the size-4z ones pair offsets j and 2z+j (w2[j]) and z+j and 3z+j
+// (w2[z+j]) of each half; the size-8z ones pair offsets p and 4z+p
+// (w3[p]) for p = j, z+j, 2z+j, 3z+j.
+func frontScalar(re, im []float64, base, span int, vr, vi []float64, rev []int32, st []batchStage) {
+	z := st[0].size >> 1
+	w1r, w1i := st[0].twr[:z], st[0].twi[:z]
+	w2r, w2i := st[1].twr[:2*z], st[1].twi[:2*z]
+	w3r, w3i := st[2].twr[:4*z], st[2].twi[:4*z]
+	for sb := base; sb < base+span; sb += 8 * z {
+		var v [16]float64 // v[k], v[8+k]: value k's real and imaginary parts
+		for k, i := range rev[sb/z : sb/z+8] {
+			v[k], v[8+k] = vr[i], vi[i]
+		}
+		or := re[sb : sb+8*z : sb+8*z]
+		oi := im[sb : sb+8*z : sb+8*z]
 		for j := 0; j < z; j++ {
-			wr, wi := twr[j], twi[j]
-			tr := wr*v1r - wi*v1i
-			ti := wr*v1i + wi*v1r
-			or[j] = v0r + tr
-			oi[j] = v0i + ti
-			or[z+j] = v0r - tr
-			oi[z+j] = v0i - ti
+			ar, ai, br, bi := butterfly(v[0], v[8], v[1], v[9], w1r[j], w1i[j])
+			cr, ci, dr, di := butterfly(v[2], v[10], v[3], v[11], w1r[j], w1i[j])
+			er, ei, fr, fi := butterfly(v[4], v[12], v[5], v[13], w1r[j], w1i[j])
+			gr, gi, hr, hi := butterfly(v[6], v[14], v[7], v[15], w1r[j], w1i[j])
+
+			ar, ai, cr, ci = butterfly(ar, ai, cr, ci, w2r[j], w2i[j])
+			br, bi, dr, di = butterfly(br, bi, dr, di, w2r[z+j], w2i[z+j])
+			er, ei, gr, gi = butterfly(er, ei, gr, gi, w2r[j], w2i[j])
+			fr, fi, hr, hi = butterfly(fr, fi, hr, hi, w2r[z+j], w2i[z+j])
+
+			or[j], oi[j], or[4*z+j], oi[4*z+j] = butterfly(ar, ai, er, ei, w3r[j], w3i[j])
+			or[z+j], oi[z+j], or[5*z+j], oi[5*z+j] = butterfly(br, bi, fr, fi, w3r[z+j], w3i[z+j])
+			or[2*z+j], oi[2*z+j], or[6*z+j], oi[6*z+j] = butterfly(cr, ci, gr, gi, w3r[2*z+j], w3i[2*z+j])
+			or[3*z+j], oi[3*z+j], or[7*z+j], oi[7*z+j] = butterfly(dr, di, hr, hi, w3r[3*z+j], w3i[3*z+j])
 		}
 	}
+}
+
+// butterfly returns the radix-2 butterfly u ± w·x with FFTPlan's
+// expansion of the complex product (t = w·x; u + t, u − t), the
+// expressions stageScalar writes out inline.
+func butterfly(ur, ui, xr, xi, wr, wi float64) (pr, pi, mr, mi float64) {
+	tr := wr*xr - wi*xi
+	ti := wr*xi + wi*xr
+	return ur + tr, ui + ti, ur - tr, ui - ti
 }
 
 // stageSpan runs butterfly stage si over [base, base+span), whose

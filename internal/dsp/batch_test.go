@@ -25,9 +25,11 @@ func splitPlanar(x []complex128, n, nonzero int) (re, im []float64) {
 // TestBatchPlanBitExact verifies that the planar batch transform is
 // bit-identical to FFTPlan.ForwardPruned for every (size, nonzero)
 // combination the receiver uses — including the degenerate unpruned and
-// single-sample cases.
+// single-sample cases. Sizes 16384 and 32768 are SF 11 and 12 at
+// zero-pad 8, whose prefixes span two and four cache blocks, so the
+// front pass's low blocks read a gathered copy of several blocks.
 func TestBatchPlanBitExact(t *testing.T) {
-	for _, n := range []int{2, 8, 64, 512, 1024, 4096, 8192} {
+	for _, n := range []int{2, 8, 64, 512, 1024, 4096, 8192, 16384, 32768} {
 		for nonzero := 1; nonzero <= n; nonzero <<= 1 {
 			t.Run(fmt.Sprintf("n=%d/nonzero=%d", n, nonzero), func(t *testing.T) {
 				rng := NewRand(int64(n + nonzero))
@@ -80,6 +82,71 @@ func TestForwardBatchStrided(t *testing.T) {
 	for i := range re {
 		if re[i] != refRe[i] || im[i] != refIm[i] {
 			t.Fatalf("sample %d: batch (%g, %g) != serial (%g, %g)", i, re[i], im[i], refRe[i], refIm[i])
+		}
+	}
+}
+
+// TestFrontPassMatchesScalar pins the front pass's AVX2 kernel against
+// frontScalar, its portable body, as transform calls it: z from 4 to
+// 32, spans of one and several cache blocks, read through the plan's
+// prefix table and through the low blocks' table, in buffers that end
+// exactly at the span's last element and sources exactly as long as
+// the table's range. It also checks that the wrapper refuses each
+// buffer, and the table, one element short.
+func TestFrontPassMatchesScalar(t *testing.T) {
+	rng := NewRand(10)
+	fill := func(n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.Normal(0, 1)
+		}
+		return x
+	}
+	for _, z := range []int{4, 8, 16, 32} {
+		// A 2048-value prefix covers two blocks, so the low table
+		// reaches past the first block.
+		bp := NewBatchPlan(2048*z, 2048)
+		blk := bp.block
+		for _, c := range []struct {
+			name       string
+			rev        []int32
+			base, span int
+		}{
+			{"rev/one", bp.rev, blk, blk},
+			{"rev/three", bp.rev, blk, 3 * blk},
+			{"low/one", bp.lowRev, 0, blk},
+			{"low/two", bp.lowRev, 0, 2 * blk},
+		} {
+			what := fmt.Sprintf("z=%d %s", z, c.name)
+			n := c.base + c.span
+			re, im := fill(n), fill(n)
+			vr, vi := fill(len(c.rev)), fill(len(c.rev))
+			wantRe, wantIm := append([]float64(nil), re...), append([]float64(nil), im...)
+			frontScalar(wantRe, wantIm, c.base, c.span, vr, vi, c.rev, bp.stages[:3])
+			if simdAVX2 {
+				gotRe, gotIm := append([]float64(nil), re...), append([]float64(nil), im...)
+				bp.front(gotRe, gotIm, c.base, c.span, vr, vi, c.rev)
+				for i := range gotRe {
+					if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
+						t.Fatalf("%s: element %d = (%v, %v), scalar (%v, %v)", what, i, gotRe[i], gotIm[i], wantRe[i], wantIm[i])
+					}
+				}
+			}
+			short := func(buf string, f func()) {
+				t.Helper()
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: %s one element short did not panic", what, buf)
+					}
+				}()
+				f()
+			}
+			k := len(c.rev)
+			short("re", func() { bp.front(re[:n-1], im, c.base, c.span, vr, vi, c.rev) })
+			short("im", func() { bp.front(re, im[:n-1], c.base, c.span, vr, vi, c.rev) })
+			short("vr", func() { bp.front(re, im, c.base, c.span, vr[:k-1], vi, c.rev) })
+			short("vi", func() { bp.front(re, im, c.base, c.span, vr, vi[:k-1], c.rev) })
+			short("table", func() { bp.front(re, im, c.base, c.span, vr, vi, c.rev[:n/z-1]) })
 		}
 	}
 }
@@ -149,8 +216,10 @@ func BenchmarkForwardBatch4096Pruned(b *testing.B) {
 // receiver's payload tile at SF 9 and zero-pad 8) under three window
 // plans, each with half-width R = 18: full (every bin), dense64 (64
 // centres 64 bins apart) and soft16 (16 centres 256 bins apart, the
-// plan of a 16-device soft-combining round). Each iteration restores
-// the tile's input prefixes first, since the transform runs in place.
+// plan of a 16-device soft-combining round). The planes are carved
+// from one buffer PlaneSkew floats apart, as the receiver's tile is.
+// Each iteration restores the tile's input prefixes first, since the
+// transform runs in place.
 func BenchmarkForwardBatchPlanned(b *testing.B) {
 	const n, nonzero, batch, r = 4096, 512, 8, 18
 	comb := func(count, step int) *BinPlan {
@@ -172,8 +241,8 @@ func BenchmarkForwardBatchPlanned(b *testing.B) {
 		v := rng.ComplexNormal(1)
 		inRe[i], inIm[i] = real(v), imag(v)
 	}
-	re := make([]float64, batch*n)
-	im := make([]float64, batch*n)
+	buf := make([]float64, 2*batch*n+PlaneSkew)
+	re, im := buf[:batch*n], buf[batch*n+PlaneSkew:]
 	for _, c := range []struct {
 		name string
 		plan *BinPlan

@@ -253,6 +253,10 @@ func FuzzPrunedTransform(f *testing.F) {
 	f.Add(int64(2), uint8(12), uint8(0), uint16(3), uint16(40), uint16(1000))
 	f.Add(int64(3), uint8(7), uint8(4), uint16(0), uint16(0), uint16(0))
 	f.Add(int64(4), uint8(10), uint8(2), uint16(17), uint16(300), uint16(2))
+	// SF 11 and 12 at zero-pad 8: prefixes over two and four cache
+	// blocks, read by the front pass's low blocks from a gathered copy.
+	f.Add(int64(5), uint8(4), uint8(3), uint16(100), uint16(18), uint16(1023))
+	f.Add(int64(6), uint8(5), uint8(3), uint16(32700), uint16(40), uint16(2047))
 	f.Fuzz(func(t *testing.T, seed int64, sf, zpLog uint8, c0, r, step uint16) {
 		s := 7 + int(sf)%6
 		nonzero := 1 << s

@@ -53,7 +53,7 @@ func stageAVX2(re, im []float64, start, h, count, blocks int, twr, twi []float64
 func stagePairAVX2(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r, w2i []float64)
 
 //go:noescape
-func firstStageBlockAVX2(re, im []float64, base, block int, twr, twi []float64)
+func frontAVX2(re, im []float64, base, span, z int, vr, vi []float64, rev []int32, tw []float64)
 
 //go:noescape
 func addScaledFloatsAVX2(dst []complex128, src []float64, s float64)

@@ -967,97 +967,182 @@ done:
 	RET
 
 
-// func firstStageBlockAVX2(re, im []float64, base, block int, twr, twi []float64)
+// FRONT_LOAD broadcasts prefix value k of the current sub-block,
+// (vr, vi)[rev[sb/z + k]] with the table entry at k4(R13), into the
+// planar quads at the local slots dr and di.
+#define FRONT_LOAD(k4, dr, di) \
+	MOVL         k4(R13), AX;     \
+	VBROADCASTSD (R14)(AX*8), Y0; \
+	VMOVUPD      Y0, dr;          \
+	VBROADCASTSD (R15)(AX*8), Y1; \
+	VMOVUPD      Y1, di
+
+// FRONT_V runs the size-2z butterfly of two broadcast values: with
+// the quads vA and vB in local slots and w1 in Y14/Y15, t = w1·vB
+// (expanded as in frontScalar), a = vA + t, b = vA − t. Y0/Y1 are
+// scratch.
+#define FRONT_V(vAr, vAi, vBr, vBi, ar, ai, br, bi) \
+	VMULPD  vBr, Y14, Y0; \
+	VMULPD  vBi, Y15, Y1; \
+	VSUBPD  Y1, Y0, Y0;   \
+	VMULPD  vBi, Y14, Y1; \
+	VMULPD  vBr, Y15, ar; \
+	VADDPD  ar, Y1, Y1;   \
+	VADDPD  vAr, Y0, ar;  \
+	VADDPD  vAi, Y1, ai;  \
+	VMOVUPD vAr, br;      \
+	VSUBPD  Y0, br, br;   \
+	VMOVUPD vAi, bi;      \
+	VSUBPD  Y1, bi, bi
+
+// FRONT_TW computes t = w·x into Y0/Y1 for the twiddle quads wr, wi in
+// memory and x in registers, clobbering xr.
+#define FRONT_TW(wr, wi, xr, xi) \
+	VMULPD wr, xr, Y0; \
+	VMULPD wi, xi, Y1; \
+	VSUBPD Y1, Y0, Y0; \
+	VMULPD wr, xi, Y1; \
+	VMULPD wi, xr, xr; \
+	VADDPD xr, Y1, Y1
+
+// FRONT_BF runs one butterfly in registers: t = w·x, then u + t into
+// (ur, ui) and u − t into (dr, di), which may be x's registers.
+#define FRONT_BF(wr, wi, ur, ui, xr, xi, dr, di) \
+	FRONT_TW(wr, wi, xr, xi); \
+	VSUBPD Y0, ur, dr;        \
+	VSUBPD Y1, ui, di;        \
+	VADDPD Y0, ur, ur;        \
+	VADDPD Y1, ui, ui
+
+// FRONT_OUT runs one size-8z butterfly and stores u + t at (lor, loi)
+// and u − t at (hir, hii); xr is scratch once t is formed.
+#define FRONT_OUT(wr, wi, ur, ui, xr, xi, lor, loi, hir, hii) \
+	FRONT_TW(wr, wi, xr, xi); \
+	VSUBPD  Y0, ur, xr;       \
+	VMOVUPD xr, hir;          \
+	VSUBPD  Y1, ui, xr;       \
+	VMOVUPD xr, hii;          \
+	VADDPD  Y0, ur, xr;       \
+	VMOVUPD xr, lor;          \
+	VADDPD  Y1, ui, xr;       \
+	VMOVUPD xr, loi
+
+// func frontAVX2(re, im []float64, base, span, z int, vr, vi []float64, rev []int32, tw []float64)
 //
-// The fused zero-pad broadcast stage over one whole cache block: for
-// each 2z-chunk of [base, base+block), with the chunk's two prefix
-// values (v0, v1) = (x[pv], x[pv+1]) broadcast to all lanes,
+// BatchPlan's front pass over the span/(8z) sub-blocks of
+// [base, base+span), z a power of two >= 4: the sub-block at sb
+// broadcasts its eight prefix values (vr, vi)[rev[sb/z + k]] into
+// planar quads in the locals (0(BX)–511(BX), value k's real quad at
+// 64k), then runs frontScalar's butterflies for four consecutive j at a
+// time — size 2z on the broadcasts (FRONT_V), size 4z on each half
+// (FRONT_BF), size 8z into the stores (FRONT_OUT) — every butterfly
+// with frontScalar's expressions, lane for lane. tw holds the
+// fourteen twiddle quads of each group of four j back to back (see
+// NewBatchPlan). Sixteen registers do not hold both halves' size-4z
+// outputs, so B and D wait in 512(BX)–639(BX) while the upper half is
+// formed. BX is the locals' first 32-byte boundary: a quad that
+// straddles a cache line costs two loads, and the loop reads the
+// locals as operands throughout. The caller guarantees the bounds
+// (BatchPlan.front).
 //
-//	t       = w·v1   (expanded as in fusedFirstStage)
-//	o[j]    = v0 + t
-//	o[z+j]  = v0 − t
-//
-// for j in [0, z), z = len(twr), a power of two >= 4 (caller-
-// guaranteed; block is a multiple of 2z). Chunks walk backwards
-// exactly like the scalar body, and each chunk's prefix values are
-// loaded into registers before any of its stores, so the chunk that
-// contains its own prefix entries is safe. Hoisting the chunk walk
-// into one call removes the per-chunk call overhead that dominated at
-// small z.
-TEXT ·firstStageBlockAVX2(SB), NOSPLIT, $0-112
-	MOVQ re_base+0(FP), DI
-	MOVQ im_base+24(FP), SI
-	MOVQ base+48(FP), R8
-	MOVQ block+56(FP), R9
-	MOVQ twr_base+64(FP), R10
-	MOVQ twi_base+88(FP), R11
-	MOVQ twr_len+72(FP), R12 // z
+// Registers: DI/SI point at offset j of the sub-block's re/im, R8/R9
+// at offset 4z + j; R10 and R11 are z and 3z in bytes, so the eight
+// offsets kz + j are (DI), (DI)(R10*1), (DI)(R10*2), (DI)(R11*1) and
+// likewise from R8. BX holds the locals, R12 walks tw, R13 walks
+// rev, R14/R15 are vr/vi, CX counts groups of four and DX sub-blocks.
+TEXT ·frontAVX2(SB), NOSPLIT, $672-168
+	LEAQ  31(SP), BX
+	ANDQ  $~31, BX
+	MOVQ  z+64(FP), R10
+	BSFQ  R10, CX
+	SHLQ  $3, R10
+	LEAQ  (R10)(R10*2), R11
+	MOVQ  base+48(FP), AX
+	MOVQ  re_base+0(FP), DI
+	LEAQ  (DI)(AX*8), DI
+	MOVQ  im_base+24(FP), SI
+	LEAQ  (SI)(AX*8), SI
+	LEAQ  (DI)(R10*4), R8
+	LEAQ  (SI)(R10*4), R9
+	SHRQ  CX, AX // base/z
+	MOVQ  rev_base+120(FP), R13
+	LEAQ  (R13)(AX*4), R13
+	MOVQ  vr_base+72(FP), R14
+	MOVQ  vi_base+96(FP), R15
+	MOVQ  span+56(FP), DX
+	SHRQ  CX, DX
+	SHRQ  $3, DX // sub-blocks
+	TESTQ DX, DX
+	JEQ   done
 
-	// Prefix pointers: pv of the last chunk is (base+block)/z − 2.
-	MOVQ R8, AX
-	ADDQ R9, AX
-	BSFQ R12, CX
-	SHRQ CX, AX          // (base+block)/z
-	SUBQ $2, AX
-	LEAQ (DI)(AX*8), R13 // &re[pv]
-	LEAQ (SI)(AX*8), R14 // &im[pv]
+sub:
+	FRONT_LOAD(0, 0(BX), 32(BX))
+	FRONT_LOAD(4, 64(BX), 96(BX))
+	FRONT_LOAD(8, 128(BX), 160(BX))
+	FRONT_LOAD(12, 192(BX), 224(BX))
+	FRONT_LOAD(16, 256(BX), 288(BX))
+	FRONT_LOAD(20, 320(BX), 352(BX))
+	FRONT_LOAD(24, 384(BX), 416(BX))
+	FRONT_LOAD(28, 448(BX), 480(BX))
+	MOVQ tw_base+144(FP), R12
+	MOVQ z+64(FP), CX
+	SHRQ $2, CX
 
-	// Chunk countdown: block/(2z) chunks.
-	SHRQ CX, R9
-	SHRQ $1, R9
+quad:
+	VMOVUPD 0(R12), Y14  // w1r
+	VMOVUPD 32(R12), Y15 // w1i
 
-	// Last chunk's planar pointers: lo at base+block−2z, hi = lo + z.
-	MOVQ R8, AX
-	ADDQ block+56(FP), AX
-	SUBQ R12, AX
-	SUBQ R12, AX
-	LEAQ (DI)(AX*8), DI   // re lo
-	LEAQ (SI)(AX*8), SI   // im lo
-	LEAQ (DI)(R12*8), BX  // re hi
-	LEAQ (SI)(R12*8), R15 // im hi
-	MOVQ R12, R8
-	SHLQ $4, R8           // chunk stride: 2z elements = 16z bytes
+	// Lower half: a, b from (v0, v1) and c, d from (v2, v3); then
+	// A, C = a ± w2[j]·c and B, D = b ± w2[z+j]·d.
+	FRONT_V(0(BX), 32(BX), 64(BX), 96(BX), Y2, Y3, Y4, Y5)
+	FRONT_V(128(BX), 160(BX), 192(BX), 224(BX), Y6, Y7, Y8, Y9)
+	FRONT_BF(64(R12), 96(R12), Y2, Y3, Y6, Y7, Y6, Y7)
+	FRONT_BF(128(R12), 160(R12), Y4, Y5, Y8, Y9, Y8, Y9)
+	VMOVUPD Y4, 512(BX)
+	VMOVUPD Y5, 544(BX)
+	VMOVUPD Y8, 576(BX)
+	VMOVUPD Y9, 608(BX)
 
-chunk:
-	VBROADCASTSD (R13), Y8   // v0r
-	VBROADCASTSD 8(R13), Y10 // v1r
-	VBROADCASTSD (R14), Y9   // v0i
-	VBROADCASTSD 8(R14), Y11 // v1i
-	MOVQ         R12, CX
-	SHRQ         $2, CX      // z/4 quads
-	XORQ         AX, AX
+	// Upper half: e, f from (v4, v5), g, h from (v6, v7); then
+	// E, G = e ± w2[j]·g and F, H = f ± w2[z+j]·h.
+	FRONT_V(256(BX), 288(BX), 320(BX), 352(BX), Y4, Y5, Y8, Y9)
+	FRONT_V(384(BX), 416(BX), 448(BX), 480(BX), Y10, Y11, Y12, Y13)
+	FRONT_BF(64(R12), 96(R12), Y4, Y5, Y10, Y11, Y10, Y11)
+	FRONT_BF(128(R12), 160(R12), Y8, Y9, Y12, Y13, Y12, Y13)
 
-inner:
-	VMOVUPD     (R10)(AX*8), Y0 // wr
-	VMOVUPD     (R11)(AX*8), Y1 // wi
-	VMULPD      Y10, Y0, Y2     // wr·v1r
-	VMULPD      Y11, Y1, Y5     // wi·v1i
-	VSUBPD      Y5, Y2, Y2      // tr = wr·v1r − wi·v1i
-	VMULPD      Y11, Y0, Y3     // wr·v1i
-	VMULPD      Y10, Y1, Y5     // wi·v1r
-	VADDPD      Y5, Y3, Y3      // ti = wr·v1i + wi·v1r
-	VADDPD      Y2, Y8, Y4      // v0r + tr
-	VMOVUPD     Y4, (DI)(AX*8)
-	VADDPD      Y3, Y9, Y4      // v0i + ti
-	VMOVUPD     Y4, (SI)(AX*8)
-	VSUBPD      Y2, Y8, Y4      // v0r − tr
-	VMOVUPD     Y4, (BX)(AX*8)
-	VSUBPD      Y3, Y9, Y4      // v0i − ti
-	VMOVUPD     Y4, (R15)(AX*8)
-	ADDQ        $4, AX
-	DECQ        CX
-	JNZ         inner
+	// Size 8z: (A, E) to j and 4z+j with w3[j], (C, G) to 2z+j and
+	// 6z+j with w3[2z+j], (B, F) to z+j and 5z+j with w3[z+j],
+	// (D, H) to 3z+j and 7z+j with w3[3z+j].
+	FRONT_OUT(192(R12), 224(R12), Y2, Y3, Y4, Y5, (DI), (SI), (R8), (R9))
+	FRONT_OUT(320(R12), 352(R12), Y6, Y7, Y10, Y11, (DI)(R10*2), (SI)(R10*2), (R8)(R10*2), (R9)(R10*2))
+	VMOVUPD 512(BX), Y2
+	VMOVUPD 544(BX), Y3
+	FRONT_OUT(256(R12), 288(R12), Y2, Y3, Y8, Y9, (DI)(R10*1), (SI)(R10*1), (R8)(R10*1), (R9)(R10*1))
+	VMOVUPD 576(BX), Y6
+	VMOVUPD 608(BX), Y7
+	FRONT_OUT(384(R12), 416(R12), Y6, Y7, Y12, Y13, (DI)(R11*1), (SI)(R11*1), (R8)(R11*1), (R9)(R11*1))
 
-	SUBQ R8, DI
-	SUBQ R8, SI
-	SUBQ R8, BX
-	SUBQ R8, R15
-	SUBQ $16, R13
-	SUBQ $16, R14
-	DECQ R9
-	JNZ  chunk
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $448, R12
+	DECQ CX
+	JNZ  quad
+
+	// The low pointers moved z elements on; the next sub-block starts
+	// 8z past the last one's start, 3z past the high pointers.
+	LEAQ (R8)(R11*1), DI
+	LEAQ (R9)(R11*1), SI
+	LEAQ (DI)(R10*4), R8
+	LEAQ (SI)(R10*4), R9
+	ADDQ $32, R13
+	DECQ DX
+	JNZ  sub
 
 	VZEROUPPER
+
+done:
 	RET
 
 // func addScaledFloatsAVX2(dst []complex128, src []float64, s float64)

@@ -33,7 +33,7 @@ func stagePairAVX2(re, im []float64, start, h, count, blocks int, w1r, w1i, w2r,
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 
-func firstStageBlockAVX2(re, im []float64, base, block int, twr, twi []float64) {
+func frontAVX2(re, im []float64, base, span, z int, vr, vi []float64, rev []int32, tw []float64) {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 
 	"netscatter/internal/dsp"
 )
@@ -59,6 +60,10 @@ func (m ASKModem) Modulate(bits []byte) []complex128 {
 // Demodulate recovers nBits bits from the received envelope using a
 // per-message adaptive threshold (midpoint between the min and max bit
 // energies), matching what a comparator after an envelope detector does.
+// A message whose bits are all equal has no spread to adapt to: when
+// max/min stays below the square root of the depth's on/off power
+// ratio, the threshold falls back to the midpoint of the nominal bit
+// powers on a unit carrier, 1 and (1−Depth)².
 func (m ASKModem) Demodulate(sig []complex128, nBits int) ([]byte, error) {
 	spb := m.SamplesPerBit()
 	if len(sig) < nBits*spb {
@@ -75,6 +80,10 @@ func (m ASKModem) Demodulate(sig []complex128, nBits int) ([]byte, error) {
 	}
 	min, max := dsp.MinMax(levels)
 	thresh := (min + max) / 2
+	on, off := 1.0, (1-m.Depth)*(1-m.Depth)
+	if max < min*math.Sqrt(on/off) {
+		thresh = (on + off) / 2
+	}
 	bits := make([]byte, nBits)
 	for i, l := range levels {
 		if l > thresh {

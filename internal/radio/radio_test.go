@@ -3,6 +3,7 @@ package radio
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -244,8 +245,34 @@ func TestASKRoundTrip(t *testing.T) {
 		got, err := m.Demodulate(sig, len(bits))
 		return err == nil && bytes.Equal(got, bits)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestASKUniformMessages pins the messages whose levels all sit on the
+// adaptive threshold: all ones and all zeros, clean and at 10 dB SNR,
+// must decode as sent.
+func TestASKUniformMessages(t *testing.T) {
+	m := DefaultASK
+	rng := dsp.NewRand(5)
+	for _, bit := range []byte{0, 1} {
+		for _, noisy := range []bool{false, true} {
+			bits := bytes.Repeat([]byte{bit}, 64)
+			sig := m.Modulate(bits)
+			if noisy {
+				for i := range sig {
+					sig[i] += rng.ComplexNormal(0.1)
+				}
+			}
+			got, err := m.Demodulate(sig, len(bits))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, bits) {
+				t.Errorf("all-%d message (noise %v) decoded as %v", bit, noisy, got)
+			}
+		}
 	}
 }
 

@@ -82,7 +82,8 @@ echo "== race: concurrent paths =="
 # detector. The MatchesScalar|ZeroAlloc|SIMDMatches names pull in the
 # per-kernel scalar-vs-vector bit-exactness gates (axpy/scale, fused
 # noise add, dechirp, window-power scan, interleaved synthesis chains,
-# ziggurat batch fill) so the vector dispatch seams also run raced; the
+# ziggurat batch fill, the FFT front pass in TestFrontPassMatchesScalar)
+# so the vector dispatch seams also run raced; the
 # BinPlan|Pruned|StageKernels|WindowedSum names pull in the window-plan
 # gates (plan construction and its per-stride group runs, the pruned
 # cascade vs full transform, the stage kernels' partial runs and
