@@ -282,6 +282,7 @@ func BenchmarkEncodeFrameDelayed(b *testing.B)     { benchsuite.Bench(b, "Encode
 func BenchmarkEncodeFrameDelayedInto(b *testing.B) { benchsuite.Bench(b, "EncodeFrameDelayedInto") }
 func BenchmarkEncodeFrameMixedInto(b *testing.B)   { benchsuite.Bench(b, "EncodeFrameMixedInto") }
 func BenchmarkNoiseFill64k(b *testing.B)           { benchsuite.Bench(b, "NoiseFill64k") }
+func BenchmarkNoiseFill64kLanes(b *testing.B)      { benchsuite.Bench(b, "NoiseFill64kLanes") }
 func BenchmarkNetworkRound64(b *testing.B)         { benchsuite.Bench(b, "NetworkRound64") }
 func BenchmarkMultiAPRound64x2(b *testing.B)       { benchsuite.Bench(b, "MultiAPRound64x2") }
 func BenchmarkCombinedRound64x4(b *testing.B)      { benchsuite.Bench(b, "CombinedRound64x4") }

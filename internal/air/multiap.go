@@ -130,13 +130,14 @@ type MultiChannel struct {
 	scheds    []synth.FrameSchedule // device i's, filled when it has MixedSchedule
 	syn       *synth.Synthesizer
 
-	tmplWorker func(i int)
-	tileWorker func(j int)
-	curTxs     []MultiTransmission
-	curOuts    [][]complex128
-	curKey     int64
-	noiseOn    bool
-	nTiles     int
+	tmplWorker  func(i int)
+	tileWorker  func(j int)
+	noiseWorker func(g int)
+	curTxs      []MultiTransmission
+	curOuts     [][]complex128
+	curKey      int64
+	nTiles      int
+	nGroups     int
 }
 
 // NewMultiChannel returns a unit-noise channel fanning out to nAPs
@@ -163,11 +164,12 @@ func (mc *MultiChannel) Receive(length int, txs []MultiTransmission) [][]complex
 
 // ReceiveInto builds the k per-AP received streams into outs (one
 // equal-length buffer per AP, each zeroed and refilled) and returns
-// outs. Template synthesis runs once per device; per-AP templates are
-// scaled copies; then the k·nTiles (AP, tile) pairs — each zeroing,
-// accumulating every device's overlap in transmission order, and
-// adding its AP- and tile-indexed noise stream — fan out across the
-// worker pool in a single pass.
+// outs. Three fan-outs across the worker pool: template synthesis once
+// per device (per-AP templates are scaled copies); the k·nTiles (AP,
+// tile) pairs, each zeroed and accumulating every device's overlap in
+// transmission order; and the noise, groups of up to dsp.ZigLanes
+// consecutive pairs each adding their AP- and tile-indexed streams
+// through one lane fill (radio.AddAWGNLanes).
 func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission) [][]complex128 {
 	k := mc.nAPs
 	if len(outs) != k {
@@ -232,15 +234,20 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	if mc.tmplWorker == nil {
 		mc.tmplWorker = mc.tmplOne
 		mc.tileWorker = mc.tileOne
+		mc.noiseWorker = mc.noiseOne
 	}
 	mc.syn = synth.For(mc.Params)
 	mc.curTxs = txs
 	mc.curOuts = outs
 	mc.curKey = key
-	mc.noiseOn = noise
 	mc.nTiles = (len(outs[0]) + tileSamples - 1) / tileSamples
+	pairs := k * mc.nTiles
+	mc.nGroups = (pairs + dsp.ZigLanes - 1) / dsp.ZigLanes
 	pool.ForEach(nTx, mc.tmplWorker)
-	pool.ForEach(k*mc.nTiles, mc.tileWorker)
+	pool.ForEach(pairs, mc.tileWorker)
+	if noise {
+		pool.ForEach(mc.nGroups, mc.noiseWorker)
+	}
 	mc.curTxs = nil
 	mc.curOuts = nil
 	return outs
@@ -268,13 +275,12 @@ func (mc *MultiChannel) tmplOne(i int) {
 }
 
 // tileOne builds (AP, tile) pair j of the in-flight receive: zero the
-// tile, accumulate every device's overlap in transmission order from
-// that AP's scaled templates, then add the AP's tile-indexed noise
-// stream (dsp.StreamAt(key^ap, tile)). AP 0's noise streams are
-// exactly Channel's for the same key. Consecutive scheduled devices are
-// gathered into runs of up to synth.FuseRun and added by one fused pass
-// per run; a closure-path transmission first flushes the pending run,
-// so per sample the adds stay in transmission order.
+// tile and accumulate every device's overlap in transmission order from
+// that AP's scaled templates; noiseOne adds the noise afterwards.
+// Consecutive scheduled devices are gathered into runs of up to
+// synth.FuseRun and added by one fused pass per run; a closure-path
+// transmission first flushes the pending run, so per sample the adds
+// stay in transmission order.
 func (mc *MultiChannel) tileOne(j int) {
 	a := j / mc.nTiles
 	t := j % mc.nTiles
@@ -311,10 +317,30 @@ func (mc *MultiChannel) tileOne(j int) {
 	if m > 0 {
 		mc.syn.AccumulateFrames(out, lo, hi, run[:m])
 	}
-	if mc.noiseOn {
-		st := dsp.StreamAt(mc.curKey^int64(a), uint64(t))
-		radio.AddAWGN(&st, w, mc.NoisePower)
+}
+
+// noiseOne adds the noise of group g of the in-flight receive: the
+// (AP, tile) pairs [g·P/G, (g+1)·P/G) of the P = k·nTiles pairs in
+// tileOne's order, split evenly over G = ceil(P/dsp.ZigLanes) groups so
+// none holds more than dsp.ZigLanes. Pair (a, t) draws from
+// dsp.StreamAt(key^a, t) — AP 0's streams are exactly Channel's for the
+// same key — and radio.AddAWGNLanes adds to each tile exactly the noise
+// radio.AddAWGN would, so the grouping never moves a bit.
+func (mc *MultiChannel) noiseOne(g int) {
+	pairs := mc.nAPs * mc.nTiles
+	lo, hi := g*pairs/mc.nGroups, (g+1)*pairs/mc.nGroups
+	var streams [dsp.ZigLanes]dsp.Stream
+	var sts [dsp.ZigLanes]*dsp.Stream
+	var sigs [dsp.ZigLanes][]complex128
+	for j := lo; j < hi; j++ {
+		a, t := j/mc.nTiles, j%mc.nTiles
+		out := mc.curOuts[a]
+		l := j - lo
+		streams[l] = dsp.StreamAt(mc.curKey^int64(a), uint64(t))
+		sts[l] = &streams[l]
+		sigs[l] = out[t*tileSamples : min((t+1)*tileSamples, len(out))]
 	}
+	radio.AddAWGNLanes(sts[:hi-lo], sigs[:hi-lo], mc.NoisePower)
 }
 
 // FrameLength returns the sample count of a frame with the given total

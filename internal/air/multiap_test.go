@@ -246,8 +246,11 @@ func TestMultiChannelBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 
 // TestMultiChannelZeroAllocSteadyState: after a warm-up receive, the
 // multi-AP fan-out reuses every arena — base templates, per-AP scaled
-// templates, scales, placements, frame schedules — so steady-state
-// receives allocate nothing at GOMAXPROCS=1, on every fleet kind.
+// templates, scales, placements, frame schedules — and the noise
+// groups borrow their scratch, so steady-state receives allocate
+// nothing at GOMAXPROCS=1, on every fleet kind: with one tile per AP
+// (two-pair noise groups, the single-stream fill) and with three (two
+// three-pair groups through the lane fill).
 func TestMultiChannelZeroAllocSteadyState(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -256,13 +259,15 @@ func TestMultiChannelZeroAllocSteadyState(t *testing.T) {
 	const nDev = 24
 	const k = 2
 	bits := simtest.Bits(nDev, 10, 6)
-	for _, kind := range fleetKinds {
-		txs := testFleet(p, kind, nDev, k, bits)
-		mc := air.NewMultiChannel(p, k, dsp.NewRand(9))
-		outs := mc.Receive((8+10+2)*p.N(), txs)
-		allocs := testing.AllocsPerRun(10, func() { mc.ReceiveInto(outs, txs) })
-		if allocs != 0 {
-			t.Fatalf("%s fleet: steady-state multi-AP receive allocates %.1f objects/op", kind, allocs)
+	for _, length := range []int{(8 + 10 + 2) * p.N(), 3*noiseTile - 100} {
+		for _, kind := range fleetKinds {
+			txs := testFleet(p, kind, nDev, k, bits)
+			mc := air.NewMultiChannel(p, k, dsp.NewRand(9))
+			outs := mc.Receive(length, txs)
+			allocs := testing.AllocsPerRun(10, func() { mc.ReceiveInto(outs, txs) })
+			if allocs != 0 {
+				t.Fatalf("%s fleet, %d samples: steady-state multi-AP receive allocates %.1f objects/op", kind, length, allocs)
+			}
 		}
 	}
 }

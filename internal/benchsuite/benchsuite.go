@@ -157,6 +157,17 @@ func Cases() []Case {
 			st, sig := dsp.NewStream(1), make([]complex128, 32768)
 			return func() error { radio.AddAWGN(st, sig, 1); return nil }, nil
 		}},
+		// The same 64k draws as four 8192-sample (AP, tile) streams
+		// through the lane fill, the receive's noise phase per group.
+		{Name: "NoiseFill64kLanes", Setup: func() (func() error, error) {
+			var sts [dsp.ZigLanes]*dsp.Stream
+			var sigs [dsp.ZigLanes][]complex128
+			for l := range sts {
+				st := dsp.StreamAt(1, uint64(l))
+				sts[l], sigs[l] = &st, make([]complex128, 8192)
+			}
+			return func() error { radio.AddAWGNLanes(sts[:], sigs[:], 1); return nil }, nil
+		}},
 		// The 64-device office rounds, allocation-free in steady state.
 		// NetworkRound64 is the single-AP round on the multi-AP engine
 		// at k = 1; the ratio of MultiAPRound64x2 to it is the marginal

@@ -68,4 +68,10 @@ func synthChains8AVX2(dst []complex128, st *[32]float64, dLr, dLi, mag float64, 
 func maxPowerAVX2(re, im []float64) float64
 
 //go:noescape
-func zigFillAVX2(dst []float64, wbuf []uint64, st *Stream, kTab *uint64, wTab *float64) int
+func zigFillAVX2(dst, words []float64, bits []uint64, st *Stream, kw *[2 * zigLayers]uint64)
+
+//go:noescape
+func zigLanesAVX2(lanes *[16]uint64, words, vals []float64, bits []uint64, stride, n int, kw *[2 * zigLayers]uint64)
+
+//go:noescape
+func zigCompactAVX2(out, vals []float64, keep []uint64, perm *[16][8]uint32) int

@@ -790,182 +790,334 @@ done:
 	VZEROUPPER
 	RET
 
-// func zigFillAVX2(dst []float64, wbuf []uint64, st *Stream, kTab *uint64, wTab *float64) int
-//
-// The fused xoshiro256++ generator and ziggurat fast path: per quad,
-// four uniform words are generated serially in integer registers (the
-// exact Stream.Uint64 recurrence), stored to wbuf, and pushed through
-// the four-lane acceptance test
+// ZIG_CONSTS loads the ziggurat kernels' constants: Y8 the layer mask,
+// Y9 the 2⁵² exponent pattern (as an integer and as a double), Y10 the
+// sign bit, Y11 zero.
+#define ZIG_CONSTS \
+	MOVQ         $127, AX;                \
+	VMOVQ        AX, X8;                  \
+	VPBROADCASTQ X8, Y8;                  \
+	MOVQ         $0x4330000000000000, AX; \
+	VMOVQ        AX, X9;                  \
+	VPBROADCASTQ X9, Y9;                  \
+	MOVQ         $0x8000000000000000, AX; \
+	VMOVQ        AX, X10;                 \
+	VPBROADCASTQ X10, Y10;                \
+	VPXOR        Y11, Y11, Y11
+
+// ZIG_CLASSIFY runs the branchless ziggurat fast path on the four words
+// in u (destroyed; the caller has stored them):
 //
 //	i   = u & 127                  (layer index)
 //	j   = int64(u) >> 11           (signed 53-bit magnitude)
 //	mag = |j|
-//	accept iff mag < kTab[i];  value = float64(j) · wTab[i]
+//	accept iff mag < zigK[i];  value = float64(j) · zigW[i]
 //
-// The serial integer chain and the SIMD ziggurat work issue on
-// different ports, so generation is effectively free next to the
-// scalar two-pass fill. All four lane values are computed branchlessly
-// (layer and scale via VPGATHERQQ/VGATHERQPD, the int64→float64
-// conversion via the 2⁵² mantissa-or trick — exact because accepted
-// mags are < 2⁵², and zigK < 2⁵² means mag = 2⁵² always rejects) and
-// stored; the return value is the accepted prefix length. On a
-// rejection the generator state — already advanced through the full
-// quad — is written back, and the driver replays the rejecting word
-// and the quad's remaining lookahead words from wbuf in scalar code
-// (lanes stored beyond the prefix are overwritten there), keeping the
-// word-consumption order identical to sequential NormFloat64 calls.
-// Accepted values are one exact conversion and one VMULPD —
-// bit-identical to the scalar float64(j)·zigW[i]. Processes
-// min(len(dst), len(wbuf))/4 quads; sub-quad tails are the driver's.
-TEXT ·zigFillAVX2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ wbuf_base+24(FP), SI
-	MOVQ dst_len+8(FP), DX
-	MOVQ wbuf_len+32(FP), CX
-	CMPQ CX, DX
-	CMOVQLT CX, DX     // DX = min(len(dst), len(wbuf))
-	MOVQ kTab+56(FP), R8
-	MOVQ wTab+64(FP), R9
+// It stores the four values at vaddr and shifts the four acceptance
+// bits into acc from the top (acc >> 4 | bits << 60), so after sixteen
+// quads the first quad's bits sit lowest. R8 points at zigKW, whose
+// entry i is the pair (zigK[i], zigW[i]): one 16-byte load per lane
+// fetches both, and two unpacks sort them into a threshold and a scale
+// register — cheaper than two gathers. With s = (u < 0 ? all ones : 0),
+// mag = ((u ^ s) >> 11) − s, since ^u >> 11 is |j| − 1 for negative u.
+// int64→float64 uses the 2⁵² mantissa-or trick on mag, exact for
+// mag < 2⁵² — every accepted draw, since zigK < 2⁵² (a rejected lane's
+// value is unused) — and u's sign bit is j's. An accepted value is one
+// exact conversion and one VMULPD, bit-identical to the scalar
+// float64(j)·zigW[i]. Y8–Y11 hold the ZIG_CONSTS; Y12–Y15 and BX are
+// scratch.
+#define ZIG_CLASSIFY(u, vaddr, acc) \
+	VPAND        Y8, u, Y12;               \
+	VPADDQ       Y12, Y12, Y12;            \
+	VMOVQ        X12, BX;                  \
+	VMOVDQU      (R8)(BX*8), X14;          \
+	VPEXTRQ      $1, X12, BX;              \
+	VMOVDQU      (R8)(BX*8), X15;          \
+	VEXTRACTI128 $1, Y12, X12;             \
+	VMOVQ        X12, BX;                  \
+	VINSERTI128  $1, (R8)(BX*8), Y14, Y14; \
+	VPEXTRQ      $1, X12, BX;              \
+	VINSERTI128  $1, (R8)(BX*8), Y15, Y15; \
+	VPUNPCKLQDQ  Y15, Y14, Y12;            \
+	VPUNPCKHQDQ  Y15, Y14, Y14;            \
+	VPCMPGTQ     u, Y11, Y13;              \
+	VPAND        Y10, u, Y15;              \
+	VPXOR        Y13, u, u;                \
+	VPSRLQ       $11, u, u;                \
+	VPSUBQ       Y13, u, u;                \
+	VPCMPGTQ     u, Y12, Y12;              \
+	VMOVMSKPD    Y12, BX;                  \
+	VPOR         Y9, u, u;                 \
+	VSUBPD       Y9, u, u;                 \
+	VXORPD       Y15, u, u;                \
+	VMULPD       Y14, u, u;                \
+	VMOVUPD      u, vaddr;                 \
+	SHRQ         $4, acc;                  \
+	SHLQ         $60, BX;                  \
+	ORQ          BX, acc
 
-	// Generator state in integer registers for the duration.
-	MOVQ st+48(FP), BX
+// ZIG_FLUSH stores acc, the acceptance bits of a chunk that ends
+// partway (at word AX, AX mod 64 != 0), after shifting its quads down
+// to bit 0: at byte off + (AX/64)<<shift from DX, the bitmap's base. CX
+// is scratch.
+#define ZIG_FLUSH(acc, shift, off) \
+	MOVQ AX, CX;      \
+	ANDQ $63, CX;     \
+	NEGQ CX;          \
+	ADDQ $64, CX;     \
+	SHRQ CX, acc;     \
+	MOVQ AX, CX;      \
+	SHRQ $6, CX;      \
+	SHLQ $shift, CX;  \
+	MOVQ acc, off(DX)(CX*1)
+
+// XO_GEN runs one exact Stream.Uint64 step on the state in R10–R13 and
+// leaves the word in R14 (R15 scratch).
+#define XO_GEN \
+	MOVQ R10, R14; \
+	ADDQ R13, R14; \
+	ROLQ $23, R14; \
+	ADDQ R10, R14; \
+	MOVQ R11, R15; \
+	SHLQ $17, R15; \
+	XORQ R10, R12; \
+	XORQ R11, R13; \
+	XORQ R12, R11; \
+	XORQ R13, R10; \
+	XORQ R15, R12; \
+	ROLQ $45, R13
+
+// func zigFillAVX2(dst, words []float64, bits []uint64, st *Stream, kw *[2 * zigLayers]uint64)
+//
+// The single-stream block generator of NormBatch: len(dst) (a multiple
+// of four) xoshiro256++ words, four at a time, each generated serially
+// by the exact Stream.Uint64 recurrence in integer registers — the
+// chain issues on other ports than the vector classification beside
+// it. Word p's bits go to words[p], its fast-path value
+// (ZIG_CLASSIFY) to dst[p], and whether it accepts to bit p%64 of
+// bits[p/64]; bits past len(dst) in the last word are zero. The kernel
+// never exits early: every word is classified as if it were a draw,
+// and the Go bitmap walk (zigWalk) decides which words are
+// draws. The advanced state is written back to st. len(words) >=
+// len(dst) and len(bits) >= ceil(len(dst)/64).
+TEXT ·zigFillAVX2(SB), NOSPLIT, $0-88
+	MOVQ dst_base+0(FP), DI
+	MOVQ words_base+24(FP), SI
+	MOVQ bits_base+48(FP), DX
+	MOVQ kw+80(FP), R8
+	MOVQ st+72(FP), BX
 	MOVQ 0(BX), R10  // s0
 	MOVQ 8(BX), R11  // s1
 	MOVQ 16(BX), R12 // s2
 	MOVQ 24(BX), R13 // s3
+	ZIG_CONSTS
 
-	MOVQ         $127, AX
-	VMOVQ        AX, X0
-	VPBROADCASTQ X0, Y8            // layer mask
-	MOVQ         $0x4330000000000000, AX
-	VMOVQ        AX, X0
-	VPBROADCASTQ X0, Y9            // 2^52 exponent pattern (int and double)
-	MOVQ         $0x8000000000000000, AX
-	VMOVQ        AX, X0
-	VPBROADCASTQ X0, Y10           // sign bit
-	VPXOR        Y11, Y11, Y11     // zero
-
-	XORQ AX, AX        // word/sample cursor
-	MOVQ DX, CX
-	SHRQ $2, CX        // quads
-	JZ   done
+	XORQ AX, AX // word cursor
+	CMPQ AX, dst_len+8(FP)
+	JGE  done
 
 loop:
-	// Four xoshiro256++ steps (exact Stream.Uint64 recurrence), packed
-	// into Y0 low-to-high and mirrored to wbuf for slow-path replay.
-	MOVQ    R10, R14
-	ADDQ    R13, R14
-	ROLQ    $23, R14
-	ADDQ    R10, R14    // res = rotl(s0+s3, 23) + s0
-	MOVQ    R11, R15
-	SHLQ    $17, R15    // t = s1 << 17
-	XORQ    R10, R12
-	XORQ    R11, R13
-	XORQ    R12, R11
-	XORQ    R13, R10
-	XORQ    R15, R12
-	ROLQ    $45, R13
-	VMOVQ   R14, X6
-
-	MOVQ    R10, R14
-	ADDQ    R13, R14
-	ROLQ    $23, R14
-	ADDQ    R10, R14
-	MOVQ    R11, R15
-	SHLQ    $17, R15
-	XORQ    R10, R12
-	XORQ    R11, R13
-	XORQ    R12, R11
-	XORQ    R13, R10
-	XORQ    R15, R12
-	ROLQ    $45, R13
+	// Four words, packed into Y0 low to high.
+	XO_GEN
+	VMOVQ R14, X6
+	XO_GEN
 	VPINSRQ $1, R14, X6, X6
-
-	MOVQ    R10, R14
-	ADDQ    R13, R14
-	ROLQ    $23, R14
-	ADDQ    R10, R14
-	MOVQ    R11, R15
-	SHLQ    $17, R15
-	XORQ    R10, R12
-	XORQ    R11, R13
-	XORQ    R12, R11
-	XORQ    R13, R10
-	XORQ    R15, R12
-	ROLQ    $45, R13
-	VMOVQ   R14, X7
-
-	MOVQ    R10, R14
-	ADDQ    R13, R14
-	ROLQ    $23, R14
-	ADDQ    R10, R14
-	MOVQ    R11, R15
-	SHLQ    $17, R15
-	XORQ    R10, R12
-	XORQ    R11, R13
-	XORQ    R12, R11
-	XORQ    R13, R10
-	XORQ    R15, R12
-	ROLQ    $45, R13
+	XO_GEN
+	VMOVQ R14, X7
+	XO_GEN
 	VPINSRQ $1, R14, X7, X7
+	VINSERTI128 $1, X7, Y6, Y0
+	VMOVDQU Y0, (SI)(AX*8)
 
-	VINSERTI128 $1, X7, Y6, Y0 // u ×4
-	VMOVDQU     Y0, (SI)(AX*8)
+	ZIG_CLASSIFY(Y0, (DI)(AX*8), R9)
+	ADDQ  $4, AX
+	TESTQ $63, AX
+	JNZ   more
+	MOVQ  AX, CX
+	SHRQ  $3, CX
+	MOVQ  R9, -8(DX)(CX*1) // chunk AX/64 − 1 is complete
 
-	// Layer indices and gathered thresholds.
-	VPAND      Y8, Y0, Y1          // i = u & 127
-	VPCMPEQD   Y13, Y13, Y13       // gather mask: all ones
-	VPGATHERQQ Y13, (R8)(Y1*8), Y2 // k = kTab[i]
-
-	// j = int64(u) >> 11 (arithmetic), via logical shift + sign fill.
-	VPCMPGTQ Y0, Y11, Y3 // s: all-ones where u < 0
-	VPSRLQ   $11, Y0, Y4
-	VPSLLQ   $53, Y3, Y5
-	VPOR     Y5, Y4, Y4  // j
-
-	// mag = (j ^ s) − s  (branch-free |j|; sign(j) == sign(u)).
-	VPXOR  Y3, Y4, Y5
-	VPSUBQ Y3, Y5, Y5 // mag
-
-	// Accept mask: mag < k. Both are < 2⁶³, so signed compare is exact.
-	VPCMPGTQ  Y5, Y2, Y6 // k > mag
-	VMOVMSKPD Y6, BX
-
-	// value = float64(j)·wTab[i]: exact int→double via the 2⁵² trick,
-	// sign applied by XOR, then one rounded multiply.
-	VPOR       Y9, Y5, Y7          // 2⁵² + mag as double bits
-	VSUBPD     Y9, Y7, Y7          // float64(mag)
-	VPAND      Y10, Y3, Y12
-	VXORPD     Y12, Y7, Y7         // float64(j)
-	VPCMPEQD   Y13, Y13, Y13
-	VGATHERQPD Y13, (R9)(Y1*8), Y14
-	VMULPD     Y14, Y7, Y7
-	VMOVUPD    Y7, (DI)(AX*8)
-
-	CMPQ BX, $0xf
-	JNE  reject
-	ADDQ $4, AX
-	DECQ CX
-	JNZ  loop
-	JMP  done
-
-reject:
-	// First rejecting lane: tzcnt of the complement.
-	NOTQ BX
-	ANDQ $0xf, BX
-	BSFQ BX, BX
-	ADDQ BX, AX
+more:
+	CMPQ  AX, dst_len+8(FP)
+	JLT   loop
+	TESTQ $63, AX
+	JZ    done
+	ZIG_FLUSH(R9, 3, 0)
 
 done:
-	MOVQ st+48(FP), BX
+	MOVQ st+72(FP), BX
 	MOVQ R10, 0(BX)
 	MOVQ R11, 8(BX)
 	MOVQ R12, 16(BX)
 	MOVQ R13, 24(BX)
-	MOVQ AX, ret+72(FP)
 	VZEROUPPER
 	RET
 
+// func zigCompactAVX2(out, vals []float64, keep []uint64, perm *[16][8]uint32) int
+//
+// Copies vals[p] to out, in order, for every p whose bit in keep (bit
+// p%64 of keep[p/64]) is set, and returns how many it copied. Per quad
+// of vals the keep nibble selects a VPERMD pattern from perm that packs
+// the kept values to the front; all four lanes are stored at the output
+// cursor, which then advances by the nibble's population count. Each
+// keep word is loaded once and shifted down a nibble per quad. len(vals)
+// is a multiple of four and len(out) >= len(vals); out may start at
+// vals' first element, since every store lands at or before the quad
+// just loaded. Lanes stored past the returned count hold leftovers.
+TEXT ·zigCompactAVX2(SB), NOSPLIT, $0-88
+	MOVQ out_base+0(FP), DI
+	MOVQ vals_base+24(FP), SI
+	MOVQ vals_len+32(FP), DX
+	MOVQ keep_base+48(FP), R8
+	MOVQ perm+72(FP), R9
+	XORQ AX, AX // input cursor
+	XORQ BX, BX // output cursor
+	CMPQ AX, DX
+	JGE  compactdone
+
+compactchunk:
+	MOVQ    (R8), R10 // the chunk's keep bits
+	ADDQ    $8, R8
+	MOVQ    DX, CX
+	SUBQ    AX, CX
+	SHRQ    $2, CX
+	MOVQ    $16, R11
+	CMPQ    CX, R11
+	CMOVQGT R11, CX // quads in this chunk
+
+compactquad:
+	MOVQ    R10, R12
+	SHLQ    $5, R12
+	ANDQ    $0x1e0, R12 // nibble · 32: the pattern's offset
+	VMOVDQU (R9)(R12*1), Y1
+	VPERMD  (SI)(AX*8), Y1, Y0
+	VMOVDQU Y0, (DI)(BX*8)
+	POPCNTQ R12, R12
+	ADDQ    R12, BX
+	SHRQ    $4, R10
+	ADDQ    $4, AX
+	DECQ    CX
+	JNZ     compactquad
+	CMPQ    AX, DX
+	JLT     compactchunk
+
+compactdone:
+	MOVQ BX, ret+80(FP)
+	VZEROUPPER
+	RET
+
+// XO_STEP runs one xoshiro256++ step in each lane of the state
+// registers Y0–Y3 (s0–s3 of four streams) — Stream.Uint64's recurrence,
+// rotates as shift pairs — and leaves the four words in r (Y12/Y13
+// scratch).
+#define XO_STEP(r) \
+	VPADDQ Y3, Y0, r;    \
+	VPSLLQ $23, r, Y12;  \
+	VPSRLQ $41, r, r;    \
+	VPOR   Y12, r, r;    \
+	VPADDQ Y0, r, r;     \
+	VPSLLQ $17, Y1, Y12; \
+	VPXOR  Y0, Y2, Y2;   \
+	VPXOR  Y1, Y3, Y3;   \
+	VPXOR  Y2, Y1, Y1;   \
+	VPXOR  Y3, Y0, Y0;   \
+	VPXOR  Y12, Y2, Y2;  \
+	VPSLLQ $45, Y3, Y13; \
+	VPSRLQ $19, Y3, Y3;  \
+	VPOR   Y13, Y3, Y3
+
+// func zigLanesAVX2(lanes *[16]uint64, words, vals []float64, bits []uint64, stride, n int, kw *[2 * zigLayers]uint64)
+//
+// The four-stream block generator of NormBatchLanes. lanes holds four
+// xoshiro256++ states side by side (s0 of streams 0–3, then s1, s2,
+// s3), so one ymm register carries one state word of every stream and
+// each XO_STEP advances all four. Per block of four steps the 4×4 words
+// (lane = stream, register = step) are transposed so each register
+// holds four consecutive words of one stream; each is stored, run
+// through ZIG_CLASSIFY and its values stored, stream l's at
+// words/vals[l·stride + p], exactly as zigFillAVX2 lays out one stream.
+// Acceptance bits go to a per-stream bitmap, interleaved by chunk:
+// bits[4c + l] bit b is stream l's word 64c + b. n (a multiple of four,
+// at most stride) steps run; the advanced states are written back to
+// lanes.
+//
+// Registers: Y0–Y3 the states, Y4–Y7 a block's words, Y8–Y11 the
+// ZIG_CONSTS; SI/DI walk stream 0's words/vals, R10 and R11 are the
+// stride and three strides in bytes, AX the step cursor, R12–R15 the
+// four streams' bits of the current chunk, DX the bitmap.
+TEXT ·zigLanesAVX2(SB), NOSPLIT, $0-104
+	MOVQ    lanes+0(FP), BX
+	VMOVDQU 0(BX), Y0
+	VMOVDQU 32(BX), Y1
+	VMOVDQU 64(BX), Y2
+	VMOVDQU 96(BX), Y3
+	MOVQ    words_base+8(FP), SI
+	MOVQ    vals_base+32(FP), DI
+	MOVQ    bits_base+56(FP), DX
+	MOVQ    stride+80(FP), R10
+	SHLQ    $3, R10
+	LEAQ    (R10)(R10*2), R11
+	MOVQ    kw+96(FP), R8
+	ZIG_CONSTS
+
+	XORQ AX, AX
+	CMPQ AX, n+88(FP)
+	JGE  lanesdone
+
+lanesloop:
+	XO_STEP(Y4)
+	XO_STEP(Y5)
+	XO_STEP(Y6)
+	XO_STEP(Y7)
+
+	// Transpose: Y4–Y7 become streams 0–3, four steps each.
+	VPUNPCKLQDQ Y5, Y4, Y12 // s0w0 s0w1 | s2w0 s2w1
+	VPUNPCKHQDQ Y5, Y4, Y13 // s1w0 s1w1 | s3w0 s3w1
+	VPUNPCKLQDQ Y7, Y6, Y14 // s0w2 s0w3 | s2w2 s2w3
+	VPUNPCKHQDQ Y7, Y6, Y15 // s1w2 s1w3 | s3w2 s3w3
+	VPERM2I128  $0x20, Y14, Y12, Y4
+	VPERM2I128  $0x20, Y15, Y13, Y5
+	VPERM2I128  $0x31, Y14, Y12, Y6
+	VPERM2I128  $0x31, Y15, Y13, Y7
+	VMOVDQU     Y4, (SI)
+	VMOVDQU     Y5, (SI)(R10*1)
+	VMOVDQU     Y6, (SI)(R10*2)
+	VMOVDQU     Y7, (SI)(R11*1)
+
+	ZIG_CLASSIFY(Y4, (DI), R12)
+	ZIG_CLASSIFY(Y5, (DI)(R10*1), R13)
+	ZIG_CLASSIFY(Y6, (DI)(R10*2), R14)
+	ZIG_CLASSIFY(Y7, (DI)(R11*1), R15)
+	ADDQ  $32, SI
+	ADDQ  $32, DI
+	ADDQ  $4, AX
+	TESTQ $63, AX
+	JNZ   lanesmore
+	MOVQ  AX, CX
+	SHRQ  $1, CX // 32 bytes per chunk, one past chunk AX/64 − 1
+	MOVQ  R12, -32(DX)(CX*1)
+	MOVQ  R13, -24(DX)(CX*1)
+	MOVQ  R14, -16(DX)(CX*1)
+	MOVQ  R15, -8(DX)(CX*1)
+
+lanesmore:
+	CMPQ  AX, n+88(FP)
+	JLT   lanesloop
+	TESTQ $63, AX
+	JZ    lanesdone
+	ZIG_FLUSH(R12, 5, 0)
+	ZIG_FLUSH(R13, 5, 8)
+	ZIG_FLUSH(R14, 5, 16)
+	ZIG_FLUSH(R15, 5, 24)
+
+lanesdone:
+	MOVQ    lanes+0(FP), BX
+	VMOVDQU Y0, 0(BX)
+	VMOVDQU Y1, 32(BX)
+	VMOVDQU Y2, 64(BX)
+	VMOVDQU Y3, 96(BX)
+	VZEROUPPER
+	RET
 
 // FRONT_LOAD broadcasts prefix value k of the current sub-block,
 // (vr, vi)[rev[sb/z + k]] with the table entry at k4(R13), into the

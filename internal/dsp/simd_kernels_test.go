@@ -201,6 +201,13 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		st[2*SynthChainCount+c] = 1
 	}
 	chainDst := make([]complex128, SynthChainCount*16)
+	var lanes [ZigLanes]Stream
+	var laneSts [ZigLanes]*Stream
+	var laneDsts [ZigLanes][]float64
+	for l := range lanes {
+		lanes[l] = StreamAt(16, uint64(l))
+		laneSts[l], laneDsts[l] = &lanes[l], make([]float64, 2*n+l)
+	}
 	terms := make([]AxpyTerm, 4)
 	for k := range terms {
 		terms[k] = AxpyTerm{Src: randComplexSlice(rng, n), C: complex(0.5, float64(k))}
@@ -218,6 +225,7 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		{"Dechirp", func() { Dechirp(re, im, dst, src) }},
 		{"MaxPower", func() { sink += MaxPower(re, im) }},
 		{"SynthChains8", func() { SynthChains8(chainDst, &st, complex(1, 0), 0.5, 16) }},
+		{"NormBatchLanes", func() { NormBatchLanes(laneSts[:], laneDsts[:]) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

@@ -53,6 +53,14 @@ func maxPowerAVX2(re, im []float64) float64 {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }
 
-func zigFillAVX2(dst []float64, wbuf []uint64, st *Stream, kTab *uint64, wTab *float64) int {
+func zigFillAVX2(dst, words []float64, bits []uint64, st *Stream, kw *[2 * zigLayers]uint64) {
+	panic("dsp: AVX2 kernel called without AVX2 support")
+}
+
+func zigLanesAVX2(lanes *[16]uint64, words, vals []float64, bits []uint64, stride, n int, kw *[2 * zigLayers]uint64) {
+	panic("dsp: AVX2 kernel called without AVX2 support")
+}
+
+func zigCompactAVX2(out, vals []float64, keep []uint64, perm *[16][8]uint32) int {
 	panic("dsp: AVX2 kernel called without AVX2 support")
 }

@@ -1,6 +1,9 @@
 package dsp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Stream is the simulator's batch randomness engine: a splittable,
 // deterministically seedable PRNG (xoshiro256++ state derived from one
@@ -89,7 +92,12 @@ func (st *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform draw from [0, 1) with 53 random bits.
 func (st *Stream) Float64() float64 {
-	return float64(st.Uint64()>>11) * 0x1p-53
+	return unitFloat(st.Uint64())
+}
+
+// unitFloat maps a uniform word to [0, 1) through its top 53 bits.
+func unitFloat(u uint64) float64 {
+	return float64(u>>11) * 0x1p-53
 }
 
 // float64Open returns a uniform draw from (0, 1) — never exactly 0 —
@@ -114,6 +122,14 @@ var (
 	zigK [zigLayers]uint64  // fast-path acceptance thresholds
 	zigW [zigLayers]float64 // magnitude → x scale per layer
 	zigF [zigLayers]float64 // f(x_i) = exp(-x_i²/2) per layer
+
+	// zigKW interleaves zigK[i] and zigW[i]'s bits at 2i and 2i+1, so
+	// the block kernels fetch a layer's pair with one load.
+	zigKW [2 * zigLayers]uint64
+
+	// zigPack[m] is the VPERMD pattern that packs the quad lanes set in
+	// the four-bit mask m to the front, in order.
+	zigPack [16][8]uint32
 )
 
 func init() {
@@ -133,6 +149,18 @@ func init() {
 		zigW[i] = dn / zigM
 		zigF[i] = f(dn)
 	}
+	for i := range zigLayers {
+		zigKW[2*i], zigKW[2*i+1] = zigK[i], math.Float64bits(zigW[i])
+	}
+	for m := range zigPack {
+		k := 0
+		for lane := range uint32(4) {
+			if m>>lane&1 != 0 {
+				zigPack[m][2*k], zigPack[m][2*k+1] = 2*lane, 2*lane+1
+				k++
+			}
+		}
+	}
 }
 
 // zigSplit extracts the ziggurat draw from one uniform word: the layer
@@ -149,8 +177,11 @@ func zigSplit(u uint64) (i uint64, j int64, mag uint64) {
 }
 
 // NormFloat64 returns a standard normal draw via the ziggurat: one
-// Uint64 covers the layer index, sign and 52-bit magnitude; ~98.8% of
-// draws accept immediately.
+// Uint64 covers the layer index, sign and 52-bit magnitude. 97.24% of
+// draws accept immediately (the mean of zigK[i]/2⁵² over the layers;
+// test-pinned). zigK[1] is 0: layer 1 is the cap at the top of the
+// curve, whose inner rectangle has width x₀ = 0, so all of its draws —
+// 1/128, or 0.78%, of all draws — go to the wedge test.
 func (st *Stream) NormFloat64() float64 {
 	u := st.Uint64()
 	i, j, mag := zigSplit(u)
@@ -168,22 +199,21 @@ func (st *Stream) normSlow(u uint64) float64 {
 	return normSlowSrc(u, &src)
 }
 
-// zigSource supplies the slow path's uniform words: buffered lookahead
-// words first (words the batch driver generated but the vector kernel
-// did not consume), then the live stream. The buffer is always a
-// prefix of the stream's own future output — it was filled by
-// advancing the real state — so draining it and falling through to
-// Uint64 reproduces the exact word sequence sequential NormFloat64
-// calls would see.
+// zigSource supplies the slow path's uniform words: words a block
+// kernel already generated first (buf holds their bit patterns, from
+// pos on), then the live stream. The buffer is always a prefix of the
+// stream's own future output — it was filled by advancing the real
+// state — so draining it and falling through to Uint64 reproduces the
+// exact word sequence sequential NormFloat64 calls would see.
 type zigSource struct {
 	st  *Stream
-	buf []uint64
+	buf []float64
 	pos int
 }
 
 func (s *zigSource) next() uint64 {
 	if s.pos < len(s.buf) {
-		u := s.buf[s.pos]
+		u := math.Float64bits(s.buf[s.pos])
 		s.pos++
 		return u
 	}
@@ -193,11 +223,10 @@ func (s *zigSource) next() uint64 {
 // float64 and float64Open mirror Stream.Float64/float64Open word for
 // word and expression for expression, so slow-path draws through a
 // buffered source are bit-identical to the struct methods.
-func (s *zigSource) float64() float64     { return float64(s.next()>>11) * 0x1p-53 }
+func (s *zigSource) float64() float64     { return unitFloat(s.next()) }
 func (s *zigSource) float64Open() float64 { return (float64(s.next()>>11) + 0.5) * 0x1p-53 }
 
-// normSlowSrc is normSlow over an arbitrary word source — the one
-// implementation both the sequential and the batch path use.
+// normSlowSrc is normSlow over an arbitrary word source.
 func normSlowSrc(u uint64, src *zigSource) float64 {
 	for {
 		i, j, mag := zigSplit(u)
@@ -207,27 +236,42 @@ func normSlowSrc(u uint64, src *zigSource) float64 {
 			// Only reachable on redraws.
 			return x
 		case i == 0:
-			// Base-layer tail beyond R (Marsaglia's exact method).
-			var tail float64
-			for {
-				tail = -math.Log(src.float64Open()) / zigR
-				y := -math.Log(src.float64Open())
-				if y+y >= tail*tail {
-					break
-				}
-			}
-			if j < 0 {
-				return -(zigR + tail)
-			}
-			return zigR + tail
-		default:
-			// Wedge between layer i and the density curve.
-			if zigF[i]+src.float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
-				return x
-			}
+			return zigTail(j, src)
+		case zigWedge(i, x, src.float64()) == 1:
+			return x
 		}
 		u = src.next()
 	}
+}
+
+// zigTail draws from the base layer's tail beyond R (Marsaglia's exact
+// method) for a rejected base-layer draw of signed magnitude j. It
+// consumes an even, outcome-dependent number of words — the one slow
+// case whose word count the rejection bitmap cannot predict.
+func zigTail(j int64, src *zigSource) float64 {
+	var tail float64
+	for {
+		tail = -math.Log(src.float64Open()) / zigR
+		y := -math.Log(src.float64Open())
+		if y+y >= tail*tail {
+			break
+		}
+	}
+	if j < 0 {
+		return -(zigR + tail)
+	}
+	return zigR + tail
+}
+
+// zigWedge runs the wedge test of a rejected draw x in layer i >= 1
+// against the uniform v — one word, whatever the outcome — and returns
+// 1 if it accepts x, 0 if not. On rejection the next word is a fresh
+// draw for the same normal. The outcome is the sign bit of the
+// difference (for finite operands a−b < 0 exactly when a < b), a
+// number rather than a branch, so a caller that only adds it to an
+// index never stalls on the exponential.
+func zigWedge(i uint64, x, v float64) int {
+	return int(math.Float64bits(zigF[i]+v*(zigF[i-1]-zigF[i])-math.Exp(-0.5*x*x)) >> 63)
 }
 
 // NormComplex returns a circularly symmetric complex Gaussian draw with
@@ -249,64 +293,220 @@ func (st *Stream) UniformPhase() complex128 {
 	return complex(math.Cos(theta), math.Sin(theta))
 }
 
-// zigBlock is the block depth of the vectorized NormBatch driver: how
-// many samples (and so at most how many lookahead uniform words) one
-// kernel call covers. Each output sample consumes at least one word,
-// so a block of min(zigBlock, samples remaining) words can never
-// overrun the sequential draw order — every generated word is
-// consumed before the destination fills.
+// zigBlock is the block depth of the fill kernels: how many words one
+// call generates per stream, at most the samples remaining. Each
+// output sample consumes at least one word, so a block never runs
+// ahead of the sequential draw order: every generated word is consumed
+// before the destination fills.
 const zigBlock = 512
 
 // NormBatch fills dst with standard normal draws — the same sequence
-// len(dst) successive NormFloat64 calls would produce (test-enforced),
-// with the generator and ziggurat fast path inlined into one planar
-// fill loop. On AVX2 the whole fast path runs in one fused kernel
-// (zigFillAVX2): xoshiro word generation in integer registers
-// overlapped with the four-lane acceptance test, conversion and scale
-// multiply. Rejections and sub-quad tails fall back to the scalar
-// expressions, replaying the kernel's already-generated words from
-// its side buffer so the word-consumption order — and therefore every
-// output bit — matches the sequential path exactly. This is the batch
-// primitive the fused AWGN path is built on.
+// len(dst) successive NormFloat64 calls would produce, leaving the
+// stream in the same state (test-enforced). On AVX2 a kernel
+// (zigFillAVX2) generates a block of words, runs the branchless fast
+// path on every one and records rejections in a bitmap without
+// stopping; zigWalk then compacts the block into dst in place, settling
+// each rejection in scalar code. Elsewhere the generator and fast path
+// run inlined in one scalar loop.
 func (st *Stream) NormBatch(dst []float64) {
 	if !simdAVX2 || len(dst) < 8 {
 		st.normBatchScalar(dst)
 		return
 	}
-	var buf [zigBlock]uint64
+	var words [zigBlock]float64
+	var acc [zigBlock / 64]uint64
 	idx := 0
-	for idx < len(dst) {
-		quads := min(zigBlock, len(dst)-idx) >> 2
-		if quads == 0 {
-			// Fewer than four samples left: finish sequentially.
-			for ; idx < len(dst); idx++ {
-				dst[idx] = st.NormFloat64()
+	for len(dst)-idx >= 4 {
+		n := min(zigBlock, len(dst)-idx) &^ 3
+		zigFillAVX2(dst[idx:idx+n], words[:n], acc[:], st, &zigKW)
+		idx += zigWalk(dst[idx:], dst[idx:idx+n], words[:n], acc[:], 1, st)
+	}
+	for ; idx < len(dst); idx++ {
+		dst[idx] = st.NormFloat64()
+	}
+}
+
+// ZigLanes is the most streams NormBatchLanes fills at once: one per
+// 64-bit lane of an AVX2 register.
+const ZigLanes = 4
+
+// NormBatchLanes fills dsts[l] with the next len(dsts[l]) standard
+// normals of sts[l] for every l — up to ZigLanes streams of any
+// lengths — leaving each stream exactly as sts[l].NormBatch(dsts[l])
+// would, with the same values (test-enforced). The streams must be
+// distinct. On AVX2 one kernel (zigLanesAVX2) advances three or four
+// streams side by side in the lanes of a register, classifying every
+// word as NormBatch's kernel does, and zigWalk compacts each stream's
+// block into its destination. A lane with fewer than four normals left
+// finishes on NormFloat64, and once at most two lanes remain each
+// finishes on NormBatch: one lane-kernel step costs about what four
+// single-stream words do.
+func NormBatchLanes(sts []*Stream, dsts [][]float64) {
+	if len(sts) != len(dsts) || len(sts) > ZigLanes {
+		panic("dsp: NormBatchLanes needs one destination per stream, at most ZigLanes")
+	}
+	var done [ZigLanes]int
+	var scratch []float64
+	for {
+		live, n := 0, zigBlock
+		var on [ZigLanes]bool
+		for l, dst := range dsts {
+			rem := len(dst) - done[l]
+			if rem >= 4 {
+				on[l] = true
+				live++
+				n = min(n, rem)
+				continue
 			}
-			return
-		}
-		c := zigFillAVX2(dst[idx:idx+quads*4], buf[:quads*4], st, &zigK[0], &zigW[0])
-		idx += c
-		if c == quads*4 {
-			continue
-		}
-		// The kernel stopped on a rejection at generated word c, with
-		// the generator state advanced through that word's whole quad.
-		// Replay the rejecting word and the quad's remaining lookahead
-		// words in scalar code; slow-path redraws drain the lookahead
-		// first and then fall through to the live stream, which is
-		// positioned exactly where the sequential order demands.
-		src := zigSource{st: st, buf: buf[:c&^3+4], pos: c}
-		for src.pos < len(src.buf) {
-			u := src.next()
-			i, j, mag := zigSplit(u)
-			if mag < zigK[i] {
-				dst[idx] = float64(j) * zigW[i]
-			} else {
-				dst[idx] = normSlowSrc(u, &src)
+			for ; done[l] < len(dst); done[l]++ {
+				dst[done[l]] = sts[l].NormFloat64()
 			}
-			idx++
+		}
+		if live <= 2 || !simdAVX2 {
+			for l, dst := range dsts {
+				sts[l].NormBatch(dst[done[l]:])
+			}
+			break
+		}
+		if scratch == nil {
+			// Words and values of each lane's block: 32 KiB.
+			scratch = BorrowFloat64(2 * ZigLanes * zigBlock)
+		}
+		words, vals := scratch[:ZigLanes*zigBlock], scratch[ZigLanes*zigBlock:]
+		n &^= 3
+		// Idle lanes run from the zero state: all-zero words, ignored.
+		var lanes [16]uint64
+		for l, st := range sts {
+			if on[l] {
+				lanes[l], lanes[4+l], lanes[8+l], lanes[12+l] = st.s0, st.s1, st.s2, st.s3
+			}
+		}
+		var acc [ZigLanes * zigBlock / 64]uint64
+		zigLanesAVX2(&lanes, words, vals, acc[:], zigBlock, n, &zigKW)
+		for l, st := range sts {
+			if !on[l] {
+				continue
+			}
+			st.s0, st.s1, st.s2, st.s3 = lanes[l], lanes[4+l], lanes[8+l], lanes[12+l]
+			off := l * zigBlock
+			done[l] += zigWalk(dsts[l][done[l]:], vals[off:off+n], words[off:off+n], acc[l:], ZigLanes, st)
 		}
 	}
+	if scratch != nil {
+		ReturnFloat64(scratch)
+	}
+}
+
+// zigWalk turns one stream's kernel block into normals: words holds the
+// n generated words' bits, vals each word's fast-path value, and bit
+// p%64 of acc[(p/64)·step] says whether word p accepts (bits past n
+// are zero). The stream st stands just past the block. It writes the
+// normals to out and returns how many; out may start at vals' first
+// element, since each normal consumes at least one word.
+//
+// Which words are draws follows from the bitmap alone: the first word
+// is a draw; an accepted draw is followed by a draw; a rejected draw in
+// layer i >= 1 takes the wedge test, which consumes exactly one uniform
+// word whatever its outcome, so the word after that uniform is a draw
+// again — a run of rejected words alternates draw, uniform
+// (zigRejectedDraws). Only a base-layer rejection — the tail,
+// consuming an outcome-dependent word count — changes where the next
+// draw sits, and the walk resumes after it. A rejection on the block's
+// last words draws its uniform or tail words from the live stream,
+// where sequential NormFloat64 calls would find them; a normal whose
+// wedge test rejects on the last word simply takes its next draw from
+// the next block.
+//
+// The walk settles every tail in place — its value goes to vals — and
+// builds a keep bitmap, which starts as the acceptance bitmap, marking
+// the words that emit: accepted draws, tails and, once tested, wedge
+// draws whose test accepts; uniforms and a tail's words are cleared.
+// The wedge tests run after the walk, in a loop of their own over the
+// wedge draws it marked: each recomputes x in scalar (the kernel's
+// conversion is exact only below 2⁵²) and its outcome only sets a keep
+// bit, so nothing waits on an exponential and successive ones overlap.
+// zigCompactAVX2 then packs the kept words into out.
+func zigWalk(out, vals, words []float64, acc []uint64, step int, st *Stream) int {
+	n := len(words)
+	chunks := (n + 63) >> 6
+	var keep, wedge [zigBlock / 64]uint64
+	for c := range chunks {
+		keep[c] = acc[c*step]
+	}
+	p := 0           // the walk (re)starts here, at a draw
+	var carry uint64 // 1 when the chunk's first word is a uniform
+walk:
+	for c := p >> 6; c < chunks; c++ {
+		base := c << 6
+		rej := ^acc[c*step]
+		if lim := n - base; lim < 64 {
+			rej &= 1<<lim - 1
+		}
+		if p > base {
+			rej &= ^uint64(0) << (p - base)
+		}
+		rej &^= carry
+		drawn := zigRejectedDraws(rej)
+		for b := drawn; b != 0; b &= b - 1 {
+			r := base + bits.TrailingZeros64(b)
+			u := math.Float64bits(words[r])
+			if u&(zigLayers-1) != 0 {
+				continue
+			}
+			// A tail at r: the draws below it stand; its words displace
+			// the ones assumed above it, so the walk goes on after them.
+			below := uint64(1)<<(r&63) - 1
+			wedge[c] |= drawn & below
+			keep[c] = keep[c]&^((drawn<<1|carry)&below) | 1<<(r&63)
+			src := zigSource{st: st, buf: words, pos: r + 1}
+			vals[r] = zigTail(int64(u)>>11, &src)
+			for k := r + 1; k < min(src.pos, n); k++ {
+				keep[k>>6] &^= 1 << (k & 63)
+			}
+			p, carry = src.pos, 0
+			goto walk
+		}
+		wedge[c] |= drawn
+		keep[c] &^= drawn<<1 | carry
+		carry = drawn >> 63
+	}
+	// A wedge test on the last word takes its uniform from the live
+	// stream, after any word the walk consumed.
+	var lastV float64
+	if n > 0 && wedge[(n-1)>>6]>>((n-1)&63)&1 != 0 {
+		lastV = st.Float64()
+	}
+	for c := range chunks {
+		base := c << 6
+		for b := wedge[c]; b != 0; b &= b - 1 {
+			r := base + bits.TrailingZeros64(b)
+			i, j, _ := zigSplit(math.Float64bits(words[r]))
+			x := float64(j) * zigW[i]
+			v := lastV
+			if r+1 < n {
+				v = unitFloat(math.Float64bits(words[r+1]))
+			}
+			vals[r] = x
+			keep[c] |= uint64(zigWedge(i, x, v)) << (r & 63)
+		}
+	}
+	return zigCompactAVX2(out, vals, keep[:chunks], &zigPack)
+}
+
+// zigRejectedDraws returns which of a chunk's rejected words are draws,
+// given rej, the rejection bits of the words from a draw on, with a
+// word that is known to be a uniform cleared. Every run of set bits
+// then starts at a draw — the word before it accepted, or is a
+// uniform, or is not in rej's range — and alternates draw, uniform, so
+// the draws are a run's even bits when it starts on an even bit and
+// its odd bits otherwise. Adding each odd-starting run's first bit
+// carries through the run and clears it, which sorts the runs by
+// parity in one addition.
+func zigRejectedDraws(rej uint64) uint64 {
+	const even = 0x5555555555555555
+	starts := rej &^ (rej << 1)
+	evenRuns := (rej + starts&^even) & rej
+	return evenRuns&even | rej&^evenRuns&^even
 }
 
 // normBatchScalar is the portable NormBatch body: generator and

@@ -47,9 +47,9 @@ func acquireToken() bool {
 func releaseToken() { inflight.Add(-1) }
 
 // job is one parallel-for call's shared state: the item counter, the
-// next helper worker id, the body, and the WaitGroup the caller waits
-// on. Jobs are recycled through freeJobs, so a call allocates nothing
-// in steady state.
+// next helper worker id, the body, the WaitGroup the caller waits on,
+// and the first panic any worker recovered. Jobs are recycled through
+// freeJobs, so a call allocates nothing in steady state.
 type job struct {
 	n    int
 	next atomic.Int64 // next item index to claim
@@ -57,6 +57,10 @@ type job struct {
 	fn   func(i int)
 	fnw  func(worker, i int)
 	wg   sync.WaitGroup
+
+	panicMu  sync.Mutex
+	panicked bool
+	panicVal any
 }
 
 // freeJobs holds idle jobs. Its capacity bounds how many idle jobs are
@@ -80,6 +84,7 @@ func getJob() *job {
 
 func putJob(j *job) {
 	j.fn, j.fnw = nil, nil
+	j.panicked, j.panicVal = false, nil
 	j.next.Store(0)
 	j.ids.Store(0)
 	select {
@@ -103,9 +108,36 @@ var handoff = make(chan *job, runtime.NumCPU())
 // recycles it once every helper is done.
 func helper() {
 	j := <-handoff
-	j.run(int(j.ids.Add(1)))
+	j.runGuarded(int(j.ids.Add(1)))
 	releaseToken()
 	j.wg.Done()
+}
+
+// runGuarded is run with panics recovered into the job: the first is
+// kept for fanOut to re-raise on the calling goroutine, where the
+// caller can recover it, instead of killing the process from a helper
+// goroutine nothing can recover on. The worker then carries on with
+// the next item, so every other item still runs.
+func (j *job) runGuarded(w int) {
+	for j.runUntilPanic(w) {
+	}
+}
+
+// runUntilPanic runs items as worker w until none remain (false) or one
+// panics (true), keeping the job's first panic.
+func (j *job) runUntilPanic(w int) (panicked bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicMu.Lock()
+			if !j.panicked {
+				j.panicked, j.panicVal = true, r
+			}
+			j.panicMu.Unlock()
+			panicked = true
+		}
+	}()
+	j.run(w)
+	return false
 }
 
 // run claims and executes items until none remain.
@@ -125,7 +157,9 @@ func (j *job) run(w int) {
 
 // fanOut runs j's items on the caller as worker 0 plus up to
 // workers−1 helpers the global budget allows, and returns once every
-// item has run. The remaining worker ids simply never run.
+// item has run. The remaining worker ids simply never run. A panic in
+// any item, the caller's own included, is re-raised on the caller once
+// every helper has finished; with several, the first recovered wins.
 func fanOut(j *job, workers int) {
 	for w := 1; w < workers; w++ {
 		if !acquireToken() {
@@ -136,14 +170,20 @@ func fanOut(j *job, workers int) {
 		handoff <- j
 	}
 	// The caller participates as worker 0 rather than blocking idle.
-	j.run(0)
+	j.runGuarded(0)
 	j.wg.Wait()
+	panicked, val := j.panicked, j.panicVal
 	putJob(j)
+	if panicked {
+		panic(val)
+	}
 }
 
 // ForEach invokes fn(i) for every i in [0, n), using up to Size()
 // goroutines. With a single-slot pool (or a single item) it runs inline
-// on the calling goroutine, spawning nothing. It shares ForEachWorker's
+// on the calling goroutine, spawning nothing. If fn panics, ForEach
+// panics with the same value on the calling goroutine: inline at once,
+// fanned out once every other item has run. It shares ForEachWorker's
 // body through the job rather than wrapping fn in an adapter closure:
 // hot callers (the channel simulator, the parallel decoder) pass
 // persistent funcs, and the adapter would put one heap allocation back
@@ -169,7 +209,8 @@ func ForEach(n int, fn func(i int)) {
 // index per-worker scratch state — each worker id runs on exactly one
 // goroutine at a time, so scratch needs no locking. workers caps the
 // goroutine count (values < 1 mean Size()); under global budget
-// pressure fewer ids may actually run, never more.
+// pressure fewer ids may actually run, never more. Panics reach the
+// caller as ForEach's do.
 func ForEachWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return

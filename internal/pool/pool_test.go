@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndicesOnce(t *testing.T) {
@@ -101,5 +102,100 @@ func TestFanOutZeroAllocParallel(t *testing.T) {
 	// would cost several objects on every call.
 	if perCall := float64(after.Mallocs-before.Mallocs) / runs; perCall >= 0.1 {
 		t.Fatalf("fan-out allocates %.2f objects per ForEach+ForEachWorker pair, want 0", perCall)
+	}
+}
+
+// TestForEachPanicReachesCaller runs fan-outs at GOMAXPROCS 2 in which
+// one item panics — on a helper or on the caller's own share — and
+// checks that the panic reaches the calling goroutine with its value
+// while every other item still ran, for ForEach and ForEachWorker; and
+// that with several panicking items exactly one value comes back.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 64
+	type boom struct{ item int }
+	catch := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for _, bad := range []int{0, 1, n / 2, n - 1} {
+		for _, worker := range []bool{false, true} {
+			var ran [n]atomic.Int64
+			body := func(i int) {
+				if i == bad {
+					panic(boom{i})
+				}
+				ran[i].Add(1)
+			}
+			got := catch(func() {
+				if worker {
+					ForEachWorker(2, n, func(_, i int) { body(i) })
+				} else {
+					ForEach(n, body)
+				}
+			})
+			if got != (boom{bad}) {
+				t.Fatalf("bad item %d (worker form %v): recovered %v, want boom{%d}", bad, worker, got, bad)
+			}
+			for i := range ran {
+				if want := int64(1); i != bad && ran[i].Load() != want {
+					t.Fatalf("bad item %d (worker form %v): item %d ran %d times", bad, worker, i, ran[i].Load())
+				}
+			}
+		}
+	}
+	got := catch(func() {
+		ForEach(n, func(i int) {
+			if i%3 == 0 {
+				panic(boom{i})
+			}
+		})
+	})
+	if b, ok := got.(boom); !ok || b.item%3 != 0 {
+		t.Fatalf("several panicking items: recovered %v", got)
+	}
+	// The pool stays usable: the panicking job was recycled cleanly.
+	var sum atomic.Int64
+	ForEach(n, func(i int) { sum.Add(int64(i)) })
+	if sum.Load() != n*(n-1)/2 {
+		t.Fatalf("fan-out after a panic summed %d", sum.Load())
+	}
+}
+
+// TestForEachPanicOnHelper pins the panic to a helper goroutine: the
+// first item a helper (worker id > 0) runs panics, and the caller's
+// items (worker 0) wait until that has happened, so whichever worker
+// claims which item, the panic is a helper's and the other item still
+// runs. At a parent without recovery the helper's panic kills the test
+// binary.
+func TestForEachPanicOnHelper(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	helperPanicked := make(chan struct{})
+	var first atomic.Bool
+	var ran atomic.Int64
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		ForEachWorker(2, 2, func(w, i int) {
+			if w != 0 && first.CompareAndSwap(false, true) {
+				close(helperPanicked)
+				panic("helper item")
+			}
+			if w == 0 {
+				select {
+				case <-helperPanicked:
+				case <-time.After(10 * time.Second):
+					t.Error("no helper ran an item")
+				}
+			}
+			ran.Add(1)
+		})
+		return nil
+	}()
+	if got != "helper item" {
+		t.Fatalf("recovered %v, want the helper's panic", got)
+	}
+	if ran.Load() != 1 {
+		t.Fatalf("%d items completed, want the one that did not panic", ran.Load())
 	}
 }

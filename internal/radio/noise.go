@@ -30,6 +30,48 @@ func AddAWGN(st *dsp.Stream, sig []complex128, noisePower float64) {
 	}
 }
 
+// AddAWGNLanes adds noise of power noisePower to up to dsp.ZigLanes
+// signals at once, sigs[l] drawing from sts[l]: the multi-stream twin
+// of AddAWGN. Every signal receives exactly the noise AddAWGN(sts[l],
+// sigs[l], noisePower) would add — the same normals, as
+// dsp.NormBatchLanes fills each stream's block in NormBatch's sequence,
+// and the same multiply-then-add per element — and every stream ends
+// in the same state, so a caller may move between the two freely.
+// Three or four signals share the lane fill. One or two take AddAWGN:
+// the lane fill would run NormBatch per stream for them anyway, since
+// a lane-kernel step costs about what four single-stream words do. The
+// lanes' block scratch is borrowed (dsp.BorrowFloat64), not put on the
+// stack of the caller, often a short-lived pool helper.
+func AddAWGNLanes(sts []*dsp.Stream, sigs [][]complex128, noisePower float64) {
+	if len(sts) != len(sigs) || len(sigs) > dsp.ZigLanes {
+		panic("radio: AddAWGNLanes needs one stream per signal, at most dsp.ZigLanes")
+	}
+	if len(sigs) <= 2 {
+		for l, sig := range sigs {
+			AddAWGN(sts[l], sig, noisePower)
+		}
+		return
+	}
+	s := math.Sqrt(noisePower / 2)
+	longest := 0
+	for _, sig := range sigs {
+		longest = max(longest, len(sig))
+	}
+	// One lane fill over the whole signals: its short last blocks and
+	// sequential leftovers come once per call, not once per block.
+	stride := 2 * longest
+	buf := dsp.BorrowFloat64(dsp.ZigLanes * stride)
+	var dsts [dsp.ZigLanes][]float64
+	for l, sig := range sigs {
+		dsts[l] = buf[l*stride : l*stride+2*len(sig) : l*stride+2*len(sig)]
+	}
+	dsp.NormBatchLanes(sts, dsts[:len(sigs)])
+	for l, sig := range sigs {
+		dsp.AddScaledFloats(sig, dsts[l], s)
+	}
+	dsp.ReturnFloat64(buf)
+}
+
 // AddUnitNoise adds unit-power complex noise, the normalization used
 // throughout the simulator.
 func AddUnitNoise(st *dsp.Stream, sig []complex128) {

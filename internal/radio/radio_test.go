@@ -117,6 +117,17 @@ func TestAWGNZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AddAWGN allocates %.1f objects/op", allocs)
 	}
+	var streams [dsp.ZigLanes]dsp.Stream
+	var sts [dsp.ZigLanes]*dsp.Stream
+	var sigs [dsp.ZigLanes][]complex128
+	for l := range sts {
+		streams[l] = dsp.StreamAt(9, uint64(l))
+		sts[l], sigs[l] = &streams[l], make([]complex128, 4096-l)
+	}
+	allocs = testing.AllocsPerRun(10, func() { AddAWGNLanes(sts[:], sigs[:], 1) })
+	if allocs != 0 {
+		t.Fatalf("AddAWGNLanes allocates %.1f objects/op", allocs)
+	}
 }
 
 func TestSuperpose(t *testing.T) {
@@ -352,5 +363,44 @@ func TestShannonLinearRegime(t *testing.T) {
 	approx = MultiUserCapacityLinearApprox(bw, 100, 1, 1)
 	if approx < 2*exact {
 		t.Fatalf("high-SNR approximation should overshoot: %v vs %v", approx, exact)
+	}
+}
+
+// TestAddAWGNLanesMatchesAddAWGN pins the multi-stream twin to AddAWGN:
+// one to four signals of unequal lengths (empty, sub-block, across
+// noiseBlock boundaries) get exactly the noise AddAWGN adds to each
+// from the same stream, and every stream ends in AddAWGN's state.
+func TestAddAWGNLanesMatchesAddAWGN(t *testing.T) {
+	for _, lens := range [][]int{
+		{300}, {0, 257}, {4096, 1, 700}, {4096, 4096, 4096, 2304},
+		{5, 6, 7, 8}, {255, 256, 257, 0}, {1000, 3000, 2000},
+	} {
+		var sts [dsp.ZigLanes]*dsp.Stream
+		var sigs [dsp.ZigLanes][]complex128
+		want := make([][]complex128, len(lens))
+		ref := make([]dsp.Stream, len(lens))
+		for l, n := range lens {
+			st := dsp.StreamAt(31, uint64(l))
+			ref[l] = st
+			sts[l] = &st
+			sigs[l] = make([]complex128, n)
+			want[l] = make([]complex128, n)
+			for i := range sigs[l] {
+				sigs[l][i] = complex(float64(i), -float64(l))
+				want[l][i] = sigs[l][i]
+			}
+			AddAWGN(&ref[l], want[l], 0.7)
+		}
+		AddAWGNLanes(sts[:len(lens)], sigs[:len(lens)], 0.7)
+		for l := range lens {
+			for i := range want[l] {
+				if sigs[l][i] != want[l][i] {
+					t.Fatalf("lens %v: signal %d sample %d = %v, AddAWGN %v", lens, l, i, sigs[l][i], want[l][i])
+				}
+			}
+			if *sts[l] != ref[l] {
+				t.Fatalf("lens %v: stream %d state diverges from AddAWGN's", lens, l)
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@ type CreateResponse struct {
 type DeploymentInfo struct {
 	ID         int64            `json:"id"`
 	Name       string           `json:"name,omitempty"`
-	State      string           `json:"state"` // "idle" | "running"
+	State      string           `json:"state"` // "idle" | "running" | "quarantined"
 	Continuous bool             `json:"continuous"`
 	Pending    int              `json:"pending"`
 	Rounds     int              `json:"rounds"`
@@ -183,17 +183,24 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, CreateResponse{ID: id})
 }
 
+// stateLocked names t's scheduling state. Callers hold t.mu.
+func (t *tenant) stateLocked() string {
+	switch {
+	case t.quarantined:
+		return "quarantined"
+	case t.scheduled:
+		return "running"
+	}
+	return "idle"
+}
+
 func (t *tenant) info() DeploymentInfo {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	state := "idle"
-	if t.scheduled {
-		state = "running"
-	}
 	return DeploymentInfo{
 		ID:         t.id,
 		Name:       t.cfg.Name,
-		State:      state,
+		State:      t.stateLocked(),
 		Continuous: t.continuous,
 		Pending:    t.pending,
 		Rounds:     t.acc.Rounds(),
@@ -238,6 +245,19 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// refusalLocked returns the status and message refusing t further
+// rounds — 404 once closed, 409 once a panicked round quarantined it —
+// or status 0 when it may run them. Callers hold t.mu.
+func (t *tenant) refusalLocked() (int, string) {
+	switch {
+	case t.closed:
+		return http.StatusNotFound, fmt.Sprintf("deployment %d is closed", t.id)
+	case t.quarantined:
+		return http.StatusConflict, fmt.Sprintf("deployment %d is quarantined (%s); delete it", t.id, t.lastErr)
+	}
+	return 0, ""
+}
+
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 	t := s.tenantFromPath(w, r)
 	if t == nil {
@@ -255,9 +275,9 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.mu.Lock()
-	if t.closed {
+	if code, msg := t.refusalLocked(); code != 0 {
 		t.mu.Unlock()
-		s.writeError(w, http.StatusNotFound, "deployment %d is closed", t.id)
+		s.writeError(w, code, "%s", msg)
 		return
 	}
 	// Compare against the headroom rather than summing: pending and
@@ -289,9 +309,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.mu.Lock()
-	if t.closed {
+	if code, msg := t.refusalLocked(); code != 0 {
 		t.mu.Unlock()
-		s.writeError(w, http.StatusNotFound, "deployment %d is closed", t.id)
+		s.writeError(w, code, "%s", msg)
 		return
 	}
 	t.continuous = true
@@ -372,14 +392,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	t.mu.Lock()
 	resp := StatsResponse{
 		ID:         t.id,
-		State:      "idle",
+		State:      t.stateLocked(),
 		Continuous: t.continuous,
 		Pending:    t.pending,
 		Adversity:  t.advOn,
 		Soft:       t.softOn,
-	}
-	if t.scheduled {
-		resp.State = "running"
 	}
 	t.mu.Unlock()
 	resp.Stats = t.acc.Snapshot()

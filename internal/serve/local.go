@@ -23,12 +23,7 @@ func RunLocal(cfg DeploymentConfig, rounds int) (sim.Snapshot, error) {
 		return sim.Snapshot{}, err
 	}
 	for i := 0; i < rounds; i++ {
-		var stats sim.MultiRoundStats
-		if t.adversity {
-			stats, err = t.tr.Step()
-		} else {
-			stats, err = t.net.RunRound(cfg.Devices)
-		}
+		stats, err := t.step()
 		if err != nil {
 			return sim.Snapshot{}, err
 		}

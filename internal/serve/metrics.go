@@ -10,6 +10,7 @@ type metrics struct {
 	rounds       atomic.Int64 // simulation rounds completed
 	framesOK     atomic.Int64 // frames decoded across all rounds
 	roundErrors  atomic.Int64 // rounds aborted by a simulation error
+	roundPanics  atomic.Int64 // rounds that panicked, quarantining their tenant
 	httpRequests atomic.Int64 // requests served (all endpoints)
 	httpErrors   atomic.Int64 // error responses written
 	throttled    atomic.Int64 // 429s (backlog or deployment limit)
@@ -24,6 +25,7 @@ func (m *metrics) snapshot() map[string]int64 {
 		"rounds_total":        m.rounds.Load(),
 		"frames_ok_total":     m.framesOK.Load(),
 		"round_errors_total":  m.roundErrors.Load(),
+		"round_panics_total":  m.roundPanics.Load(),
 		"http_requests_total": m.httpRequests.Load(),
 		"http_errors_total":   m.httpErrors.Load(),
 		"throttled_total":     m.throttled.Load(),

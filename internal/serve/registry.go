@@ -148,7 +148,11 @@ type tenant struct {
 	advOn      bool
 	softOn     bool
 	lastErr    string
-	subs       []chan RoundUpdate
+	// quarantined is set once a round panicked: the tenant's arenas
+	// are in an unknown state, so it runs no further rounds and only
+	// listing, stats and delete still serve it.
+	quarantined bool
+	subs        []chan RoundUpdate
 
 	turnFn func() // persistent scheduler job (allocated once)
 }
@@ -298,12 +302,16 @@ func (s *Server) turn(t *tenant) {
 		}
 		t.mu.Unlock()
 
-		var stats sim.MultiRoundStats
-		var err error
-		if t.adversity {
-			stats, err = t.tr.Step()
-		} else {
-			stats, err = t.net.RunRound(t.cfg.Devices)
+		stats, panicked, err := t.guardedStep()
+		if panicked {
+			t.mu.Lock()
+			t.lastErr = err.Error()
+			t.quarantined = true
+			t.continuous = false
+			t.pending = 0
+			t.mu.Unlock()
+			s.metrics.roundPanics.Add(1)
+			break
 		}
 		if err != nil {
 			t.mu.Lock()
@@ -328,7 +336,7 @@ func (s *Server) turn(t *tenant) {
 	}
 
 	t.mu.Lock()
-	if !t.closed && (t.continuous || t.pending > 0) {
+	if !t.closed && !t.quarantined && (t.continuous || t.pending > 0) {
 		// Stay scheduled: queue the next turn before releasing the
 		// flag so a concurrent step request doesn't double-queue.
 		if err := s.sched.Submit(t.id, t.turnFn); err != nil {
@@ -339,6 +347,31 @@ func (s *Server) turn(t *tenant) {
 		t.scheduled = false
 	}
 	t.mu.Unlock()
+}
+
+// step runs one round of the tenant: a trajectory step once adversity
+// is on, a plain round otherwise. Callers hold stepMu, or own the
+// tenant exclusively as RunLocal does.
+func (t *tenant) step() (sim.MultiRoundStats, error) {
+	if t.adversity {
+		return t.tr.Step()
+	}
+	return t.net.RunRound(t.cfg.Devices)
+}
+
+// guardedStep is step for a scheduler turn: a panic anywhere in the
+// round — on this goroutine, or on a fan-out helper, whose panic the
+// pool re-raises here — comes back as an error with panicked set, so
+// one tenant's failure never takes the process (and every other
+// tenant) down with it.
+func (t *tenant) guardedStep() (stats sim.MultiRoundStats, panicked bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			stats, panicked, err = sim.MultiRoundStats{}, true, fmt.Errorf("round panicked: %v", r)
+		}
+	}()
+	stats, err = t.step()
+	return stats, false, err
 }
 
 // publish fans a completed round out to stream subscribers without

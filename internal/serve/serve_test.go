@@ -387,3 +387,84 @@ func TestRoundHotPathAllocs(t *testing.T) {
 		t.Fatalf("tenant round hot path allocates %v/op; want 0", n)
 	}
 }
+
+// TestRoundPanicQuarantinesTenant: a tenant whose round panics fails
+// alone. Its turn recovers the panic, records it as the tenant's last
+// error and quarantines it — state "quarantined", step and run refused
+// with 409, delete still works — and /metrics counts it, while another
+// tenant keeps stepping. The panic is a real one from the round path:
+// a negative device count slices the round arena out of range. At a
+// parent without recovery the test binary dies.
+func TestRoundPanicQuarantinesTenant(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	bad, err := c.CreateDeployment(ctx, smallCfg(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := c.CreateDeployment(ctx, smallCfg(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Step(ctx, bad, 2); err != nil {
+		t.Fatal(err)
+	}
+	waitRounds(t, c, bad, 2)
+	tb := s.reg.get(bad)
+	tb.stepMu.Lock()
+	tb.mu.Lock()
+	tb.cfg.Devices = -1
+	tb.mu.Unlock()
+	tb.stepMu.Unlock()
+
+	if _, err := c.Step(ctx, bad, 3); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	if _, err := c.Run(ctx, good); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	var info DeploymentInfo
+	for {
+		if info, err = c.Detail(ctx, bad); err != nil {
+			t.Fatal(err)
+		}
+		if info.State == "quarantined" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant never quarantined: %+v", info)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !strings.Contains(info.LastError, "round panicked") || info.Pending != 0 || info.Continuous {
+		t.Fatalf("quarantined tenant = %+v", info)
+	}
+	if info.Rounds != 2 {
+		t.Fatalf("quarantined tenant accumulated %d rounds, want the 2 before the panic", info.Rounds)
+	}
+	for name, call := range map[string]func() error{
+		"step": func() error { _, err := c.Step(ctx, bad, 1); return err },
+		"run":  func() error { _, err := c.Run(ctx, bad); return err },
+	} {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "409") {
+			t.Fatalf("%s on a quarantined tenant = %v; want 409", name, err)
+		}
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["round_panics_total"] != 1 {
+		t.Fatalf("round_panics_total = %d, want 1", m["round_panics_total"])
+	}
+	// The other tenant is unaffected and keeps running.
+	before := waitRounds(t, c, good, 1).Stats.Rounds
+	waitRounds(t, c, good, before+5)
+	if err := c.DeleteDeployment(ctx, bad); err != nil {
+		t.Fatalf("delete quarantined tenant: %v", err)
+	}
+	if _, err := c.Pause(ctx, good); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -60,25 +61,51 @@ func TestMultiAPRoundSmallClean(t *testing.T) {
 
 // checkRoundZeroAlloc pins the round context's allocation-free claim
 // for a k-AP network: after the warm-up round, a round — template
-// fan-out, k receive buffers, k decodes and the aggregation — touches
-// no heap at GOMAXPROCS=1 (the worker pool runs inline; with workers it
-// spawns goroutines, which allocate by design).
+// fan-out, k receive buffers and their noise groups, k decodes and the
+// aggregation — touches no heap. At GOMAXPROCS=1 the worker pool runs
+// inline. At GOMAXPROCS=2 its helpers really start, and the test counts
+// mallocs itself (testing.AllocsPerRun forces GOMAXPROCS 1): the pool
+// recycles its jobs and starts helpers without closures, so what
+// remains is the runtime's occasional goroutine descriptor when its
+// free lists run dry — 0.00–0.01 per round measured, with and without
+// the race detector — against a bound of 0.1.
 func checkRoundZeroAlloc(t *testing.T, k int) {
 	t.Helper()
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev)
 
-	net := testMultiAPNetwork(t, 16, k, 3)
-	if _, err := net.RunRound(16); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := net.RunRound(16); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("k=%d: steady-state RunRound allocates %.1f objects/op, want 0", k, allocs)
+			net := testMultiAPNetwork(t, 16, k, 3)
+			round := func() {
+				if _, err := net.RunRound(16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if procs == 1 {
+				round()
+				if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+					t.Fatalf("k=%d: steady-state RunRound allocates %.1f objects/op, want 0", k, allocs)
+				}
+				return
+			}
+			// Warm up until the pool's jobs and the runtime's free
+			// goroutine lists are full, then average over enough rounds
+			// that a stray descriptor reads as a fraction.
+			for range 200 {
+				round()
+			}
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			if perRound := float64(after.Mallocs-before.Mallocs) / runs; perRound >= 0.1 {
+				t.Fatalf("k=%d: steady-state RunRound at GOMAXPROCS 2 allocates %.2f objects/op, want 0", k, perRound)
+			}
+		})
 	}
 }
 

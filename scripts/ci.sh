@@ -54,9 +54,13 @@ echo "== fuzz seed corpus =="
 # window-planned cascade vs full transform), the grouped ghost
 # rejection (FuzzRejectGhosts: vs the all-pairs loop), the fused
 # receive accumulate (FuzzFusedAccumulate: scheduled frame runs vs
-# per-frame range accumulation) and the campaign spec parser
-# (FuzzLoadSpec: never panics, accepted specs round-trip to the same
-# digest and grid).
+# per-frame range accumulation), the lane noise fill
+# (FuzzNormBatchLanes: one to four streams of any lengths vs sequential
+# NormFloat64), the campaign spec parser (FuzzLoadSpec: never panics,
+# accepted specs round-trip to the same digest and grid) and the
+# checkpoint reopen path (FuzzCheckpointReopen: never panics, resumes
+# only under the spec's header, truncates to a line prefix, appends
+# round-trip).
 go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp ./internal/campaign
 
 echo "== benchmarks: one iteration each =="
@@ -98,10 +102,13 @@ echo "== race: concurrent paths =="
 # ./internal/synth, and the round's fused receive against the closure
 # path in ./internal/sim. Tiled pulls in the interference-burst tile
 # gate (TestBurstTiledBitIdentical) and the channel's tile-grid noise
-# tests. The Fig. 17 sweep builds its one-AP networks concurrently over
-# one deployment, so TestFig17Shape fails here if that deployment is
-# left unplaced before the fan-out.
-go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
+# tests. Lanes|BlockEnd pull in the lane noise fill against
+# NormFloat64 and AddAWGN (both bodies, rejections and tails on a
+# block's last word), and Panic the pool's re-raising of a helper's
+# panic on the caller. The Fig. 17 sweep builds its one-AP networks
+# concurrently over one deployment, so TestFig17Shape fails here if
+# that deployment is left unplaced before the fan-out.
+go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule|Lanes|BlockEnd|Panic' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
 go test -race -count=1 -run 'TestFig17Shape' ./internal/exper
 
 echo "== campaign: unit + resume + race =="
