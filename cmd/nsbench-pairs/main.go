@@ -1,12 +1,17 @@
 // Command nsbench-pairs summarizes alternating parent/change runs of the
 // repository benchmark (nsbench): for each end-to-end metric that
 // BENCHMARK.json declares, both sides' median and quartiles, the
-// change's median shift, and in how many pairs the change was better,
-// with "better" taken from the metric's declared direction. The runs'
-// failed counts, correctness and environment stamps ride along. Like
-// nsbench compare, it refuses runs measured in different environments
-// or with different workload settings: a summary across machines says
-// nothing about the code.
+// change's median shift, in how many pairs the change was better, with
+// "better" taken from the metric's declared direction, and the median
+// and quartiles of the per-pair ratio change/parent. The wins and the
+// gap between the medians against the parent's interquartile range are
+// the benchmark's acceptance rule; the paired ratio is reported beside
+// them because both sides drift together over a set of pairs, and a
+// ratio taken within each pair cancels that drift where the unpaired
+// medians mix it in. The runs' failed counts, correctness and
+// environment stamps ride along. Like nsbench compare, it refuses runs
+// measured in different environments or with different workload
+// settings: a summary across machines says nothing about the code.
 //
 // scripts/nsbench-pairs.sh produces the runs and calls it. Usage:
 //
@@ -80,6 +85,10 @@ type Metric struct {
 	// GapExceedsParentIQR reports whether the medians differ by more
 	// than the parent's interquartile range.
 	GapExceedsParentIQR bool `json:"gap_exceeds_parent_iqr"`
+	// PairRatio is the distribution of the per-pair ratio
+	// change/parent, its values in pair order; pairs whose parent value
+	// is zero have no ratio and are left out.
+	PairRatio Side `json:"pair_ratio"`
 }
 
 // Summary is one workload and seed's pairs.
@@ -161,8 +170,9 @@ func run(benchPath, parent, change, out, dir string) error {
 		return err
 	}
 	for _, m := range s.Metrics {
-		fmt.Printf("%s seed=%d %-18s %12.6g -> %12.6g %-4s %+7.2f%%  wins %d/%d  parent IQR %.4g\n",
-			s.Workload, s.Seed, m.Name, m.Parent.Median, m.Change.Median, m.Unit, m.ChangePct, m.Wins, s.Pairs, m.Parent.Q3-m.Parent.Q1)
+		fmt.Printf("%s seed=%d %-18s %12.6g -> %12.6g %-4s %+7.2f%%  wins %d/%d  parent IQR %.4g  paired ratio %.4f [%.4f–%.4f]\n",
+			s.Workload, s.Seed, m.Name, m.Parent.Median, m.Change.Median, m.Unit, m.ChangePct, m.Wins, s.Pairs, m.Parent.Q3-m.Parent.Q1,
+			m.PairRatio.Median, m.PairRatio.Q1, m.PairRatio.Q3)
 	}
 	return nil
 }
@@ -285,7 +295,7 @@ func summarize(decl []e2eMetric, parent, change []report, parentRev, changeRev s
 	}
 	for _, d := range decl {
 		m := Metric{Name: d.Name, Unit: d.Unit, Better: d.Better}
-		var pv, cv []float64
+		var pv, cv, ratios []float64
 		for i := range parent {
 			p, okp := parent[i].metrics[d.Name]
 			c, okc := change[i].metrics[d.Name]
@@ -296,8 +306,14 @@ func summarize(decl []e2eMetric, parent, change []report, parentRev, changeRev s
 			if (d.Better == "higher" && c > p) || (d.Better != "higher" && c < p) {
 				m.Wins++
 			}
+			if p != 0 {
+				ratios = append(ratios, c/p)
+			}
 		}
 		m.Parent, m.Change = side(pv), side(cv)
+		if len(ratios) > 0 {
+			m.PairRatio = side(ratios)
+		}
 		if m.Parent.Median != 0 {
 			m.ChangePct = 100 * (m.Change.Median/m.Parent.Median - 1)
 		}

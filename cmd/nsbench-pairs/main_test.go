@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -135,5 +136,37 @@ func TestSummaryRefusesMixedRuns(t *testing.T) {
 	writeRun(t, filepath.Join(dir, "parent-01.txt"), "X", 1, 10, 100)
 	if err := run(bench, "p", "c", filepath.Join(dir, "out.json"), dir); err == nil {
 		t.Fatal("a pair without its change run was summarized")
+	}
+}
+
+// TestPairedRatioSeparatesDrift: both sides drift 15% faster over ten
+// pairs and the change is 5% better in every pair. The unpaired medians
+// differ by less than the parent's interquartile range, so the gap flag
+// stays false for all ten wins; the per-pair ratio reads 0.95 with no
+// spread.
+func TestPairedRatioSeparatesDrift(t *testing.T) {
+	dir := t.TempDir()
+	bench := writeBenchmark(t, dir)
+	const pairs = 10
+	for i := 0; i < pairs; i++ {
+		p := 10 * (1 - 0.15*float64(i)/(pairs-1))
+		writeRun(t, filepath.Join(dir, fmt.Sprintf("parent-%02d.txt", i+1)), "X", 1, p, 100)
+		writeRun(t, filepath.Join(dir, fmt.Sprintf("change-%02d.txt", i+1)), "X", 1, 0.95*p, 100)
+	}
+	out := filepath.Join(dir, "NSBENCH.json")
+	if err := run(bench, "p", "c", out, dir); err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := readJSON(out, &f); err != nil {
+		t.Fatal(err)
+	}
+	cpu := f.Summaries[0].Metrics[0]
+	if cpu.Wins != pairs || cpu.GapExceedsParentIQR {
+		t.Errorf("wins %d gap flag %v, want %d and false", cpu.Wins, cpu.GapExceedsParentIQR, pairs)
+	}
+	r := cpu.PairRatio
+	if len(r.Values) != pairs || math.Abs(r.Median-0.95) > 1e-12 || r.Q3-r.Q1 > 1e-12 {
+		t.Errorf("paired ratio %v [%v, %v] over %d pairs, want 0.95 with no spread over %d", r.Median, r.Q1, r.Q3, len(r.Values), pairs)
 	}
 }

@@ -103,7 +103,8 @@ func ScaleTemplate(dst, src []complex128, c complex128) []complex128 {
 // same bits.
 //
 // Like Channel, a MultiChannel reuses its arenas across receives and is
-// not safe for concurrent use.
+// not safe for concurrent use, except for FillAP calls on distinct APs
+// between a Prepare and the next.
 type MultiChannel struct {
 	// Params supplies the sample rate.
 	Params chirp.Params
@@ -130,14 +131,22 @@ type MultiChannel struct {
 	scheds    []synth.FrameSchedule // device i's, filled when it has MixedSchedule
 	syn       *synth.Synthesizer
 
-	tmplWorker  func(i int)
-	tileWorker  func(j int)
-	noiseWorker func(g int)
-	curTxs      []MultiTransmission
-	curOuts     [][]complex128
-	curKey      int64
-	nTiles      int
-	nGroups     int
+	tmplWorker func(i int)
+	fillWorker func(a int)
+	fills      []apFill // fills[a]: AP a's persistent tile and noise workers
+	curTxs     []MultiTransmission
+	curOuts    [][]complex128
+	curKey     int64
+	curNoise   bool
+	nTiles     int
+}
+
+// apFill holds one AP's persistent fill workers, built once with the
+// channel: concurrent FillAP calls for different APs then share no
+// in-flight state, and a receive allocates no closure.
+type apFill struct {
+	tile  func(t int)
+	noise func(g int)
 }
 
 // NewMultiChannel returns a unit-noise channel fanning out to nAPs
@@ -146,7 +155,17 @@ func NewMultiChannel(p chirp.Params, nAPs int, rng *dsp.Rand) *MultiChannel {
 	if nAPs < 1 {
 		panic(fmt.Sprintf("air: MultiChannel with %d APs", nAPs))
 	}
-	return &MultiChannel{Params: p, NoisePower: 1, Rng: rng, nAPs: nAPs}
+	mc := &MultiChannel{Params: p, NoisePower: 1, Rng: rng, nAPs: nAPs}
+	mc.tmplWorker = mc.tmplOne
+	mc.fillWorker = mc.FillAP
+	mc.fills = make([]apFill, nAPs)
+	for a := range mc.fills {
+		mc.fills[a] = apFill{
+			tile:  func(t int) { mc.tileOne(a, t) },
+			noise: func(g int) { mc.noiseOne(a, g) },
+		}
+	}
+	return mc
 }
 
 // APs returns the channel's AP count.
@@ -164,16 +183,26 @@ func (mc *MultiChannel) Receive(length int, txs []MultiTransmission) [][]complex
 
 // ReceiveInto builds the k per-AP received streams into outs (one
 // equal-length buffer per AP, each zeroed and refilled) and returns
-// outs. Three fan-outs across the worker pool: template synthesis once
-// per device (per-AP templates are scaled copies); the k·nTiles (AP,
-// tile) pairs, each zeroed and accumulating every device's overlap in
-// transmission order; and the noise, groups of up to dsp.ZigLanes
-// consecutive pairs each adding their AP- and tile-indexed streams
-// through one lane fill (radio.AddAWGNLanes).
+// outs: Prepare, then one pool item per AP running FillAP.
 func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission) [][]complex128 {
+	mc.Prepare(outs, txs)
+	pool.ForEach(mc.nAPs, mc.fillWorker)
+	mc.curTxs = nil
+	mc.curOuts = nil
+	return outs
+}
+
+// Prepare runs the shared phases of a receive into outs (one
+// equal-length buffer per AP): the serial per-(device, AP) scale draws
+// and the round's noise key, then the template fan-out — synthesis once
+// per device across the worker pool, the per-AP templates being scaled
+// copies. It leaves each buffer to FillAP. The channel keeps outs and
+// txs until the next Prepare; between the two, the k FillAP calls are
+// independent and may run concurrently, each on its own AP.
+func (mc *MultiChannel) Prepare(outs [][]complex128, txs []MultiTransmission) {
 	k := mc.nAPs
 	if len(outs) != k {
-		panic(fmt.Sprintf("air: ReceiveInto with %d buffers for %d APs", len(outs), k))
+		panic(fmt.Sprintf("air: receive into %d buffers for %d APs", len(outs), k))
 	}
 	for a := 1; a < k; a++ {
 		if len(outs[a]) != len(outs[0]) {
@@ -207,7 +236,7 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 	// Serial phase: per-(device, AP) scales in (device, AP) order —
 	// the same carrier-gain composition Channel uses per transmission —
 	// then the round's noise key. Everything after this point draws no
-	// randomness, so the fan-out cannot perturb the sequence.
+	// randomness, so the fan-outs cannot perturb the sequence.
 	fs := mc.Params.SampleRate()
 	for i := range txs {
 		tx := &txs[i]
@@ -225,32 +254,39 @@ func (mc *MultiChannel) ReceiveInto(outs [][]complex128, txs []MultiTransmission
 			mc.scales[i*k+a] = carrierGain(tx.SNRdB[a], tx.FadeGain, tx.FixedPhase, mc.Rng)
 		}
 	}
-	noise := mc.NoisePower > 0 && mc.Rng != nil
-	var key int64
-	if noise {
-		key = int64(mc.Rng.Uint64())
+	mc.curNoise = mc.NoisePower > 0 && mc.Rng != nil
+	mc.curKey = 0
+	if mc.curNoise {
+		mc.curKey = int64(mc.Rng.Uint64())
 	}
 
-	if mc.tmplWorker == nil {
-		mc.tmplWorker = mc.tmplOne
-		mc.tileWorker = mc.tileOne
-		mc.noiseWorker = mc.noiseOne
-	}
 	mc.syn = synth.For(mc.Params)
 	mc.curTxs = txs
 	mc.curOuts = outs
-	mc.curKey = key
 	mc.nTiles = (len(outs[0]) + tileSamples - 1) / tileSamples
-	pairs := k * mc.nTiles
-	mc.nGroups = (pairs + dsp.ZigLanes - 1) / dsp.ZigLanes
 	pool.ForEach(nTx, mc.tmplWorker)
-	pool.ForEach(pairs, mc.tileWorker)
-	if noise {
-		pool.ForEach(mc.nGroups, mc.noiseWorker)
+}
+
+// FillAP builds AP a's buffer of the prepared receive in two fan-outs
+// over its own tiles: each tile zeroed and accumulating every device's
+// overlap in transmission order, then the noise, in groups of up to
+// dsp.ZigLanes of the AP's tiles, each adding their tile-indexed
+// streams through one lane fill (radio.AddAWGNLanes). Inside a pool
+// item — one per AP, as ReceiveInto and the multi-AP round run it —
+// the two fan-outs take whatever pool tokens the outer one left, and
+// run inline when it holds them all.
+func (mc *MultiChannel) FillAP(a int) {
+	f := &mc.fills[a]
+	pool.ForEach(mc.nTiles, f.tile)
+	if mc.curNoise {
+		pool.ForEach(mc.noiseGroups(), f.noise)
 	}
-	mc.curTxs = nil
-	mc.curOuts = nil
-	return outs
+}
+
+// noiseGroups is the number of noise groups over one AP's tiles: as few
+// as hold at most dsp.ZigLanes tiles each.
+func (mc *MultiChannel) noiseGroups() int {
+	return (mc.nTiles + dsp.ZigLanes - 1) / dsp.ZigLanes
 }
 
 // tmplOne synthesizes device i's base template symbols (fractional
@@ -274,16 +310,14 @@ func (mc *MultiChannel) tmplOne(i int) {
 	}
 }
 
-// tileOne builds (AP, tile) pair j of the in-flight receive: zero the
-// tile and accumulate every device's overlap in transmission order from
-// that AP's scaled templates; noiseOne adds the noise afterwards.
-// Consecutive scheduled devices are gathered into runs of up to
-// synth.FuseRun and added by one fused pass per run; a closure-path
-// transmission first flushes the pending run, so per sample the adds
-// stay in transmission order.
-func (mc *MultiChannel) tileOne(j int) {
-	a := j / mc.nTiles
-	t := j % mc.nTiles
+// tileOne builds tile t of AP a's buffer in the in-flight receive:
+// zero the tile and accumulate every device's overlap in transmission
+// order from that AP's scaled templates; noiseOne adds the noise
+// afterwards. Consecutive scheduled devices are gathered into runs of
+// up to synth.FuseRun and added by one fused pass per run; a
+// closure-path transmission first flushes the pending run, so per
+// sample the adds stay in transmission order.
+func (mc *MultiChannel) tileOne(a, t int) {
 	out := mc.curOuts[a]
 	lo := t * tileSamples
 	hi := min(lo+tileSamples, len(out))
@@ -319,23 +353,22 @@ func (mc *MultiChannel) tileOne(j int) {
 	}
 }
 
-// noiseOne adds the noise of group g of the in-flight receive: the
-// (AP, tile) pairs [g·P/G, (g+1)·P/G) of the P = k·nTiles pairs in
-// tileOne's order, split evenly over G = ceil(P/dsp.ZigLanes) groups so
-// none holds more than dsp.ZigLanes. Pair (a, t) draws from
-// dsp.StreamAt(key^a, t) — AP 0's streams are exactly Channel's for the
-// same key — and radio.AddAWGNLanes adds to each tile exactly the noise
-// radio.AddAWGN would, so the grouping never moves a bit.
-func (mc *MultiChannel) noiseOne(g int) {
-	pairs := mc.nAPs * mc.nTiles
-	lo, hi := g*pairs/mc.nGroups, (g+1)*pairs/mc.nGroups
+// noiseOne adds the noise of AP a's group g in the in-flight receive:
+// the AP's tiles [g·T/G, (g+1)·T/G) of its T tiles, split evenly over
+// G = noiseGroups() groups so none holds more than dsp.ZigLanes. Tile t
+// draws from dsp.StreamAt(key^a, t) — AP 0's streams are exactly
+// Channel's for the same key — and radio.AddAWGNLanes adds to each tile
+// exactly the noise radio.AddAWGN would, so the grouping never moves a
+// bit.
+func (mc *MultiChannel) noiseOne(a, g int) {
+	out := mc.curOuts[a]
+	groups := mc.noiseGroups()
+	lo, hi := g*mc.nTiles/groups, (g+1)*mc.nTiles/groups
 	var streams [dsp.ZigLanes]dsp.Stream
 	var sts [dsp.ZigLanes]*dsp.Stream
 	var sigs [dsp.ZigLanes][]complex128
-	for j := lo; j < hi; j++ {
-		a, t := j/mc.nTiles, j%mc.nTiles
-		out := mc.curOuts[a]
-		l := j - lo
+	for t := lo; t < hi; t++ {
+		l := t - lo
 		streams[l] = dsp.StreamAt(mc.curKey^int64(a), uint64(t))
 		sts[l] = &streams[l]
 		sigs[l] = out[t*tileSamples : min((t+1)*tileSamples, len(out))]

@@ -85,20 +85,24 @@ func testFleet(p chirp.Params, kind string, nDev, k int, bits [][]byte) []air.Mu
 // re-derives everything from scratch — fresh encoders, the mirrored
 // scale draws, the per-AP noise key masterKey^ap — so the equality
 // validates the fan-out's scale composition, accumulation order, tile
-// grid and noise-key derivation, for k ∈ {1, 2, 4}. At k = 1 this is
-// the simulator's single-AP round. The reference always accumulates
-// device by device over the whole buffer, so on the scheduled and mixed
-// fleets it also pins the fused accumulate — runs of devices per pass,
-// across a two-tile buffer — to per-device accumulation.
+// grid and noise-key derivation, for k ∈ {1, 2, 3, 4} — three being an
+// AP fan-out that does not divide evenly over two workers. At k = 1
+// this is the simulator's single-AP round. The reference always
+// accumulates device by device over the whole buffer, so on the
+// scheduled and mixed fleets it also pins the fused accumulate — runs
+// of devices per pass, across a two-tile buffer — to per-device
+// accumulation. A second, five-tile buffer splits each AP's noise into
+// a two-tile group (the single-stream fill) and a three-tile group (the
+// lane fill), so the reference's single-stream noise pins both.
 func TestMultiChannelMatchesSingleAPOracles(t *testing.T) {
 	p := simtest.SmallParams()
 	const nDev = 24
 	const nBits = 40
-	length := (8 + nBits + 2) * p.N()
-
-	for _, kind := range fleetKinds {
-		for _, k := range []int{1, 2, 4} {
-			checkMultiAgainstOracles(t, p, kind, k, nDev, nBits, length)
+	for _, length := range []int{(8 + nBits + 2) * p.N(), 4*noiseTile + 17} {
+		for _, kind := range fleetKinds {
+			for _, k := range []int{1, 2, 3, 4} {
+				checkMultiAgainstOracles(t, p, kind, k, nDev, nBits, length)
+			}
 		}
 	}
 }
@@ -116,8 +120,8 @@ func checkMultiAgainstOracles(t *testing.T, p chirp.Params, kind string, k, nDev
 		want := serialReference(p, txs, bits, scales, key, a, length)
 		if !reflect.DeepEqual(outs[a], want) {
 			i := firstDiff(outs[a], want)
-			t.Fatalf("%s fleet, k=%d: AP %d diverges from the serial reference at sample %d: %v vs %v",
-				kind, k, a, i, outs[a][i], want[i])
+			t.Fatalf("%s fleet, k=%d, %d samples: AP %d diverges from the serial reference at sample %d: %v vs %v",
+				kind, k, length, a, i, outs[a][i], want[i])
 		}
 	}
 }
@@ -200,7 +204,7 @@ func TestMultiChannelSynthesizesTemplatesOnce(t *testing.T) {
 // buffer a pure function of (seed, transmissions), not of worker
 // scheduling. Every fleet kind gives the closure fleet's bits: the
 // per-device schedules are filled by pool workers and read by every
-// tile worker, with no shared scratch between tiles.
+// AP item's tile workers, with no shared scratch between tiles.
 func TestMultiChannelBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 	p := simtest.SmallParams()
 	const nDev = 24
@@ -249,8 +253,8 @@ func TestMultiChannelBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 // templates, scales, placements, frame schedules — and the noise
 // groups borrow their scratch, so steady-state receives allocate
 // nothing at GOMAXPROCS=1, on every fleet kind: with one tile per AP
-// (two-pair noise groups, the single-stream fill) and with three (two
-// three-pair groups through the lane fill).
+// (one-tile noise groups, the single-stream fill) and with three (one
+// three-tile group per AP, through the lane fill).
 func TestMultiChannelZeroAllocSteadyState(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)

@@ -11,6 +11,21 @@
 // that need determinism index results by the *item* (per-index slots,
 // tile-indexed rng streams — see air's tiled receive), never by the
 // worker, so output is identical at any pool width.
+//
+// Calls nest: an item may itself call ForEach or ForEachWorker. Every
+// call's extra workers draw on one process-wide token budget of
+// GOMAXPROCS−1, so whichever call holds the tokens sets the level of
+// parallelism. A multi-AP round fans out over its APs, and each AP
+// item's inner fan-outs (tiles, noise groups, decode batches) take the
+// tokens that remain and run inline when none do.
+//
+// Helpers persist. Each helper goroutine is started once, lazily, the
+// first time the tokens held at once outnumber the helpers, and parks on
+// a channel between jobs, so there are never more helpers than tokens
+// ever held at once (GOMAXPROCS−1 at the widest the process has run). A
+// fan-out therefore starts no goroutine in steady state: the runtime's
+// goroutine descriptor, which a fresh go statement allocates whenever
+// the caller's P has none free, stays off the per-round path.
 package pool
 
 import (
@@ -22,13 +37,14 @@ import (
 // Size returns the pool's parallelism bound: GOMAXPROCS at call time.
 func Size() int { return runtime.GOMAXPROCS(0) }
 
-// inflight bounds the extra goroutines the pool may have running across
-// every caller, so nested parallel-fors (a parallel decode inside a
-// parallel experiment sweep) share one machine-wide budget instead of
-// multiplying. The limit is re-read from GOMAXPROCS on every acquire,
-// so runtime.GOMAXPROCS changes (e.g. `go test -cpu 1,4`) take effect
-// immediately. Callers always run work inline themselves, so forward
-// progress never depends on acquiring a token.
+// inflight counts the tokens held — one per job handed to a helper and
+// not yet finished — across every caller, so nested parallel-fors (a
+// parallel decode inside a parallel experiment sweep) share one
+// machine-wide budget instead of multiplying. The limit is re-read
+// from GOMAXPROCS on every acquire, so runtime.GOMAXPROCS changes (e.g.
+// `go test -cpu 1,4`) take effect immediately. Callers always run work
+// inline themselves, so forward progress never depends on acquiring a
+// token.
 var inflight atomic.Int64
 
 func acquireToken() bool {
@@ -93,24 +109,49 @@ func putJob(j *job) {
 	}
 }
 
-// handoff carries a job to each helper goroutine. Helpers are started
-// with a no-argument go statement — a go statement with arguments, or
-// a capturing closure, heap-allocates — and each one receives exactly
-// one job. Every send is preceded by the start of its receiver, so a
-// send never blocks for long; the buffer (one slot per CPU, the most
-// helpers the token budget lets run at once on a full-width pool) only
-// spares the caller a rendezvous with a helper the scheduler has not
-// run yet.
+// handoff carries a job to a parked helper, once per token a fan-out
+// holds. Every send is preceded by startHelpers, which leaves at least
+// as many helpers as tokens held, and a helper holds a token only until
+// it has run a job and signalled its caller, so some helper is parked or
+// on its way back to park for every job in flight and a send never
+// blocks for long. The buffer
+// (one slot per CPU, the most helpers the token budget lets run at once
+// on a full-width pool) only spares the caller a rendezvous with a
+// helper that has just finished its previous job.
 var handoff = make(chan *job, runtime.NumCPU())
 
-// helper runs one job's items as the next free worker id, then signals
-// the job's WaitGroup. It must not touch the job after Done: the caller
-// recycles it once every helper is done.
+// helpers counts the helper goroutines started so far; none ever exits.
+var helpers atomic.Int64
+
+// startHelpers starts helpers until there are at least as many as the
+// tokens held right now. Helpers are started with a no-argument go
+// statement: one with arguments, or a capturing closure, heap-allocates.
+func startHelpers() {
+	held := inflight.Load()
+	for {
+		n := helpers.Load()
+		if n >= held {
+			return
+		}
+		if helpers.CompareAndSwap(n, n+1) {
+			go helper()
+		}
+	}
+}
+
+// helper runs jobs for the life of the process: each one's items as
+// the job's next free worker id, then it signals the job's WaitGroup,
+// releases the token the job's caller took for it and parks for the
+// next. Done comes first: it may wake the caller, which takes a while,
+// and while this helper still holds the token no other fan-out can hand
+// it a job it is not yet parked to take. It must not touch a job after
+// Done: the caller recycles it once every helper is done.
 func helper() {
-	j := <-handoff
-	j.runGuarded(int(j.ids.Add(1)))
-	releaseToken()
-	j.wg.Done()
+	for j := range handoff {
+		j.runGuarded(int(j.ids.Add(1)))
+		j.wg.Done()
+		releaseToken()
+	}
 }
 
 // runGuarded is run with panics recovered into the job: the first is
@@ -165,8 +206,8 @@ func fanOut(j *job, workers int) {
 		if !acquireToken() {
 			break
 		}
+		startHelpers()
 		j.wg.Add(1)
-		go helper()
 		handoff <- j
 	}
 	// The caller participates as worker 0 rather than blocking idle.

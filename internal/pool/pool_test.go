@@ -1,7 +1,10 @@
 package pool
 
 import (
+	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -197,5 +200,129 @@ func TestForEachPanicOnHelper(t *testing.T) {
 	}
 	if ran.Load() != 1 {
 		t.Fatalf("%d items completed, want the one that did not panic", ran.Load())
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine N [...]"), so a test can tell which goroutine ran an item.
+func goid() uint64 {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		panic("pool test: unreadable goroutine header " + f[1])
+	}
+	return id
+}
+
+// barrier lets parties wait until all of them have arrived, giving up
+// after ten seconds so a fan-out that never starts fails the test
+// instead of hanging it.
+type barrier struct {
+	arrived atomic.Int32
+	all     chan struct{}
+	parties int32
+}
+
+func newBarrier(parties int) *barrier {
+	return &barrier{all: make(chan struct{}), parties: int32(parties)}
+}
+
+func (b *barrier) wait() bool {
+	if b.arrived.Add(1) == b.parties {
+		close(b.all)
+	}
+	select {
+	case <-b.all:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
+	}
+}
+
+// nestedCalls runs, from inside an outer item, an inner ForEach and an
+// inner ForEachWorker of m items each, and checks that every inner index
+// ran exactly once and every worker id was in range. With fanOut false
+// it checks that both ran inline — every item on the calling goroutine,
+// as worker 0. With fanOut true it checks that the inner ForEach's
+// first procs items ran at once on procs goroutines.
+func nestedCalls(t *testing.T, procs, m int, fanOut bool) {
+	caller := goid()
+	var counts [2][]atomic.Int32
+	counts[0], counts[1] = make([]atomic.Int32, m), make([]atomic.Int32, m)
+	var offCaller atomic.Int32
+	start := newBarrier(procs)
+	ForEach(m, func(i int) {
+		counts[0][i].Add(1)
+		if goid() != caller {
+			offCaller.Add(1)
+		}
+		if fanOut && i < procs && !start.wait() {
+			t.Errorf("procs=%d: inner ForEach item %d waited in vain for %d items to run at once", procs, i, procs)
+		}
+	})
+	ForEachWorker(procs, m, func(w, i int) {
+		counts[1][i].Add(1)
+		if w < 0 || w >= procs {
+			t.Errorf("procs=%d: inner worker id %d out of range", procs, w)
+		}
+		if !fanOut && (w != 0 || goid() != caller) {
+			t.Errorf("procs=%d: inner ForEachWorker item %d ran as worker %d off the calling goroutine with the budget spent", procs, i, w)
+		}
+	})
+	for c := range counts {
+		for i := range counts[c] {
+			if got := counts[c][i].Load(); got != 1 {
+				t.Errorf("procs=%d: inner call %d ran index %d %d times", procs, c, i, got)
+			}
+		}
+	}
+	if !fanOut && offCaller.Load() != 0 {
+		t.Errorf("procs=%d: %d inner ForEach items ran off the calling goroutine with the budget spent", procs, offCaller.Load())
+	}
+}
+
+// TestNestedForEachSharesTokenBudget pins how nested calls share the
+// token budget, at GOMAXPROCS 2 and 4. With the budget spent — an outer
+// ForEachWorker holding every token, its items all running at once —
+// each item's inner ForEach and ForEachWorker run inline on the item's
+// goroutine. With a token free — the outer helpers done and their tokens
+// released while the caller's item still runs — the inner calls fan out.
+// Either way every inner index runs exactly once and worker ids stay in
+// range.
+func TestNestedForEachSharesTokenBudget(t *testing.T) {
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const m = 32
+
+			// Budget spent: procs outer items, all running at once, hold
+			// the procs−1 tokens until every item's inner calls are done.
+			started, done := newBarrier(procs), newBarrier(procs)
+			ForEachWorker(procs, procs, func(w, _ int) {
+				if !started.wait() {
+					t.Errorf("outer items never ran %d at once", procs)
+				}
+				if int(inflight.Load()) != procs-1 {
+					t.Errorf("outer fan-out holds %d tokens, want %d", inflight.Load(), procs-1)
+				}
+				nestedCalls(t, procs, m, false)
+				done.wait()
+			})
+
+			// Token free: the outer helpers claim nothing or finish at
+			// once, and the caller's item waits for their tokens to come
+			// back before calling in.
+			ForEachWorker(2, 2, func(w, _ int) {
+				if w != 0 {
+					return
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for inflight.Load() != 0 && time.Now().Before(deadline) {
+					runtime.Gosched()
+				}
+				nestedCalls(t, procs, m, true)
+			})
+		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"netscatter/internal/dsp"
 	"netscatter/internal/hw"
 	"netscatter/internal/mac"
+	"netscatter/internal/pool"
 	"netscatter/internal/radio"
 	"netscatter/internal/synth"
 )
@@ -106,8 +107,15 @@ type multiRoundCtx struct {
 	sigs         [][]complex128
 
 	res   []*core.FrameDecode
+	errs  []error
 	sel   []int
 	perAP []RoundStats
+
+	// The round's one pool fan-out: apWorker fills and decodes one AP,
+	// reading the in-flight round's device count and adversity.
+	apWorker   func(a int)
+	curDevices int
+	curAdv     *advRound
 
 	// Soft-combining arenas (carved by SetSoftCombining): one emitted
 	// spectra arena per AP, the bin-wise sum, the per-AP results plus
@@ -249,6 +257,8 @@ func (n *MultiAPNetwork) initRoundCtx(maxDevices int) {
 		rc.sigs[a] = rc.sigArena[a*length : (a+1)*length]
 	}
 	rc.res = make([]*core.FrameDecode, n.nAPs)
+	rc.errs = make([]error, n.nAPs)
+	rc.apWorker = n.apRound
 	rc.sel = make([]int, maxDevices)
 	rc.perAP = make([]RoundStats, n.nAPs)
 	rc.tmplFns = make([]func(tmpl []complex128, frac, freqHz float64, gain complex128) []complex128, maxDevices)
@@ -428,7 +438,13 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 		rc.chTxs = append(rc.chTxs, adv.extra...)
 		chTxs = rc.chTxs
 	}
-	n.mch.ReceiveInto(rc.sigs, chTxs)
+	// The channel's serial draws and template fan-out, then one pool
+	// item per AP that fills the AP's buffer and decodes it. Everything
+	// after the fan-out runs serially in AP order.
+	n.mch.Prepare(rc.sigs, chTxs)
+	rc.curDevices, rc.curAdv = nDevices, adv
+	pool.ForEach(n.nAPs, rc.apWorker)
+	rc.curAdv = nil
 	if silenced {
 		for i := 0; i < nDevices; i++ {
 			if !adv.active[i] {
@@ -437,23 +453,10 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 			}
 		}
 	}
-
-	for a := 0; a < n.nAPs; a++ {
-		if adv != nil && adv.apAlive != nil && !adv.apAlive[a] {
-			rc.res[a] = nil // a dead AP contributes nothing
-			continue
-		}
-		var res *core.FrameDecode
-		var err error
-		if n.soft {
-			res, err = n.decoders[a].DecodeFrameEmit(rc.sigs[a], 0, rc.shifts[:nDevices], payloadBits, rc.emits[a])
-		} else {
-			res, err = n.decoders[a].DecodeFrame(rc.sigs[a], 0, rc.shifts[:nDevices], payloadBits)
-		}
+	for _, err := range rc.errs {
 		if err != nil {
 			return MultiRoundStats{}, err
 		}
-		rc.res[a] = res
 	}
 
 	// Soft combining: sum the live APs' emitted power spectra bin-wise
@@ -543,6 +546,28 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 		}
 	}
 	return MultiRoundStats{Combined: combined, Soft: soft, PerAP: rc.perAP}, nil
+}
+
+// apRound is AP a's item of a round's fan-out: fill the AP's receive
+// buffer, then decode it into the AP's own decoder (emitting its
+// spectra when soft combining is on). A dead AP's buffer still fills —
+// the channel's work is AP-count-shaped — but it decodes nothing and
+// its result stays nil. Items share nothing in flight: each writes its
+// own buffer, decoder, emit arena and result slots.
+func (n *MultiAPNetwork) apRound(a int) {
+	rc := &n.rc
+	n.mch.FillAP(a)
+	rc.res[a], rc.errs[a] = nil, nil
+	if adv := rc.curAdv; adv != nil && adv.apAlive != nil && !adv.apAlive[a] {
+		return
+	}
+	shifts := rc.shifts[:rc.curDevices]
+	payloadBits := n.cfg.PayloadBytes*8 + core.CRCBits
+	if n.soft {
+		rc.res[a], rc.errs[a] = n.decoders[a].DecodeFrameEmit(rc.sigs[a], 0, shifts, payloadBits, rc.emits[a])
+	} else {
+		rc.res[a], rc.errs[a] = n.decoders[a].DecodeFrame(rc.sigs[a], 0, shifts, payloadBits)
+	}
 }
 
 // BestDecode returns the index of the AP whose decode of candidate dev

@@ -60,16 +60,17 @@ func TestMultiAPRoundSmallClean(t *testing.T) {
 }
 
 // checkRoundZeroAlloc pins the round context's allocation-free claim
-// for a k-AP network: after the warm-up round, a round — template
-// fan-out, k receive buffers and their noise groups, k decodes and the
+// for a k-AP network, soft combining on or off: after the warm-up
+// round, a round — template fan-out, the per-AP items filling and
+// decoding each buffer, the soft sum and combined decode, the
 // aggregation — touches no heap. At GOMAXPROCS=1 the worker pool runs
-// inline. At GOMAXPROCS=2 its helpers really start, and the test counts
+// inline. At GOMAXPROCS=2 its helpers really run, and the test counts
 // mallocs itself (testing.AllocsPerRun forces GOMAXPROCS 1): the pool
-// recycles its jobs and starts helpers without closures, so what
-// remains is the runtime's occasional goroutine descriptor when its
-// free lists run dry — 0.00–0.01 per round measured, with and without
-// the race detector — against a bound of 0.1.
-func checkRoundZeroAlloc(t *testing.T, k int) {
+// recycles its jobs and its helpers persist, parked between jobs, so a
+// fan-out starts no goroutine and the runtime allocates no goroutine
+// descriptor for it; the bound of 0.1 per round leaves room for a
+// stray runtime allocation and none for per-round state.
+func checkRoundZeroAlloc(t *testing.T, k int, soft bool) {
 	t.Helper()
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -77,6 +78,7 @@ func checkRoundZeroAlloc(t *testing.T, k int) {
 			defer runtime.GOMAXPROCS(prev)
 
 			net := testMultiAPNetwork(t, 16, k, 3)
+			net.SetSoftCombining(soft)
 			round := func() {
 				if _, err := net.RunRound(16); err != nil {
 					t.Fatal(err)
@@ -85,13 +87,13 @@ func checkRoundZeroAlloc(t *testing.T, k int) {
 			if procs == 1 {
 				round()
 				if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-					t.Fatalf("k=%d: steady-state RunRound allocates %.1f objects/op, want 0", k, allocs)
+					t.Fatalf("k=%d soft=%v: steady-state RunRound allocates %.1f objects/op, want 0", k, soft, allocs)
 				}
 				return
 			}
-			// Warm up until the pool's jobs and the runtime's free
-			// goroutine lists are full, then average over enough rounds
-			// that a stray descriptor reads as a fraction.
+			// Warm up until the pool's jobs and helpers are all in
+			// place, then average over enough rounds that a stray
+			// allocation reads as a fraction.
 			for range 200 {
 				round()
 			}
@@ -103,17 +105,21 @@ func checkRoundZeroAlloc(t *testing.T, k int) {
 			}
 			runtime.ReadMemStats(&after)
 			if perRound := float64(after.Mallocs-before.Mallocs) / runs; perRound >= 0.1 {
-				t.Fatalf("k=%d: steady-state RunRound at GOMAXPROCS 2 allocates %.2f objects/op, want 0", k, perRound)
+				t.Fatalf("k=%d soft=%v: steady-state RunRound at GOMAXPROCS 2 allocates %.2f objects/op, want 0", k, soft, perRound)
 			}
 		})
 	}
 }
 
 // TestRunRoundSteadyStateZeroAlloc: the single-AP round (k = 1).
-func TestRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 1) }
+func TestRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 1, false) }
 
 // TestMultiAPRunRoundSteadyStateZeroAlloc: a diversity round (k = 2).
-func TestMultiAPRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 2) }
+func TestMultiAPRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 2, false) }
+
+// TestSoftMultiAPRunRoundSteadyStateZeroAlloc: a soft-combining round at
+// k = 4, more AP items than GOMAXPROCS 2 has workers.
+func TestSoftMultiAPRunRoundSteadyStateZeroAlloc(t *testing.T) { checkRoundZeroAlloc(t, 4, true) }
 
 // checkRoundDeterministicPerSeed asserts the arena refill preserves the
 // draw order: two k-AP networks built from the same seed produce
@@ -150,23 +156,29 @@ type gomaxprocsCase struct {
 	nDev, nAPs    int
 	payloadBytes  int
 	depSeed, seed int64
+	soft          bool // soft combining on
+	// apDrops, when set, runs the rounds as steps of a trajectory whose
+	// only adversity kills each AP with this probability per round; the
+	// sweep then requires at least one dead AP-round.
+	apDrops float64
 }
 
 // checkRoundBitIdenticalAcrossGOMAXPROCS pins the round path's hard
 // determinism contract at the sample level: for a fixed seed, every
 // round's receive buffers — signal accumulation and tile-stream noise —
-// and its combined and per-AP statistics are identical across
+// and its combined, soft and per-AP statistics are identical across
 // GOMAXPROCS ∈ {1, 2, 4}. The worker pool fans out template synthesis,
-// the (AP, tile) grid and k parallel decodes; none of that scheduling
-// may leak into the outcome. Run under -race in CI, this also sweeps
-// those workers for data races.
+// then one item per AP that fills the AP's tiles and noise groups and
+// decodes the AP, with those inner fan-outs nested in the items; none
+// of that scheduling may leak into the outcome. Run under -race in CI,
+// this also sweeps those workers for data races.
 func checkRoundBitIdenticalAcrossGOMAXPROCS(t *testing.T, tc gomaxprocsCase) {
 	t.Helper()
-	const rounds = 3
+	const rounds = 4
 	type roundOut struct {
-		Combined RoundStats
-		PerAP    []RoundStats
-		Sigs     [][]complex128
+		Combined, Soft RoundStats
+		PerAP          []RoundStats
+		Sigs           [][]complex128
 	}
 	run := func(procs int) []roundOut {
 		prev := runtime.GOMAXPROCS(procs)
@@ -181,17 +193,30 @@ func checkRoundBitIdenticalAcrossGOMAXPROCS(t *testing.T, tc gomaxprocsCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var outs []roundOut
-		for r := 0; r < rounds; r++ {
-			stats, err := net.RunRound(tc.nDev)
+		net.SetSoftCombining(tc.soft)
+		step := func() (MultiRoundStats, error) { return net.RunRound(tc.nDev) }
+		var tr *Trajectory
+		if tc.apDrops > 0 {
+			tr, err = NewTrajectory(net, TrajectoryConfig{Rounds: rounds, Seed: 5, APDropProb: tc.apDrops})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := roundOut{Combined: stats.Combined, PerAP: append([]RoundStats(nil), stats.PerAP...)}
+			step = tr.Step
+		}
+		var outs []roundOut
+		for r := 0; r < rounds; r++ {
+			stats, err := step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := roundOut{Combined: stats.Combined, Soft: stats.Soft, PerAP: append([]RoundStats(nil), stats.PerAP...)}
 			for _, sig := range net.rc.sigs {
 				out.Sigs = append(out.Sigs, append([]complex128(nil), sig...))
 			}
 			outs = append(outs, out)
+		}
+		if tr != nil && tr.Stats().APDownRounds == 0 {
+			t.Fatalf("GOMAXPROCS=%d: the trajectory dropped no AP in %d rounds", procs, rounds)
 		}
 		return outs
 	}
@@ -200,7 +225,7 @@ func checkRoundBitIdenticalAcrossGOMAXPROCS(t *testing.T, tc gomaxprocsCase) {
 	for _, procs := range []int{2, 4} {
 		got := run(procs)
 		for r := range want {
-			if got[r].Combined != want[r].Combined || !reflect.DeepEqual(got[r].PerAP, want[r].PerAP) {
+			if got[r].Combined != want[r].Combined || got[r].Soft != want[r].Soft || !reflect.DeepEqual(got[r].PerAP, want[r].PerAP) {
 				t.Fatalf("GOMAXPROCS=%d round %d stats diverge: %+v vs %+v", procs, r, got[r], want[r])
 			}
 			for a, sig := range want[r].Sigs {
@@ -224,6 +249,21 @@ func TestRunRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 // TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace: a two-AP round.
 func TestMultiAPRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
 	checkRoundBitIdenticalAcrossGOMAXPROCS(t, gomaxprocsCase{small: true, nDev: 20, nAPs: 2, payloadBytes: 2, depSeed: 17, seed: 18})
+}
+
+// TestMultiAPOddSoftRoundBitIdenticalAcrossGOMAXPROCSRace: three APs —
+// an AP fan-out that does not divide evenly over two workers — with soft
+// combining on, at the paper's SF 9, where each AP's buffer spans
+// several tiles and noise groups.
+func TestMultiAPOddSoftRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
+	checkRoundBitIdenticalAcrossGOMAXPROCS(t, gomaxprocsCase{nDev: 16, nAPs: 3, payloadBytes: 3, depSeed: 21, seed: 22, soft: true})
+}
+
+// TestMultiAPOddDropRoundBitIdenticalAcrossGOMAXPROCSRace: three soft
+// APs stepped through a trajectory that drops APs, so some rounds fill
+// a dead AP's buffer without decoding it.
+func TestMultiAPOddDropRoundBitIdenticalAcrossGOMAXPROCSRace(t *testing.T) {
+	checkRoundBitIdenticalAcrossGOMAXPROCS(t, gomaxprocsCase{small: true, nDev: 20, nAPs: 3, payloadBytes: 2, depSeed: 23, seed: 24, soft: true, apDrops: 0.3})
 }
 
 // TestMultiAPSingleAPDegeneracy: a 1-AP multi network places its AP at

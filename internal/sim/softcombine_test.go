@@ -168,10 +168,11 @@ func TestSoftCombineRunRoundSteadyStateZeroAlloc(t *testing.T) {
 	// testing.AllocsPerRun pins GOMAXPROCS to 1, so the fan-out case
 	// counts mallocs itself, on a network built at GOMAXPROCS 2. A
 	// decode worker materializes its demodulator the first time the
-	// scheduler hands it work, which may be any round, and the runtime
-	// may allocate the odd goroutine descriptor; so the best of a few
-	// 20-round windows is judged. Per-call state would cost several
-	// objects in every round of every window.
+	// scheduler hands it work, which may be any round, and the pool
+	// starts a helper the first time the tokens held at once outnumber
+	// its helpers; so the best of a few 20-round windows is judged.
+	// Per-call state would cost several objects in every round of every
+	// window.
 	runtime.GOMAXPROCS(2)
 	net = testSoftNetwork(t, 16, 2, 3)
 	if _, err := net.RunRound(16); err != nil {

@@ -45,6 +45,14 @@ echo "== go test =="
 # randomizes test order to surface inter-test state leaks.
 go test -count=1 -shuffle=on ./...
 
+echo "== zero-alloc rounds, repeated =="
+# The round's zero-allocation gates at GOMAXPROCS 1 and 2 (k = 1, 2 and
+# soft k = 2 and 4), twenty times over: a fan-out that brings back a
+# per-call allocation — a goroutine started per call allocates a
+# descriptor only now and then — fails here every time instead of one
+# run in a few. About 11 s on a 2-vCPU host.
+go test -count=20 -run 'SteadyStateZeroAlloc' ./internal/sim
+
 echo "== fuzz seed corpus =="
 # Runs every Fuzz* target over its committed seeds (no exploration):
 # synthesizer phase continuity, interleaved-chain stride continuity
@@ -77,9 +85,11 @@ echo "== race: concurrent paths =="
 # materialized-waveform channel (parallel chunked synthesis with its
 # tile-grid noise, GOMAXPROCS ∈ {1,2,4} bit-exactness sweep), the
 # multi-AP fan-out (template fan-out, shared-template per-AP scaling,
-# (AP, tile) workers, per-AP decodes — with its own GOMAXPROCS and
-# serial-reference sweeps at k ∈ {1,2,4}), the adversarial trajectory
-# runner (oracle bit-identity, churn/dropout recovery accounting, the
+# one item per AP filling its tiles and noise groups and decoding it —
+# with its own GOMAXPROCS and serial-reference sweeps at k ∈ {1,2,3,4},
+# k = 3 also with soft combining and with APs dropped), the adversarial
+# trajectory runner (oracle bit-identity, churn/dropout recovery
+# accounting, the
 # full-adversity GOMAXPROCS sweep), the soft cross-AP combining path
 # (emit arenas filled by pool workers, serial bin-wise sum, its own
 # GOMAXPROCS sweep) and the stream/noise kernels, all under the race
@@ -104,11 +114,12 @@ echo "== race: concurrent paths =="
 # gate (TestBurstTiledBitIdentical) and the channel's tile-grid noise
 # tests. Lanes|BlockEnd pull in the lane noise fill against
 # NormFloat64 and AddAWGN (both bodies, rejections and tails on a
-# block's last word), and Panic the pool's re-raising of a helper's
-# panic on the caller. The Fig. 17 sweep builds its one-AP networks
+# block's last word), Panic the pool's re-raising of a helper's panic
+# on the caller, and Nested the pool's nested calls sharing one token
+# budget. The Fig. 17 sweep builds its one-AP networks
 # concurrently over one deployment, so TestFig17Shape fails here if
 # that deployment is left unplaced before the fan-out.
-go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule|Lanes|BlockEnd|Panic' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
+go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule|Lanes|BlockEnd|Panic|Nested' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
 go test -race -count=1 -run 'TestFig17Shape' ./internal/exper
 
 echo "== campaign: unit + resume + race =="

@@ -18,8 +18,10 @@
 # and change-NN.txt in --save (default .bench_build/pairs/W-seedS,
 # which git ignores; runs left there by an earlier call are removed
 # first). A failing run stops the script. The summary — per end-to-end
-# metric of BENCHMARK.json, both medians and quartiles and the change's
-# wins, plus failed counts, correctness and environment stamps — is
+# metric of BENCHMARK.json, both medians and quartiles, the change's
+# wins and the median and quartiles of the per-pair ratio
+# change/parent, plus failed counts, correctness and environment
+# stamps — is
 # written by cmd/nsbench-pairs into --out (default NSBENCH.json),
 # replacing an earlier summary of the same workload and seed. Like
 # `nsbench compare`, the summary refuses runs from mixed environments.
