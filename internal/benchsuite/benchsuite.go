@@ -68,14 +68,15 @@ func Cases() []Case {
 	payload := []byte{1, 2, 3, 4, 5}
 	return []Case{
 		// Decoder scaling (the §3.1 single-FFT claim): one 64-device
-		// frame decoded against growing candidate sets, then by the
-		// parallel pipeline. Receiver work should stay nearly flat in
-		// the number of devices.
-		{Name: "DecoderScaling/candidates=1", Setup: func() (func() error, error) { return decodeFrame64(1, false) }},
-		{Name: "DecoderScaling/candidates=16", Setup: func() (func() error, error) { return decodeFrame64(16, false) }},
-		{Name: "DecoderScaling/candidates=64", Setup: func() (func() error, error) { return decodeFrame64(64, false) }},
-		{Name: "DecoderScaling/candidates=256", Setup: func() (func() error, error) { return decodeFrame64(256, false) }},
-		{Name: "DecoderScaling/candidates=256/parallel", Setup: func() (func() error, error) { return decodeFrame64(256, true) }},
+		// frame decoded against growing candidate sets on one worker
+		// (the pool runs the symbol batches inline), then at the host's
+		// GOMAXPROCS. Receiver work should stay nearly flat in the
+		// number of devices.
+		{Name: "DecoderScaling/candidates=1", Procs: 1, Setup: func() (func() error, error) { return decodeFrame64(1) }},
+		{Name: "DecoderScaling/candidates=16", Procs: 1, Setup: func() (func() error, error) { return decodeFrame64(16) }},
+		{Name: "DecoderScaling/candidates=64", Procs: 1, Setup: func() (func() error, error) { return decodeFrame64(64) }},
+		{Name: "DecoderScaling/candidates=256", Procs: 1, Setup: func() (func() error, error) { return decodeFrame64(256) }},
+		{Name: "DecoderScaling/candidates=256/parallel", Setup: func() (func() error, error) { return decodeFrame64(256) }},
 		// One dechirp + padded FFT: the per-symbol receiver cost that is
 		// independent of the number of devices.
 		{Name: "SymbolSpectrum", Setup: func() (func() error, error) {
@@ -207,9 +208,8 @@ func Cases() []Case {
 
 // decodeFrame64 synthesizes 64 devices' 5-byte frames at 8 dB on
 // SKIP-2 slots and returns an op decoding the received frame against
-// the code book's first candidates shifts, with the serial decoder or
-// the parallel one.
-func decodeFrame64(candidates int, parallel bool) (func() error, error) {
+// the code book's first candidates shifts.
+func decodeFrame64(candidates int) (func() error, error) {
 	p := chirp.Default500k9
 	book, err := core.NewCodeBook(p, 2)
 	if err != nil {
@@ -225,11 +225,8 @@ func decodeFrame64(candidates int, parallel bool) (func() error, error) {
 	ch := air.NewChannel(p, dsp.NewRand(1))
 	sig := ch.Receive(ch.FrameLength(core.PreambleSymbols+bits, 2), txs)
 	shifts := book.AllShifts()[:candidates]
-	decode := core.NewDecoder(book, core.DefaultDecoderConfig(2)).DecodeFrame
-	if parallel {
-		decode = core.NewParallelDecoder(book, core.DefaultDecoderConfig(2), 0).DecodeFrame
-	}
-	return func() error { _, err := decode(sig, 0, shifts, bits); return err }, nil
+	dec := core.NewDecoder(book, core.DefaultDecoderConfig(2))
+	return func() error { _, err := dec.DecodeFrame(sig, 0, shifts, bits); return err }, nil
 }
 
 // randomSamples returns n samples whose first nonzero entries are unit

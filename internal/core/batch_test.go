@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"netscatter/internal/chirp"
@@ -37,14 +38,47 @@ func noiseFloors(p chirp.Params, noiseFloor float64) []float64 {
 	return []float64{0, noiseFloor}
 }
 
-// TestDecodeBatchMatchesOracleRace pins the PR's core contract: the
-// batched decode paths (serial and parallel, DecodeFrame and
-// DecodeFrameEmit) produce FrameDecodes that are bit-identical — every
+// decodePath is one way through the batched decoder: DecodeFrame or
+// DecodeFrameEmit at a given GOMAXPROCS.
+type decodePath struct {
+	name   string
+	decode func() (*FrameDecode, error)
+}
+
+// decodePaths returns DecodeFrame and DecodeFrameEmit at GOMAXPROCS 1,
+// where the pool runs the symbol batches inline, and at 4, where it
+// fans them out. Each call decodes on a fresh decoder, so no arena
+// holds a value an earlier decode of the same frame left, and leaves
+// GOMAXPROCS as it found it.
+func decodePaths(book *CodeBook, cfg DecoderConfig, sig []complex128, shifts []int, bitsLen int) []decodePath {
+	var paths []decodePath
+	for _, procs := range []int{1, 4} {
+		for _, emit := range []bool{false, true} {
+			name := fmt.Sprintf("GOMAXPROCS=%d frame", procs)
+			if emit {
+				name = fmt.Sprintf("GOMAXPROCS=%d emit", procs)
+			}
+			paths = append(paths, decodePath{name, func() (*FrameDecode, error) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				dec := NewDecoder(book, cfg)
+				if emit {
+					return dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, make([]float64, dec.EmitLen(bitsLen)))
+				}
+				return dec.DecodeFrame(sig, 0, shifts, bitsLen)
+			}})
+		}
+	}
+	return paths
+}
+
+// TestDecodeBatchMatchesOracleRace pins the decoder's core contract:
+// the batched decode paths (DecodeFrame and DecodeFrameEmit, inline
+// and fanned out) produce FrameDecodes that are bit-identical — every
 // float, every bit, every flag — to the retained single-symbol oracle,
 // across SF, SKIP, zero-pad and both noise-floor modes (so with and
 // without a pruning window plan). The "Race" suffix opts the test into
-// the CI race-detector pass, which sweeps the parallel decoder's
-// symbol-batch fan-out for data races at the same time.
+// the CI race-detector pass, which sweeps the decoder's symbol-batch
+// fan-out for data races at the same time.
 func TestDecodeBatchMatchesOracleRace(t *testing.T) {
 	for ci, tc := range decodeConfigs {
 		t.Run(fmt.Sprintf("sf=%d/skip=%d/zeropad=%d", tc.p.SF, tc.skip, tc.zeroPad), func(t *testing.T) {
@@ -68,19 +102,7 @@ func TestDecodeBatchMatchesOracleRace(t *testing.T) {
 						t.Fatal("oracle detected no devices; test inputs are too hard")
 					}
 
-					serial := NewDecoder(book, cfg)
-					parallel := NewParallelDecoder(book, cfg, 4)
-					emit := make([]float64, serial.EmitLen(bitsLen))
-					paths := []struct {
-						name   string
-						decode func() (*FrameDecode, error)
-					}{
-						{"serial", func() (*FrameDecode, error) { return serial.DecodeFrame(sig, 0, shifts, bitsLen) }},
-						{"parallel", func() (*FrameDecode, error) { return parallel.DecodeFrame(sig, 0, shifts, bitsLen) }},
-						{"serial emit", func() (*FrameDecode, error) { return serial.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) }},
-						{"parallel emit", func() (*FrameDecode, error) { return parallel.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) }},
-					}
-					for _, path := range paths {
+					for _, path := range decodePaths(book, cfg, sig, shifts, bitsLen) {
 						res, err := path.decode()
 						if err != nil {
 							t.Fatal(err)

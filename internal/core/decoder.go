@@ -9,6 +9,7 @@ import (
 
 	"netscatter/internal/chirp"
 	"netscatter/internal/dsp"
+	"netscatter/internal/pool"
 )
 
 // DecoderConfig tunes the concurrent decoder. The zero value is not
@@ -131,8 +132,9 @@ func (f *FrameDecode) DetectedCount() int {
 
 // Decoder decodes concurrent NetScatter transmissions. One dechirp and
 // one (zero-padded, pruned) FFT are performed per symbol; every candidate
-// device is then read off the shared spectrum. Not safe for concurrent
-// use.
+// device is then read off the shared spectrum. The symbol work of a
+// signal decode fans out over internal/pool, so a Decoder is itself
+// the concurrency and is not safe for concurrent use.
 //
 // The decoder is steady-state allocation-free. Everything a result
 // holds — the returned FrameDecode, its Devices, Bits and Payload
@@ -160,8 +162,8 @@ type Decoder struct {
 
 	// noisePerSym holds each preamble symbol's noise-floor estimate;
 	// keeping them in per-symbol slots (instead of a running sum) lets
-	// the parallel decoder fill them from workers and still reduce in a
-	// fixed order, bit-identical to the serial path.
+	// the preamble batches fill them from pool workers and still reduce
+	// in a fixed order, whatever the pool's width.
 	noisePerSym [PreambleUpSymbols]float64
 
 	// preSpec holds per-preamble-symbol views into the preamble spectra
@@ -193,18 +195,56 @@ type Decoder struct {
 	powers  []float64 // candidate-major [cand][sym] payload peak powers
 	bits    []byte    // candidate-major payload bit storage
 	payload []byte    // candidate-major CRC-stripped payload bytes
+
+	// preItem and payItem are the persistent pool items of a signal
+	// decode (preBatch, payBatch), and the cur fields the in-flight
+	// call state they read; fresh closures per DecodeFrame would put
+	// heap allocations back on the steady-state path. curPre is the
+	// arena the preamble batches write spectra into: borrowed rows on
+	// DecodeFrame, the caller's emit arena on DecodeFrameEmit.
+	// curEmitPay, non-nil only during DecodeFrameEmit, is the emit
+	// arena's payload section.
+	preItem, payItem                        func(batch int)
+	curSig                                  []complex128
+	curStart                                int
+	curPayStart, curHalfIdx, curPayloadBits int
+	curPre, curEmitPay                      []float64
 }
+
+// Symbol-batch sizing for the pooled decode: a pool item is a whole run
+// of symbols, not a single symbol, so each item amortizes one planar
+// batch pass (dechirp + pruned FFT + scan) and the pool's per-item
+// overhead. The preamble is only six symbols, so its batches are small
+// to keep some fan-out; payload batches are long enough for full tiles.
+const (
+	preBatchSymbols = 2
+	payBatchSymbols = 8
+)
 
 // NewDecoder builds a decoder over a code book.
 func NewDecoder(book *CodeBook, cfg DecoderConfig) *Decoder {
 	if cfg.ZeroPad < 1 {
 		panic("core: DecoderConfig.ZeroPad must be >= 1")
 	}
-	return &Decoder{
+	d := &Decoder{
 		book: book,
 		dem:  chirp.NewDemodulator(book.Params(), cfg.ZeroPad),
 		cfg:  cfg,
 	}
+	d.preItem = d.preBatch
+	d.payItem = d.payBatch
+	return d
+}
+
+// The old name of Decoder and NewDecoder, kept only for nsbench, the
+// benchmark module, which names them and changes only with the
+// benchmark itself. The worker count is ignored: every decode fans out
+// over internal/pool at GOMAXPROCS.
+type ParallelDecoder = Decoder
+
+// NewDecoder under its old name; the worker count is ignored.
+func NewParallelDecoder(book *CodeBook, cfg DecoderConfig, _ int) *Decoder {
+	return NewDecoder(book, cfg)
 }
 
 // Book returns the decoder's code book.
@@ -221,13 +261,17 @@ func (d *Decoder) Demodulator() *chirp.Demodulator { return d.dem }
 // the next DecodeFrame call.
 //
 // The number crunching runs through the batched planar front-end
-// (chirp.SpectraBatchInto / chirp.ScanBatch): whole symbol runs are
+// (chirp.SpectraBatchInto / chirp.ScanBatch): runs of symbols are
 // dechirped and transformed per pre-planned pass, and payload peak
 // powers are written straight into the decoder's candidate-major power
 // arena without materializing per-symbol spectra. Transforms and power
 // passes only produce the candidate set's window plan (WindowPlan).
-// The output is bit-identical to DecodeFrameOracle, the retained
-// single-symbol path — a property the test suite enforces.
+// The symbol batches are pool items writing disjoint slices of the
+// arenas; everything that determines the outcome (the noise reduction,
+// thresholds, CRC, ghost rejection) runs serially in a fixed order. So
+// the output is the same at any GOMAXPROCS, and bit-identical to
+// DecodeFrameOracle, the retained single-symbol path — a property the
+// test suite enforces.
 func (d *Decoder) DecodeFrame(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
 	return d.decodeSignal(sig, start, shifts, payloadBits, nil)
 }
@@ -239,33 +283,68 @@ func (d *Decoder) decodeSignal(sig []complex128, start int, shifts []int, payloa
 		return nil, err
 	}
 	n := d.book.Params().N()
+	d.curSig, d.curStart, d.curPayloadBits = sig, start, payloadBits
+	d.curPre = d.preambleRows(emit)
+	if emit != nil {
+		d.curEmitPay = emit[len(d.curPre):]
+	}
 
-	// Pass 1: preamble upchirps — the whole run of spectra in one batch
-	// into the preamble rows, per-symbol noise estimates, then
-	// candidate statistics and detection.
-	d.dem.SpectraBatchInto(d.preambleRows(emit), sig, start, PreambleUpSymbols, &d.plan)
-	d.preambleNoise(0, PreambleUpSymbols, 1)
+	// Pass 1: preamble upchirps — spectra into the preamble rows and
+	// per-symbol noise estimates, one symbol batch per pool item, then
+	// the noise reduction in symbol order, candidate statistics and
+	// detection.
+	pool.ForEach(batchCount(PreambleUpSymbols, preBatchSymbols), d.preItem)
 	noise := d.reduceNoise()
 	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.curPre = nil
 	d.releasePreamble()
 
 	// Pass 2: payload symbols, fused — dechirp, pruned planar FFT and
-	// candidate window scan in one kernel, peak powers landing directly
-	// in the candidate-major power arena (and each symbol's power
-	// spectrum in its emit row). The two preamble downchirps are
-	// skipped — they exist for packet-start estimation (sync.go).
+	// candidate window scan in one kernel per batch, peak powers
+	// landing directly in the candidate-major power arena (and each
+	// symbol's power spectrum in its emit row). The two preamble
+	// downchirps are skipped — they exist for packet-start estimation
+	// (sync.go).
 	d.preparePayload(payloadBits)
-	payloadStart := start + PreambleSymbols*n
-	if emit != nil {
-		d.dem.ScanBatchEmit(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits,
-			emit[PreambleUpSymbols*d.dem.PaddedBins():], &d.plan)
-	} else {
-		d.dem.ScanBatch(sig, payloadStart, 0, payloadBits, d.payCenter, d.trackHalf(), d.powers, payloadBits, &d.plan)
-	}
+	d.curPayStart = start + PreambleSymbols*n
+	d.curHalfIdx = d.trackHalf()
+	pool.ForEach(batchCount(payloadBits, payBatchSymbols), d.payItem)
 
+	d.curSig, d.curEmitPay = nil, nil
 	d.finish(noise, payloadBits)
 	d.rejectGhosts(d.devices)
 	return &d.res, nil
+}
+
+// batchCount returns how many batch items cover n symbols.
+func batchCount(n, batch int) int {
+	return (n + batch - 1) / batch
+}
+
+// preBatch computes one preamble symbol batch of the decode in flight:
+// spectra into the preamble rows, then the batch's per-symbol noise
+// estimates.
+func (d *Decoder) preBatch(batch int) {
+	n := d.book.Params().N()
+	lo := batch * preBatchSymbols
+	hi := min(PreambleUpSymbols, lo+preBatchSymbols)
+	bins := d.dem.PaddedBins()
+	d.dem.SpectraBatchInto(d.curPre[lo*bins:hi*bins], d.curSig, d.curStart+lo*n, hi-lo, &d.plan)
+	d.preambleNoise(lo, hi, 1)
+}
+
+// payBatch runs one payload symbol batch of the decode in flight
+// through the fused dechirp+FFT+scan kernel. Batches own disjoint
+// symbol columns of the candidate-major power arena (and disjoint emit
+// rows), so every cell is written by exactly one item.
+func (d *Decoder) payBatch(batch int) {
+	lo := batch * payBatchSymbols
+	hi := min(d.curPayloadBits, lo+payBatchSymbols)
+	if d.curEmitPay != nil {
+		d.dem.ScanBatchEmit(d.curSig, d.curPayStart, lo, hi-lo, d.payCenter, d.curHalfIdx, d.powers, d.curPayloadBits, d.curEmitPay, &d.plan)
+		return
+	}
+	d.dem.ScanBatch(d.curSig, d.curPayStart, lo, hi-lo, d.payCenter, d.curHalfIdx, d.powers, d.curPayloadBits, &d.plan)
 }
 
 // DecodeFrameOracle is DecodeFrame through the single-symbol pipeline —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"netscatter/internal/air"
@@ -12,13 +13,14 @@ import (
 )
 
 // TestDecodeFrameEmitMatchesDecodeFrameRace pins the emit mode's core
-// contract across the decodeConfigs matrix: DecodeFrameEmit (serial and
-// parallel) produces FrameDecodes bit-identical to DecodeFrame —
-// emitting spectra is a pure by-product — and the serial and parallel
-// emitted arenas are themselves bit-identical (workers fill disjoint
-// rows of the same layout). The "Race" suffix opts the test into the CI
-// race-detector pass, sweeping the emit fan-out for races.
+// contract across the decodeConfigs matrix: DecodeFrameEmit produces
+// FrameDecodes bit-identical to DecodeFrame — emitting spectra is a
+// pure by-product — at every sweepProcs width, and every width's
+// emitted arena is bit-identical to the inline path's (pool items fill
+// disjoint rows of the same layout). The "Race" suffix opts the test
+// into the CI race-detector pass, sweeping the emit fan-out for races.
 func TestDecodeFrameEmitMatchesDecodeFrameRace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for ci, tc := range decodeConfigs {
 		t.Run(fmt.Sprintf("sf=%d/skip=%d/zeropad=%d", tc.p.SF, tc.skip, tc.zeroPad), func(t *testing.T) {
 			book, sig, shifts, bitsLen := buildConcurrentFrame(t, tc.p, tc.skip, 24, int64(1000+ci))
@@ -26,37 +28,31 @@ func TestDecodeFrameEmitMatchesDecodeFrameRace(t *testing.T) {
 			cfg.ZeroPad = tc.zeroPad
 			cfg.NoiseFloor = tc.noiseFloor
 
-			base := NewDecoder(book, cfg)
-			baseRes, err := base.DecodeFrame(sig, 0, shifts, bitsLen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := snapshotDecode(baseRes)
-
-			serial := NewDecoder(book, cfg)
-			emit := make([]float64, serial.EmitLen(bitsLen))
-			serialRes, err := serial.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := snapshotDecode(serialRes); !reflect.DeepEqual(got, want) {
-				t.Fatalf("serial emit decode diverges from DecodeFrame:\n got %+v\nwant %+v", got, want)
-			}
-
-			parallel := NewParallelDecoder(book, cfg, 4)
-			emitPar := make([]float64, parallel.Serial().EmitLen(bitsLen))
-			parRes, err := parallel.DecodeFrameEmit(sig, 0, shifts, bitsLen, emitPar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := snapshotDecode(parRes); !reflect.DeepEqual(got, want) {
-				t.Fatalf("parallel emit decode diverges from DecodeFrame:\n got %+v\nwant %+v", got, want)
-			}
-			if !reflect.DeepEqual(emit, emitPar) {
-				t.Fatal("parallel emitted arena diverges from serial emitted arena")
-			}
-			if want.DetectedCount() == 0 {
-				t.Fatal("decoder detected no devices; test inputs are too hard")
+			var inlineRows []float64
+			for _, procs := range sweepProcs {
+				runtime.GOMAXPROCS(procs)
+				baseRes, err := NewDecoder(book, cfg).DecodeFrame(sig, 0, shifts, bitsLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := snapshotDecode(baseRes)
+				if want.DetectedCount() == 0 {
+					t.Fatal("decoder detected no devices; test inputs are too hard")
+				}
+				dec := NewDecoder(book, cfg)
+				emit := make([]float64, dec.EmitLen(bitsLen))
+				res, err := dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := snapshotDecode(res); !reflect.DeepEqual(got, want) {
+					t.Fatalf("GOMAXPROCS=%d: emit decode diverges from DecodeFrame:\n got %+v\nwant %+v", procs, got, want)
+				}
+				if inlineRows == nil {
+					inlineRows = emit
+				} else if !reflect.DeepEqual(emit, inlineRows) {
+					t.Fatalf("GOMAXPROCS=%d: emitted arena diverges from GOMAXPROCS 1", procs)
+				}
 			}
 		})
 	}
@@ -186,12 +182,13 @@ func TestDecodeFrameSpectraWindowedSumMatchesFullSum(t *testing.T) {
 		_, sigB, _, _ := buildConcurrentFrame(t, tc.p, tc.skip, 24, int64(7000+ci))
 		for _, floor := range noiseFloors(tc.p, tc.noiseFloor) {
 			t.Run(fmt.Sprintf("sf=%d/skip=%d/zeropad=%d/noisefloor=%g", tc.p.SF, tc.skip, tc.zeroPad, floor), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 				cfg := DefaultDecoderConfig(tc.skip)
 				cfg.ZeroPad = tc.zeroPad
 				cfg.NoiseFloor = floor
 
-				emitter := NewParallelDecoder(book, cfg, 2)
-				emitLen := emitter.Serial().EmitLen(bitsLen)
+				emitter := NewDecoder(book, cfg)
+				emitLen := emitter.EmitLen(bitsLen)
 				full := make([]float64, emitLen)
 				windowed := make([]float64, emitLen)
 				for i := range windowed {
@@ -215,7 +212,7 @@ func TestDecodeFrameSpectraWindowedSumMatchesFullSum(t *testing.T) {
 						}
 					}
 				}
-				bins := emitter.Serial().Demodulator().PaddedBins()
+				bins := emitter.Demodulator().PaddedBins()
 				for i := range full {
 					if plan.Contains(i%bins) && windowed[i] != full[i] {
 						t.Fatalf("plan bin %d: windowed sum %v, full sum %v", i, windowed[i], full[i])
@@ -248,7 +245,8 @@ func TestDecodeFrameSpectraWindowedSumMatchesFullSum(t *testing.T) {
 // the assigned bin, so the ±2-bin track window reaches 9 bins out,
 // beyond the 8-bin guard, into the plan's extra trackHalf() margin.
 // With a calibrated floor every decode path must still equal the
-// oracle, and the spectra decode of an arena holding only plan bins
+// oracle, inline and fanned out, and the spectra decode of an arena
+// holding only plan bins
 // (every other bin +Inf, which would win any window that read it) must
 // equal the decode of the full arena.
 func TestWindowPlanCoversEdgeTrackWindows(t *testing.T) {
@@ -292,19 +290,20 @@ func TestWindowPlanCoversEdgeTrackWindows(t *testing.T) {
 	}
 
 	emit := make([]float64, dec.EmitLen(bitsLen))
-	par := NewParallelDecoder(book, cfg, 2)
-	emitPar := make([]float64, dec.EmitLen(bitsLen))
-	for name, decode := range map[string]func() (*FrameDecode, error){
-		"serial":        func() (*FrameDecode, error) { return dec.DecodeFrame(sig, 0, shifts, bitsLen) },
-		"serial emit":   func() (*FrameDecode, error) { return dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) },
-		"parallel emit": func() (*FrameDecode, error) { return par.DecodeFrameEmit(sig, 0, shifts, bitsLen, emitPar) },
-	} {
-		res, err := decode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := snapshotDecode(res); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s decode diverges from oracle:\n got %+v\nwant %+v", name, got, want)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for name, decode := range map[string]func() (*FrameDecode, error){
+			"frame": func() (*FrameDecode, error) { return dec.DecodeFrame(sig, 0, shifts, bitsLen) },
+			"emit":  func() (*FrameDecode, error) { return dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) },
+		} {
+			res, err := decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotDecode(res); !reflect.DeepEqual(got, want) {
+				t.Fatalf("GOMAXPROCS=%d: %s decode diverges from oracle:\n got %+v\nwant %+v", procs, name, got, want)
+			}
 		}
 	}
 

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"netscatter/internal/air"
@@ -89,110 +91,147 @@ func decodesEqual(a, b FrameDecode) error {
 	return nil
 }
 
-// TestParallelDecoderBitExact is the tentpole contract: the parallel
-// decoder's FrameDecode must be field-for-field, bit-for-bit identical
-// to the serial decoder's across seeds, SKIP values and worker counts.
-func TestParallelDecoderBitExact(t *testing.T) {
+// sweepProcs are the GOMAXPROCS values the decoder's output is pinned
+// at: the inline path, even and odd pool widths, and more workers than
+// a frame's preamble batches.
+var sweepProcs = []int{1, 2, 3, 4, 7}
+
+// checkDecodeAcrossGOMAXPROCS decodes SF-7 frames of 24 devices over
+// SKIP 1, 2 and 4 and four seeds, at every sweepProcs width, and
+// requires DecodeFrame and DecodeFrameEmit to equal DecodeFrameOracle
+// field for field and bit for bit, and every width's emitted rows to
+// equal the inline path's (items fill disjoint rows of one layout).
+// noiseFloor selects the calibrated floor (N per padded bin, whose
+// window plan prunes the transforms) over the quantile estimate.
+func checkDecodeAcrossGOMAXPROCS(t *testing.T, noiseFloor bool) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 	for _, skip := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 4; seed++ {
 			book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, skip, 24, seed*977)
-			serial := NewDecoder(book, DefaultDecoderConfig(skip))
-			sres, err := serial.DecodeFrame(sig, 0, shifts, bitsLen)
+			cfg := DefaultDecoderConfig(skip)
+			if noiseFloor {
+				cfg.NoiseFloor = float64(p.N())
+			}
+			oracle, err := NewDecoder(book, cfg).DecodeFrameOracle(sig, 0, shifts, bitsLen)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := snapshotDecode(sres)
-			for _, workers := range []int{1, 2, 4, 7} {
-				par := NewParallelDecoder(book, DefaultDecoderConfig(skip), workers)
-				pres, err := par.DecodeFrame(sig, 0, shifts, bitsLen)
+			want := snapshotDecode(oracle)
+			if want.DetectedCount() == 0 {
+				t.Fatalf("skip=%d seed=%d: oracle detected no devices; test inputs are too hard", skip, seed)
+			}
+			var inlineRows []float64
+			for _, procs := range sweepProcs {
+				runtime.GOMAXPROCS(procs)
+				dec := NewDecoder(book, cfg)
+				res, err := dec.DecodeFrame(sig, 0, shifts, bitsLen)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := decodesEqual(want, snapshotDecode(pres)); err != nil {
-					t.Fatalf("skip=%d seed=%d workers=%d: %v", skip, seed, workers, err)
+				if err := decodesEqual(want, snapshotDecode(res)); err != nil {
+					t.Fatalf("skip=%d seed=%d GOMAXPROCS=%d: DecodeFrame: %v", skip, seed, procs, err)
+				}
+				emit := make([]float64, dec.EmitLen(bitsLen))
+				res, err = dec.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := decodesEqual(want, snapshotDecode(res)); err != nil {
+					t.Fatalf("skip=%d seed=%d GOMAXPROCS=%d: DecodeFrameEmit: %v", skip, seed, procs, err)
+				}
+				if inlineRows == nil {
+					inlineRows = emit
+				} else if !reflect.DeepEqual(emit, inlineRows) {
+					t.Fatalf("skip=%d seed=%d GOMAXPROCS=%d: emitted rows differ from GOMAXPROCS 1", skip, seed, procs)
 				}
 			}
 		}
 	}
 }
 
-// TestParallelDecoderCalibratedNoiseFloor covers the NoiseFloor>0 branch
-// (the simulator's calibrated path) for equivalence too.
-func TestParallelDecoderCalibratedNoiseFloor(t *testing.T) {
-	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
-	book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, 32, 555)
-	cfg := DefaultDecoderConfig(2)
-	cfg.NoiseFloor = float64(p.N())
-	serial := NewDecoder(book, cfg)
-	sres, err := serial.DecodeFrame(sig, 0, shifts, bitsLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := snapshotDecode(sres)
-	par := NewParallelDecoder(book, cfg, 3)
-	pres, err := par.DecodeFrame(sig, 0, shifts, bitsLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := decodesEqual(want, snapshotDecode(pres)); err != nil {
-		t.Fatal(err)
-	}
+// TestDecodeFrameParallelBitExact is the pooled decode's contract with
+// the quantile noise estimate: the same FrameDecode as the
+// single-symbol oracle at every pool width.
+func TestDecodeFrameParallelBitExact(t *testing.T) { checkDecodeAcrossGOMAXPROCS(t, false) }
+
+// TestDecodeFrameParallelCalibratedNoiseFloor is the same sweep with the
+// NoiseFloor > 0 branch (the simulator's calibrated path, with a
+// pruning window plan).
+func TestDecodeFrameParallelCalibratedNoiseFloor(t *testing.T) {
+	checkDecodeAcrossGOMAXPROCS(t, true)
 }
 
-// TestParallelDecoderReuse runs the same decoder across different frame
-// shapes to exercise arena regrowth and result reset.
-func TestParallelDecoderReuse(t *testing.T) {
+// TestDecodeFrameParallelReuse runs one decoder at GOMAXPROCS 4 across
+// different frame shapes, to exercise arena regrowth and result reset
+// against a fresh decoder's output.
+func TestDecodeFrameParallelReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 	book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, 16, 42)
-	par := NewParallelDecoder(book, DefaultDecoderConfig(2), 0)
-	serial := NewDecoder(book, DefaultDecoderConfig(2))
+	dec := NewDecoder(book, DefaultDecoderConfig(2))
 
 	// Shrinking candidate sets, then growing again.
 	for _, k := range []int{16, 3, 1, 16} {
-		sres, err := serial.DecodeFrame(sig, 0, shifts[:k], bitsLen)
+		fresh, err := NewDecoder(book, DefaultDecoderConfig(2)).DecodeFrame(sig, 0, shifts[:k], bitsLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := snapshotDecode(sres)
-		pres, err := par.DecodeFrame(sig, 0, shifts[:k], bitsLen)
+		want := snapshotDecode(fresh)
+		res, err := dec.DecodeFrame(sig, 0, shifts[:k], bitsLen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := decodesEqual(want, snapshotDecode(pres)); err != nil {
+		if err := decodesEqual(want, snapshotDecode(res)); err != nil {
 			t.Fatalf("candidates=%d: %v", k, err)
 		}
 	}
 }
 
-func TestParallelDecoderBoundsError(t *testing.T) {
+func TestDecodeFrameParallelBoundsError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	book, err := NewCodeBook(chirp.Params{SF: 7, BW: 125e3, Oversample: 1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := NewParallelDecoder(book, DefaultDecoderConfig(2), 2)
-	if _, err := par.DecodeFrame(make([]complex128, 10), 0, []int{0}, 8); err == nil {
+	if _, err := NewDecoder(book, DefaultDecoderConfig(2)).DecodeFrame(make([]complex128, 10), 0, []int{0}, 8); err == nil {
 		t.Error("out-of-bounds frame accepted")
 	}
 }
 
-// TestDecodeFrameSteadyStateZeroAlloc asserts the tentpole's
+// TestDecodeFrameSteadyStateZeroAlloc asserts the decoder's
 // allocation-free claim as a regular test, so a regression fails tier-1
-// rather than only drifting a benchmark number.
+// rather than only drifting a benchmark number. At GOMAXPROCS 1 the
+// pool runs the symbol batches inline. At GOMAXPROCS 2 its helpers run
+// them, and the test counts mallocs itself (testing.AllocsPerRun forces
+// GOMAXPROCS 1); the bound of 0.1 per decode leaves room for a stray
+// runtime allocation and none for per-call state.
 func TestDecodeFrameSteadyStateZeroAlloc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 	book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, 24, 9)
 	dec := NewDecoder(book, DefaultDecoderConfig(2))
-	// Warm the arenas to their high-water mark.
-	if _, err := dec.DecodeFrame(sig, 0, shifts, bitsLen); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	decode := func() {
 		if _, err := dec.DecodeFrame(sig, 0, shifts, bitsLen); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state DecodeFrame allocates %.1f objects/op, want 0", allocs)
+	}
+	// Warm the arenas, the scratch free list and the pool's jobs and
+	// helpers to their high-water marks.
+	for range 200 {
+		decode()
+	}
+	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+		t.Fatalf("steady-state DecodeFrame at GOMAXPROCS 1 allocates %.1f objects/op, want 0", allocs)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := float64(after.Mallocs-before.Mallocs) / runs; perCall >= 0.1 {
+		t.Fatalf("steady-state DecodeFrame at GOMAXPROCS 2 allocates %.2f objects/op, want 0", perCall)
 	}
 }

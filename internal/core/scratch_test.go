@@ -35,10 +35,11 @@ func poisonScratch(t *testing.T) {
 
 // TestDecodePoisonedScratch pins the borrower rule that scratch
 // contents never reach a result: with every buffer of the free list
-// NaN-filled before each decode, the serial and parallel DecodeFrame
-// and DecodeFrameEmit paths must still equal DecodeFrameOracle bit for
-// bit, with a calibrated noise floor (window-planned transforms, which
-// leave bins outside the plan unwritten) and with the quantile floor.
+// NaN-filled before each decode, DecodeFrame and DecodeFrameEmit at
+// GOMAXPROCS 1 (inline) and 4 (fanned out) must still equal
+// DecodeFrameOracle bit for bit, with a calibrated noise floor
+// (window-planned transforms, which leave bins outside the plan
+// unwritten) and with the quantile floor.
 func TestDecodePoisonedScratch(t *testing.T) {
 	for _, p := range []chirp.Params{{SF: 7, BW: 125e3, Oversample: 1}, {SF: 9, BW: 500e3, Oversample: 1}} {
 		book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, 24, int64(40+p.SF))
@@ -55,18 +56,7 @@ func TestDecodePoisonedScratch(t *testing.T) {
 					t.Fatal("oracle detected no devices; test inputs are too hard")
 				}
 
-				serial := NewDecoder(book, cfg)
-				parallel := NewParallelDecoder(book, cfg, 4)
-				emit := make([]float64, serial.EmitLen(bitsLen))
-				paths := []struct {
-					name   string
-					decode func() (*FrameDecode, error)
-				}{
-					{"serial", func() (*FrameDecode, error) { return serial.DecodeFrame(sig, 0, shifts, bitsLen) }},
-					{"parallel", func() (*FrameDecode, error) { return parallel.DecodeFrame(sig, 0, shifts, bitsLen) }},
-					{"serial emit", func() (*FrameDecode, error) { return serial.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) }},
-					{"parallel emit", func() (*FrameDecode, error) { return parallel.DecodeFrameEmit(sig, 0, shifts, bitsLen, emit) }},
-				}
+				paths := decodePaths(book, cfg, sig, shifts, bitsLen)
 				// One pass first, so the free list has lent every length
 				// these decodes borrow.
 				for _, path := range paths {
@@ -89,7 +79,7 @@ func TestDecodePoisonedScratch(t *testing.T) {
 	}
 }
 
-// TestScratchRetentionBounded steps 32 parallel decoders round-robin at
+// TestScratchRetentionBounded steps 32 decoders round-robin at
 // GOMAXPROCS 2, as a service steps its tenants: after warm-up a pass
 // allocates nothing, every loan is returned, and the free list holds no
 // more buffers of any length than were ever on loan at once — which a
@@ -102,9 +92,9 @@ func TestScratchRetentionBounded(t *testing.T) {
 	book, sig, shifts, bitsLen := buildConcurrentFrame(t, p, 2, 16, 77)
 	cfg := DefaultDecoderConfig(2)
 	cfg.NoiseFloor = float64(p.N())
-	decs := make([]*ParallelDecoder, decoders)
+	decs := make([]*Decoder, decoders)
 	for i := range decs {
-		decs[i] = NewParallelDecoder(book, cfg, 0)
+		decs[i] = NewDecoder(book, cfg)
 	}
 	pass := func() {
 		for _, d := range decs {

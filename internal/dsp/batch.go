@@ -176,11 +176,8 @@ func (bp *BatchPlan) hasFront() bool { return bp.nonzero >= 8 && bp.z > 1 }
 // Size returns the transform size.
 func (bp *BatchPlan) Size() int { return bp.n }
 
-// Nonzero returns the planned nonzero prefix length.
-func (bp *BatchPlan) Nonzero() int { return bp.nonzero }
-
 // Forward computes the in-place pruned forward DFT of the planar signal
-// (re, im), both of length Size(). Only the first Nonzero() entries are
+// (re, im), both of length Size(). Only the plan's nonzero prefix is
 // read as input; the tail is treated as zero regardless of its contents
 // and is fully overwritten. The result is bit-identical to
 // FFTPlan.ForwardPruned on the equivalent complex128 buffer.

@@ -223,19 +223,6 @@ func ZeroPad(x []complex128, padLen int) []complex128 {
 	return out
 }
 
-// Magnitudes writes |x[i]| into dst and returns it. If dst is nil or too
-// short, a new slice is allocated.
-func Magnitudes(dst []float64, x []complex128) []float64 {
-	if cap(dst) < len(x) {
-		dst = make([]float64, len(x))
-	}
-	dst = dst[:len(x)]
-	for i, v := range x {
-		dst[i] = math.Hypot(real(v), imag(v))
-	}
-	return dst
-}
-
 // PowerSpectrum writes |x[i]|^2 into dst and returns it.
 func PowerSpectrum(dst []float64, x []complex128) []float64 {
 	if cap(dst) < len(x) {

@@ -2,20 +2,6 @@ package dsp
 
 import "math"
 
-// ArgmaxAbs returns the index and magnitude of the largest-magnitude
-// element of x. It returns (-1, 0) for an empty slice.
-func ArgmaxAbs(x []complex128) (idx int, mag float64) {
-	idx = -1
-	for i, v := range x {
-		m := real(v)*real(v) + imag(v)*imag(v)
-		if m > mag {
-			mag = m
-			idx = i
-		}
-	}
-	return idx, math.Sqrt(mag)
-}
-
 // ArgmaxFloat returns the index and value of the largest element of xs.
 func ArgmaxFloat(xs []float64) (idx int, val float64) {
 	idx = -1

@@ -45,15 +45,6 @@ func (r *Rand) TruncNormal(mean, sigma, lo, hi float64) float64 {
 	return Clamp(mean, lo, hi)
 }
 
-// Rayleigh draws from a Rayleigh distribution with scale sigma.
-func (r *Rand) Rayleigh(sigma float64) float64 {
-	u := r.Float64()
-	if u == 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	return sigma * math.Sqrt(-2*math.Log(u))
-}
-
 // ComplexNormal draws a circularly symmetric complex Gaussian with total
 // variance sigma2 (variance sigma2/2 per real/imaginary component). This
 // is the standard model for both thermal noise and Rayleigh fading taps.

@@ -35,10 +35,6 @@ var simdFMA = false
 // SIMDEnabled reports whether vector kernel bodies are active.
 func SIMDEnabled() bool { return simdAVX2 }
 
-// FMAEnabled reports whether fused-multiply-add vector kernels are
-// active.
-func FMAEnabled() bool { return simdFMA }
-
 // AddInto adds src into dst element-wise: dst[i] += src[i]. The slices
 // must have equal length; mismatches panic identically on the scalar
 // and vector paths, so misuse cannot be platform-dependent.

@@ -95,18 +95,6 @@ func (c *CDF) Quantile(p float64) float64 {
 	return c.sorted[i]
 }
 
-// Samples exposes the sorted sample set (do not modify).
-func (c *CDF) Samples() []float64 { return c.sorted }
-
-// Evaluate returns the CDF value at each x in xs.
-func (c *CDF) Evaluate(xs []float64) []float64 {
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = c.At(x)
-	}
-	return ys
-}
-
 // Linspace returns n evenly spaced points covering [lo, hi] inclusive.
 func Linspace(lo, hi float64, n int) []float64 {
 	if n <= 1 {

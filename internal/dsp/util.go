@@ -17,11 +17,6 @@ func AmpDB(ratio float64) float64 {
 	return 20 * math.Log10(ratio)
 }
 
-// AmpFromDB converts decibels to a linear amplitude ratio.
-func AmpFromDB(db float64) float64 {
-	return math.Pow(10, db/20)
-}
-
 // Sinc returns the normalized sinc function sin(πx)/(πx).
 func Sinc(x float64) float64 {
 	if x == 0 {

@@ -10,14 +10,14 @@
 // beyond "ForEach returns after every fn call has returned". Callers
 // that need determinism index results by the *item* (per-index slots,
 // tile-indexed rng streams — see air's tiled receive), never by the
-// worker, so output is identical at any pool width.
+// goroutine that ran it, so output is identical at any pool width.
 //
-// Calls nest: an item may itself call ForEach or ForEachWorker. Every
-// call's extra workers draw on one process-wide token budget of
-// GOMAXPROCS−1, so whichever call holds the tokens sets the level of
-// parallelism. A multi-AP round fans out over its APs, and each AP
-// item's inner fan-outs (tiles, noise groups, decode batches) take the
-// tokens that remain and run inline when none do.
+// Calls nest: an item may itself call ForEach. Every call's extra
+// workers draw on one process-wide token budget of GOMAXPROCS−1, so
+// whichever call holds the tokens sets the level of parallelism. A
+// multi-AP round fans out over its APs, and each AP item's inner
+// fan-outs (tiles, noise groups, decode batches) take the tokens that
+// remain and run inline when none do.
 //
 // Helpers persist. Each helper goroutine is started once, lazily, the
 // first time the tokens held at once outnumber the helpers, and parks on
@@ -63,15 +63,13 @@ func acquireToken() bool {
 func releaseToken() { inflight.Add(-1) }
 
 // job is one parallel-for call's shared state: the item counter, the
-// next helper worker id, the body, the WaitGroup the caller waits on,
-// and the first panic any worker recovered. Jobs are recycled through
-// freeJobs, so a call allocates nothing in steady state.
+// body, the WaitGroup the caller waits on, and the first panic any
+// worker recovered. Jobs are recycled through freeJobs, so a call
+// allocates nothing in steady state.
 type job struct {
 	n    int
 	next atomic.Int64 // next item index to claim
-	ids  atomic.Int64 // last helper worker id handed out
 	fn   func(i int)
-	fnw  func(worker, i int)
 	wg   sync.WaitGroup
 
 	panicMu  sync.Mutex
@@ -99,10 +97,9 @@ func getJob() *job {
 }
 
 func putJob(j *job) {
-	j.fn, j.fnw = nil, nil
+	j.fn = nil
 	j.panicked, j.panicVal = false, nil
 	j.next.Store(0)
-	j.ids.Store(0)
 	select {
 	case freeJobs <- j:
 	default:
@@ -139,8 +136,8 @@ func startHelpers() {
 	}
 }
 
-// helper runs jobs for the life of the process: each one's items as
-// the job's next free worker id, then it signals the job's WaitGroup,
+// helper runs jobs for the life of the process: it runs each one's
+// items until none remain, then it signals the job's WaitGroup,
 // releases the token the job's caller took for it and parks for the
 // next. Done comes first: it may wake the caller, which takes a while,
 // and while this helper still holds the token no other fan-out can hand
@@ -148,7 +145,7 @@ func startHelpers() {
 // Done: the caller recycles it once every helper is done.
 func helper() {
 	for j := range handoff {
-		j.runGuarded(int(j.ids.Add(1)))
+		j.runGuarded()
 		j.wg.Done()
 		releaseToken()
 	}
@@ -159,14 +156,14 @@ func helper() {
 // caller can recover it, instead of killing the process from a helper
 // goroutine nothing can recover on. The worker then carries on with
 // the next item, so every other item still runs.
-func (j *job) runGuarded(w int) {
-	for j.runUntilPanic(w) {
+func (j *job) runGuarded() {
+	for j.runUntilPanic() {
 	}
 }
 
-// runUntilPanic runs items as worker w until none remain (false) or one
-// panics (true), keeping the job's first panic.
-func (j *job) runUntilPanic(w int) (panicked bool) {
+// runUntilPanic runs items until none remain (false) or one panics
+// (true), keeping the job's first panic.
+func (j *job) runUntilPanic() (panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.panicMu.Lock()
@@ -177,30 +174,26 @@ func (j *job) runUntilPanic(w int) (panicked bool) {
 			panicked = true
 		}
 	}()
-	j.run(w)
+	j.run()
 	return false
 }
 
 // run claims and executes items until none remain.
-func (j *job) run(w int) {
+func (j *job) run() {
 	for {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.n {
 			return
 		}
-		if j.fn != nil {
-			j.fn(i)
-		} else {
-			j.fnw(w, i)
-		}
+		j.fn(i)
 	}
 }
 
-// fanOut runs j's items on the caller as worker 0 plus up to
-// workers−1 helpers the global budget allows, and returns once every
-// item has run. The remaining worker ids simply never run. A panic in
-// any item, the caller's own included, is re-raised on the caller once
-// every helper has finished; with several, the first recovered wins.
+// fanOut runs j's items on the caller plus up to workers−1 helpers the
+// global budget allows, and returns once every item has run. A panic
+// in any item, the caller's own included, is re-raised on the caller
+// once every helper has finished; with several, the first recovered
+// wins.
 func fanOut(j *job, workers int) {
 	for w := 1; w < workers; w++ {
 		if !acquireToken() {
@@ -210,8 +203,8 @@ func fanOut(j *job, workers int) {
 		j.wg.Add(1)
 		handoff <- j
 	}
-	// The caller participates as worker 0 rather than blocking idle.
-	j.runGuarded(0)
+	// The caller runs items too rather than blocking idle.
+	j.runGuarded()
 	j.wg.Wait()
 	panicked, val := j.panicked, j.panicVal
 	putJob(j)
@@ -224,11 +217,9 @@ func fanOut(j *job, workers int) {
 // goroutines. With a single-slot pool (or a single item) it runs inline
 // on the calling goroutine, spawning nothing. If fn panics, ForEach
 // panics with the same value on the calling goroutine: inline at once,
-// fanned out once every other item has run. It shares ForEachWorker's
-// body through the job rather than wrapping fn in an adapter closure:
-// hot callers (the channel simulator, the parallel decoder) pass
-// persistent funcs, and the adapter would put one heap allocation back
-// on every call.
+// fanned out once every other item has run. Hot callers (the channel
+// simulator, the decoder) pass persistent funcs, so a call allocates
+// nothing.
 func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -242,31 +233,5 @@ func ForEach(n int, fn func(i int)) {
 	}
 	j := getJob()
 	j.n, j.fn = n, fn
-	fanOut(j, workers)
-}
-
-// ForEachWorker invokes fn(w, i) for every i in [0, n), where w
-// identifies the executing worker (0 <= w < workers). Callers use w to
-// index per-worker scratch state — each worker id runs on exactly one
-// goroutine at a time, so scratch needs no locking. workers caps the
-// goroutine count (values < 1 mean Size()); under global budget
-// pressure fewer ids may actually run, never more. Panics reach the
-// caller as ForEach's do.
-func ForEachWorker(workers, n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers < 1 {
-		workers = Size()
-	}
-	workers = min(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	j := getJob()
-	j.n, j.fnw = n, fn
 	fanOut(j, workers)
 }

@@ -22,53 +22,6 @@ func TestForEachCoversAllIndicesOnce(t *testing.T) {
 	}
 }
 
-func TestForEachWorkerIDsAreExclusive(t *testing.T) {
-	// Each worker id must never run two items concurrently — that is the
-	// contract that makes per-worker scratch safe.
-	const workers, n = 4, 200
-	busy := make([]atomic.Int32, workers)
-	ForEachWorker(workers, n, func(w, _ int) {
-		if busy[w].Add(1) != 1 {
-			t.Errorf("worker %d ran concurrently with itself", w)
-		}
-		runtime.Gosched()
-		busy[w].Add(-1)
-	})
-}
-
-func TestForEachWorkerBoundsWorkerID(t *testing.T) {
-	const workers, n = 3, 50
-	var maxW atomic.Int32
-	ForEachWorker(workers, n, func(w, _ int) {
-		for {
-			cur := maxW.Load()
-			if int32(w) <= cur || maxW.CompareAndSwap(cur, int32(w)) {
-				break
-			}
-		}
-	})
-	if got := maxW.Load(); got >= workers {
-		t.Fatalf("worker id %d out of bounds", got)
-	}
-}
-
-func TestForEachWorkerSerialFallback(t *testing.T) {
-	// workers=1 must run inline: no goroutines means results are written
-	// in index order.
-	order := make([]int, 0, 10)
-	ForEachWorker(1, 10, func(w, i int) {
-		if w != 0 {
-			t.Fatalf("serial fallback used worker %d", w)
-		}
-		order = append(order, i)
-	})
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("serial order broken: %v", order)
-		}
-	}
-}
-
 func TestSizePositive(t *testing.T) {
 	if Size() < 1 {
 		t.Fatalf("Size() = %d", Size())
@@ -84,10 +37,10 @@ func TestFanOutZeroAllocParallel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	var sink [64]atomic.Int64
 	fn := func(i int) { sink[i].Add(1) }
-	fnw := func(w, i int) { sink[i].Add(int64(w)) }
+	fn2 := func(i int) { sink[i].Add(int64(i)) }
 	call := func() {
 		ForEach(len(sink), fn)
-		ForEachWorker(2, len(sink), fnw)
+		ForEach(len(sink), fn2)
 	}
 	// Warm up: the job pool and the runtime's free goroutine lists fill.
 	for i := 0; i < 2000; i++ {
@@ -104,15 +57,15 @@ func TestFanOutZeroAllocParallel(t *testing.T) {
 	// per-P free lists run dry (a few per run at most); per-call state
 	// would cost several objects on every call.
 	if perCall := float64(after.Mallocs-before.Mallocs) / runs; perCall >= 0.1 {
-		t.Fatalf("fan-out allocates %.2f objects per ForEach+ForEachWorker pair, want 0", perCall)
+		t.Fatalf("fan-out allocates %.2f objects per pair of ForEach calls, want 0", perCall)
 	}
 }
 
 // TestForEachPanicReachesCaller runs fan-outs at GOMAXPROCS 2 in which
 // one item panics — on a helper or on the caller's own share — and
 // checks that the panic reaches the calling goroutine with its value
-// while every other item still ran, for ForEach and ForEachWorker; and
-// that with several panicking items exactly one value comes back.
+// while every other item still ran; and that with several panicking
+// items exactly one value comes back.
 func TestForEachPanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const n = 64
@@ -123,28 +76,21 @@ func TestForEachPanicReachesCaller(t *testing.T) {
 		return nil
 	}
 	for _, bad := range []int{0, 1, n / 2, n - 1} {
-		for _, worker := range []bool{false, true} {
-			var ran [n]atomic.Int64
-			body := func(i int) {
+		var ran [n]atomic.Int64
+		got := catch(func() {
+			ForEach(n, func(i int) {
 				if i == bad {
 					panic(boom{i})
 				}
 				ran[i].Add(1)
-			}
-			got := catch(func() {
-				if worker {
-					ForEachWorker(2, n, func(_, i int) { body(i) })
-				} else {
-					ForEach(n, body)
-				}
 			})
-			if got != (boom{bad}) {
-				t.Fatalf("bad item %d (worker form %v): recovered %v, want boom{%d}", bad, worker, got, bad)
-			}
-			for i := range ran {
-				if want := int64(1); i != bad && ran[i].Load() != want {
-					t.Fatalf("bad item %d (worker form %v): item %d ran %d times", bad, worker, i, ran[i].Load())
-				}
+		})
+		if got != (boom{bad}) {
+			t.Fatalf("bad item %d: recovered %v, want boom{%d}", bad, got, bad)
+		}
+		for i := range ran {
+			if want := int64(1); i != bad && ran[i].Load() != want {
+				t.Fatalf("bad item %d: item %d ran %d times", bad, i, ran[i].Load())
 			}
 		}
 	}
@@ -167,24 +113,26 @@ func TestForEachPanicReachesCaller(t *testing.T) {
 }
 
 // TestForEachPanicOnHelper pins the panic to a helper goroutine: the
-// first item a helper (worker id > 0) runs panics, and the caller's
-// items (worker 0) wait until that has happened, so whichever worker
-// claims which item, the panic is a helper's and the other item still
-// runs. At a parent without recovery the helper's panic kills the test
-// binary.
+// first item a helper (any goroutine but the caller's) runs panics, and
+// the caller's items wait until that has happened, so whichever
+// goroutine claims which item, the panic is a helper's and the other
+// item still runs. At a parent without recovery the helper's panic
+// kills the test binary.
 func TestForEachPanicOnHelper(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	helperPanicked := make(chan struct{})
 	var first atomic.Bool
 	var ran atomic.Int64
+	caller := goid()
 	got := func() (v any) {
 		defer func() { v = recover() }()
-		ForEachWorker(2, 2, func(w, i int) {
-			if w != 0 && first.CompareAndSwap(false, true) {
+		ForEach(2, func(i int) {
+			onCaller := goid() == caller
+			if !onCaller && first.CompareAndSwap(false, true) {
 				close(helperPanicked)
 				panic("helper item")
 			}
-			if w == 0 {
+			if onCaller {
 				select {
 				case <-helperPanicked:
 				case <-time.After(10 * time.Second):
@@ -240,20 +188,18 @@ func (b *barrier) wait() bool {
 	}
 }
 
-// nestedCalls runs, from inside an outer item, an inner ForEach and an
-// inner ForEachWorker of m items each, and checks that every inner index
-// ran exactly once and every worker id was in range. With fanOut false
-// it checks that both ran inline — every item on the calling goroutine,
-// as worker 0. With fanOut true it checks that the inner ForEach's
-// first procs items ran at once on procs goroutines.
+// nestedCalls runs, from inside an outer item, an inner ForEach of m
+// items, and checks that every inner index ran exactly once. With
+// fanOut false it checks that the call ran inline, every item on the
+// calling goroutine. With fanOut true it checks that its first procs
+// items ran at once on procs goroutines.
 func nestedCalls(t *testing.T, procs, m int, fanOut bool) {
 	caller := goid()
-	var counts [2][]atomic.Int32
-	counts[0], counts[1] = make([]atomic.Int32, m), make([]atomic.Int32, m)
+	counts := make([]atomic.Int32, m)
 	var offCaller atomic.Int32
 	start := newBarrier(procs)
 	ForEach(m, func(i int) {
-		counts[0][i].Add(1)
+		counts[i].Add(1)
 		if goid() != caller {
 			offCaller.Add(1)
 		}
@@ -261,20 +207,9 @@ func nestedCalls(t *testing.T, procs, m int, fanOut bool) {
 			t.Errorf("procs=%d: inner ForEach item %d waited in vain for %d items to run at once", procs, i, procs)
 		}
 	})
-	ForEachWorker(procs, m, func(w, i int) {
-		counts[1][i].Add(1)
-		if w < 0 || w >= procs {
-			t.Errorf("procs=%d: inner worker id %d out of range", procs, w)
-		}
-		if !fanOut && (w != 0 || goid() != caller) {
-			t.Errorf("procs=%d: inner ForEachWorker item %d ran as worker %d off the calling goroutine with the budget spent", procs, i, w)
-		}
-	})
-	for c := range counts {
-		for i := range counts[c] {
-			if got := counts[c][i].Load(); got != 1 {
-				t.Errorf("procs=%d: inner call %d ran index %d %d times", procs, c, i, got)
-			}
+	for i := range counts {
+		if got := counts[i].Load(); got != 1 {
+			t.Errorf("procs=%d: inner ForEach ran index %d %d times", procs, i, got)
 		}
 	}
 	if !fanOut && offCaller.Load() != 0 {
@@ -284,12 +219,11 @@ func nestedCalls(t *testing.T, procs, m int, fanOut bool) {
 
 // TestNestedForEachSharesTokenBudget pins how nested calls share the
 // token budget, at GOMAXPROCS 2 and 4. With the budget spent — an outer
-// ForEachWorker holding every token, its items all running at once —
-// each item's inner ForEach and ForEachWorker run inline on the item's
-// goroutine. With a token free — the outer helpers done and their tokens
-// released while the caller's item still runs — the inner calls fan out.
-// Either way every inner index runs exactly once and worker ids stay in
-// range.
+// ForEach holding every token, its items all running at once — each
+// item's inner ForEach runs inline on the item's goroutine. With a
+// token free — the outer helpers done and their tokens released while
+// an item on the caller's goroutine still runs — the inner call fans
+// out. Either way every inner index runs exactly once.
 func TestNestedForEachSharesTokenBudget(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -297,9 +231,9 @@ func TestNestedForEachSharesTokenBudget(t *testing.T) {
 			const m = 32
 
 			// Budget spent: procs outer items, all running at once, hold
-			// the procs−1 tokens until every item's inner calls are done.
+			// the procs−1 tokens until every item's inner call is done.
 			started, done := newBarrier(procs), newBarrier(procs)
-			ForEachWorker(procs, procs, func(w, _ int) {
+			ForEach(procs, func(int) {
 				if !started.wait() {
 					t.Errorf("outer items never ran %d at once", procs)
 				}
@@ -310,11 +244,13 @@ func TestNestedForEachSharesTokenBudget(t *testing.T) {
 				done.wait()
 			})
 
-			// Token free: the outer helpers claim nothing or finish at
-			// once, and the caller's item waits for their tokens to come
-			// back before calling in.
-			ForEachWorker(2, 2, func(w, _ int) {
-				if w != 0 {
+			// Token free: the outer helper claims nothing or finishes at
+			// once, and the first item on the caller's goroutine waits
+			// for the tokens to come back before calling in.
+			caller := goid()
+			var once atomic.Bool
+			ForEach(2, func(int) {
+				if goid() != caller || !once.CompareAndSwap(false, true) {
 					return
 				}
 				deadline := time.Now().Add(10 * time.Second)

@@ -72,12 +72,6 @@ func AddAWGNLanes(sts []*dsp.Stream, sigs [][]complex128, noisePower float64) {
 	dsp.ReturnFloat64(buf)
 }
 
-// AddUnitNoise adds unit-power complex noise, the normalization used
-// throughout the simulator.
-func AddUnitNoise(st *dsp.Stream, sig []complex128) {
-	AddAWGN(st, sig, 1)
-}
-
 // AddAWGNOracle is the retained math/rand reference path: one
 // Rand.ComplexNormal draw per sample. The statistical tests pin the
 // stream engine's noise distribution against it; simulation code should
@@ -137,10 +131,4 @@ func clipRange(dstLen, srcLen, offset int) (lo, hi int) {
 		hi = dstLen - offset
 	}
 	return lo, hi
-}
-
-// MeasureSNRdB estimates the SNR of a signal of known power against unit
-// noise; provided for tests.
-func MeasureSNRdB(signalPower float64) float64 {
-	return LinearToDB(signalPower)
 }

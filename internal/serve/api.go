@@ -11,8 +11,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -354,24 +356,11 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 
 	// Sim-plane mutations exclude a turn in progress; the control-plane
 	// mirrors update after, so readers never see a half-applied toggle.
-	t.stepMu.Lock()
-	if req.Adversity != nil {
-		if err := t.ensureTrajectory(*req.Adversity); err != nil {
-			t.stepMu.Unlock()
-			s.writeError(w, http.StatusBadRequest, "enabling adversity: %v", err)
-			return
-		}
-		t.adversity = true
+	adv, soft, err := t.applyConfig(req)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "enabling adversity: %v", err)
+		return
 	}
-	if req.DisableAdversity {
-		t.adversity = false
-	}
-	if req.SoftCombining != nil {
-		t.net.SetSoftCombining(*req.SoftCombining)
-	}
-	adv := t.adversity
-	soft := t.net.SoftCombining()
-	t.stepMu.Unlock()
 
 	t.mu.Lock()
 	t.advOn = adv
@@ -382,6 +371,28 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	}
 	t.mu.Unlock()
 	writeJSON(w, http.StatusOK, t.info())
+}
+
+// applyConfig applies req's sim-plane toggles under stepMu and returns
+// the resulting adversity and soft-combining flags. The lock is released
+// by defer, so a panic here, which the panic middleware answers, does
+// not lock the tenant's turns out for good.
+func (t *tenant) applyConfig(req ConfigRequest) (adv, soft bool, err error) {
+	t.stepMu.Lock()
+	defer t.stepMu.Unlock()
+	if req.Adversity != nil {
+		if err := t.ensureTrajectory(*req.Adversity); err != nil {
+			return false, false, err
+		}
+		t.adversity = true
+	}
+	if req.DisableAdversity {
+		t.adversity = false
+	}
+	if req.SoftCombining != nil {
+		t.net.SetSoftCombining(*req.SoftCombining)
+	}
+	return t.adversity, t.net.SoftCombining(), nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -460,3 +471,60 @@ func (s *Server) countRequests(next http.Handler) http.Handler {
 		next.ServeHTTP(w, r)
 	})
 }
+
+// recoverPanics is the panic middleware: a handler's panic is logged
+// with its stack, counted in handler_panics_total and answered with a
+// JSON 500, so the client gets an error instead of a dropped connection
+// and the process carries on. Once the handler has started its
+// response a 500 can no longer be sent, so the response is aborted
+// (http.ErrAbortHandler) instead; a handler's own ErrAbortHandler
+// passes through uncounted.
+func (s *Server) recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &startedWriter{ResponseWriter: w}
+		defer func() {
+			v := recover()
+			switch v {
+			case nil:
+				return
+			case http.ErrAbortHandler:
+				panic(v)
+			}
+			s.metrics.handlerPanics.Add(1)
+			log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+			if sw.started {
+				panic(http.ErrAbortHandler)
+			}
+			s.writeError(w, http.StatusInternalServerError, "internal error: handler panicked: %v", v)
+		}()
+		next.ServeHTTP(sw, r)
+	})
+}
+
+// startedWriter records whether a handler has started its response. It
+// passes Flush through for the stream endpoint, and Unwrap exposes the
+// underlying writer to http.ResponseController (pprof sets write
+// deadlines through it).
+type startedWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (w *startedWriter) WriteHeader(code int) {
+	w.started = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *startedWriter) Write(b []byte) (int, error) {
+	w.started = true
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *startedWriter) Flush() {
+	w.started = true
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+func (w *startedWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }

@@ -150,3 +150,53 @@ func TestRequestBodyBounds(t *testing.T) {
 		t.Fatalf("valid create with a trailing newline: status %d (%s), want %d", code, msg, http.StatusCreated)
 	}
 }
+
+// TestHandlerPanicAnswers500: a handler that panics is answered with a
+// JSON 500 and counted in handler_panics_total, and the service and the
+// tenant stay usable: the next request succeeds, and the tenant's step
+// lock, held where the handler panicked, was released, so the tenant
+// still steps. The panic is a real one from the config handler, made by
+// removing a live tenant's network. At a parent without the recovery
+// middleware the client sees a dropped connection instead.
+func TestHandlerPanicAnswers500(t *testing.T) {
+	s, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	id, err := c.CreateDeployment(ctx, smallCfg(3))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	tn := s.reg.get(id)
+	tn.stepMu.Lock()
+	net := tn.net
+	tn.net = nil
+	tn.stepMu.Unlock()
+
+	resp, err := c.HTTPClient.Post(fmt.Sprintf("%s/v1/deployments/%d/config", c.BaseURL, id), "application/json",
+		strings.NewReader(`{"soft_combining":true}`))
+	if err != nil {
+		t.Fatalf("config on a broken tenant: %v; want a 500 answer", err)
+	}
+	var e errorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || decErr != nil || !strings.Contains(e.Error, "panicked") {
+		t.Fatalf("config on a broken tenant: status %d, body %+v (%v); want a JSON 500 naming the panic", resp.StatusCode, e, decErr)
+	}
+
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("metrics after a handler panic: %v", err)
+	}
+	if m["handler_panics_total"] != 1 || m["http_errors_total"] != 1 {
+		t.Fatalf("handler_panics_total = %d, http_errors_total = %d; want 1 and 1", m["handler_panics_total"], m["http_errors_total"])
+	}
+	if !tn.stepMu.TryLock() {
+		t.Fatal("the panicking request left the tenant's step lock held")
+	}
+	tn.net = net
+	tn.stepMu.Unlock()
+	if _, err := c.Step(ctx, id, 2); err != nil {
+		t.Fatalf("step after a handler panic: %v", err)
+	}
+	waitRounds(t, c, id, 2)
+}

@@ -144,11 +144,11 @@ func (s *Server) Routes() []Route {
 }
 
 // Handler builds the service's http.Handler from the route table,
-// wrapped in the request-counting middleware.
+// wrapped in the request-counting and panic-recovering middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.Routes() {
 		mux.HandleFunc(rt.Method+" "+rt.Pattern, rt.handler)
 	}
-	return s.countRequests(mux)
+	return s.countRequests(s.recoverPanics(mux))
 }

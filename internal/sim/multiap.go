@@ -4,7 +4,7 @@ package sim
 // Every device transmits once per round; each AP receives the
 // superposition over its own links (air.MultiChannel's shared-template
 // fan-out), decodes the full candidate set through its own
-// ParallelDecoder arenas, and a cross-AP aggregator merges the per-AP
+// core.Decoder arenas, and a cross-AP aggregator merges the per-AP
 // decodes — best-SNR selection with CRC preference, deduplicated by
 // device — into the network-wide round outcome. A single-AP network is
 // the k = 1 case: its Combined stats are its only AP's. See
@@ -64,7 +64,7 @@ type MultiAPNetwork struct {
 	cfg      Config
 	dep      *deploy.Deployment
 	book     *core.CodeBook
-	decoders []*core.ParallelDecoder
+	decoders []*core.Decoder
 	rng      *dsp.Rand
 	mch      *air.MultiChannel
 	nAPs     int
@@ -170,7 +170,7 @@ func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int,
 		cfg:      cfg,
 		dep:      dep,
 		book:     book,
-		decoders: make([]*core.ParallelDecoder, nAPs),
+		decoders: make([]*core.Decoder, nAPs),
 		rng:      dsp.NewRand(seed),
 		nAPs:     nAPs,
 		slots:    make([]int, maxDevices),
@@ -181,7 +181,7 @@ func NewMultiAPNetwork(cfg Config, dep *deploy.Deployment, nAPs, maxDevices int,
 		bestDist: make([]float64, maxDevices),
 	}
 	for a := range n.decoders {
-		n.decoders[a] = core.NewParallelDecoder(book, dcfg, 0)
+		n.decoders[a] = core.NewDecoder(book, dcfg)
 	}
 	n.mch = air.NewMultiChannel(cfg.Params, nAPs, n.rng)
 

@@ -94,7 +94,7 @@ type Network struct {
 	opts    Options
 	cp      chirp.Params
 	book    *core.CodeBook
-	decoder *core.ParallelDecoder
+	decoder *core.Decoder
 	dep     *deploy.Deployment
 	rng     *dsp.Rand
 
@@ -177,7 +177,7 @@ func NewNetwork(params Params, opts Options) (*Network, error) {
 		opts:    opts,
 		cp:      cp,
 		book:    book,
-		decoder: core.NewParallelDecoder(book, dcfg, 0),
+		decoder: core.NewDecoder(book, dcfg),
 		dep:     dep,
 		rng:     rng,
 	}

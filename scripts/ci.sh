@@ -68,8 +68,10 @@ echo "== fuzz seed corpus =="
 # accepted specs round-trip to the same digest and grid) and the
 # checkpoint reopen path (FuzzCheckpointReopen: never panics, resumes
 # only under the spec's header, truncates to a line prefix, appends
-# round-trip).
-go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp ./internal/campaign
+# round-trip) and the service's request bodies (FuzzDecodeBody: create,
+# step and config bodies never panic, are refused with 400 or 413 or
+# round-trip to the same value).
+go test -count=1 -run 'Fuzz' ./internal/synth ./internal/core ./internal/sim ./internal/dsp ./internal/campaign ./internal/serve
 
 echo "== benchmarks: one iteration each =="
 # Every root benchmark once: the internal/benchsuite wrappers, the
@@ -80,8 +82,9 @@ go test -count=1 -run '^$' -bench . -benchtime 1x .
 
 echo "== race: concurrent paths =="
 # The sim round path (one-AP and k-AP networks, including networks
-# built concurrently over one shared deployment), the batched parallel
-# decoder (including the batch-vs-oracle bit-exactness sweep), the
+# built concurrently over one shared deployment), the decoder's pooled
+# symbol batches (the batch-vs-oracle bit-exactness sweeps, at
+# GOMAXPROCS 1 to 7 in the TestDecodeFrameParallel* tests), the
 # materialized-waveform channel (parallel chunked synthesis with its
 # tile-grid noise, GOMAXPROCS ∈ {1,2,4} bit-exactness sweep), the
 # multi-AP fan-out (template fan-out, shared-template per-AP scaling,
