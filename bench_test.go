@@ -272,21 +272,32 @@ func BenchmarkOOKThresholdAblation(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths (defined in internal/benchsuite) ---
 
-func BenchmarkFFT4096(b *testing.B)                { benchsuite.Bench(b, "FFT4096") }
-func BenchmarkFFT4096Pruned(b *testing.B)          { benchsuite.Bench(b, "FFT4096Pruned") }
-func BenchmarkFFT4096PrunedBatch(b *testing.B)     { benchsuite.Bench(b, "FFT4096PrunedBatch") }
-func BenchmarkSymbolSpectrum(b *testing.B)         { benchsuite.Bench(b, "SymbolSpectrum") }
-func BenchmarkScanBatch48(b *testing.B)            { benchsuite.Bench(b, "ScanBatch48") }
-func BenchmarkEncodeFrame(b *testing.B)            { benchsuite.Bench(b, "EncodeFrame") }
-func BenchmarkEncodeFrameDelayed(b *testing.B)     { benchsuite.Bench(b, "EncodeFrameDelayed") }
-func BenchmarkEncodeFrameDelayedInto(b *testing.B) { benchsuite.Bench(b, "EncodeFrameDelayedInto") }
-func BenchmarkEncodeFrameMixedInto(b *testing.B)   { benchsuite.Bench(b, "EncodeFrameMixedInto") }
-func BenchmarkNoiseFill64k(b *testing.B)           { benchsuite.Bench(b, "NoiseFill64k") }
-func BenchmarkNoiseFill64kLanes(b *testing.B)      { benchsuite.Bench(b, "NoiseFill64kLanes") }
-func BenchmarkNetworkRound64(b *testing.B)         { benchsuite.Bench(b, "NetworkRound64") }
-func BenchmarkMultiAPRound64x2(b *testing.B)       { benchsuite.Bench(b, "MultiAPRound64x2") }
-func BenchmarkCombinedRound64x4(b *testing.B)      { benchsuite.Bench(b, "CombinedRound64x4") }
-func BenchmarkTrajectoryRound64(b *testing.B)      { benchsuite.Bench(b, "TrajectoryRound64") }
-func BenchmarkNetworkRound64Parallel(b *testing.B) { benchsuite.Bench(b, "NetworkRound64/parallel") }
+// benchCase runs the benchsuite case called name under b.
+func benchCase(b *testing.B, name string) {
+	for _, c := range benchsuite.Cases() {
+		if c.Name == name {
+			benchsuite.Run(b, c)
+			return
+		}
+	}
+	b.Fatalf("benchsuite: no case %q", name)
+}
+
+func BenchmarkFFT4096(b *testing.B)                { benchCase(b, "FFT4096") }
+func BenchmarkFFT4096Pruned(b *testing.B)          { benchCase(b, "FFT4096Pruned") }
+func BenchmarkFFT4096PrunedBatch(b *testing.B)     { benchCase(b, "FFT4096PrunedBatch") }
+func BenchmarkSymbolSpectrum(b *testing.B)         { benchCase(b, "SymbolSpectrum") }
+func BenchmarkScanBatch48(b *testing.B)            { benchCase(b, "ScanBatch48") }
+func BenchmarkEncodeFrame(b *testing.B)            { benchCase(b, "EncodeFrame") }
+func BenchmarkEncodeFrameDelayed(b *testing.B)     { benchCase(b, "EncodeFrameDelayed") }
+func BenchmarkEncodeFrameDelayedInto(b *testing.B) { benchCase(b, "EncodeFrameDelayedInto") }
+func BenchmarkEncodeFrameMixedInto(b *testing.B)   { benchCase(b, "EncodeFrameMixedInto") }
+func BenchmarkNoiseFill64k(b *testing.B)           { benchCase(b, "NoiseFill64k") }
+func BenchmarkNoiseFill64kLanes(b *testing.B)      { benchCase(b, "NoiseFill64kLanes") }
+func BenchmarkNetworkRound64(b *testing.B)         { benchCase(b, "NetworkRound64") }
+func BenchmarkMultiAPRound64x2(b *testing.B)       { benchCase(b, "MultiAPRound64x2") }
+func BenchmarkCombinedRound64x4(b *testing.B)      { benchCase(b, "CombinedRound64x4") }
+func BenchmarkTrajectoryRound64(b *testing.B)      { benchCase(b, "TrajectoryRound64") }
+func BenchmarkNetworkRound64Parallel(b *testing.B) { benchCase(b, "NetworkRound64/parallel") }
 
 func BenchmarkMultiAPDiversity(b *testing.B) { benchExperiment(b, "M1") }

@@ -24,7 +24,7 @@ import (
 // PHY experiments, the public facade, the examples and tools.
 type Transmission struct {
 	// Waveform is the device's ideal transmit waveform (from
-	// core.Encoder or css.Modem).
+	// core.Encoder or chirp.Modulator).
 	Waveform []complex128
 	// Delayed, if non-nil, synthesizes the waveform with a fractional
 	// sample delay baked in analytically (core.Encoder's

@@ -168,9 +168,6 @@ func NewMultiChannel(p chirp.Params, nAPs int, rng *dsp.Rand) *MultiChannel {
 	return mc
 }
 
-// APs returns the channel's AP count.
-func (mc *MultiChannel) APs() int { return mc.nAPs }
-
 // Receive builds the k received streams of length samples each,
 // allocating the outputs. See ReceiveInto.
 func (mc *MultiChannel) Receive(length int, txs []MultiTransmission) [][]complex128 {

@@ -51,17 +51,6 @@ func Run(b *testing.B, c Case) {
 	}
 }
 
-// Bench runs the case called name under b.
-func Bench(b *testing.B, name string) {
-	for _, c := range Cases() {
-		if c.Name == name {
-			Run(b, c)
-			return
-		}
-	}
-	b.Fatalf("benchsuite: no case %q", name)
-}
-
 // Cases returns every micro-benchmark in report order.
 func Cases() []Case {
 	p := chirp.Default500k9

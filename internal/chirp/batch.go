@@ -12,8 +12,8 @@ import (
 // stages in one pre-planned pass over a planar (split real/imaginary)
 // buffer — the layout dsp.BatchPlan's bounds-check-free butterfly loops
 // operate on. Results are bit-identical to the single-symbol
-// Spectrum/ScanPaddedCenters path, which the decoder keeps as its
-// exactness oracle (core.Decoder.DecodeFrameOracle).
+// Spectrum/ScanPaddedCenters path, which core's tests keep as the
+// decoder's exactness oracle (DecodeFrameOracle in oracle_test.go).
 
 // batchTile bounds how many symbols are dechirped into the planar
 // scratch per ForwardBatch pass: 8 symbols of a 4096-bin padded

@@ -75,28 +75,6 @@ func TestSpectraBatchBitExact(t *testing.T) {
 	}
 }
 
-// TestSpectraBatchMatchesSpectra checks the batch path against the
-// existing complex-path Spectra API (same arena layout, same values).
-func TestSpectraBatchMatchesSpectra(t *testing.T) {
-	p := Params{SF: 8, BW: 250e3, Oversample: 1}
-	const nSyms = 5
-	sig := batchTestSignal(p, nSyms, 77)
-
-	a := NewDemodulator(p, 4)
-	b := NewDemodulator(p, 4)
-	bins := a.PaddedBins()
-	batch := make([]float64, nSyms*bins)
-	a.SpectraBatchInto(batch, sig, 0, nSyms, nil)
-	serial := b.Spectra(sig, 0, nSyms)
-	for s := range serial {
-		for k := range serial[s] {
-			if batch[s*bins+k] != serial[s][k] {
-				t.Fatalf("symbol %d bin %d: %g != %g", s, k, batch[s*bins+k], serial[s][k])
-			}
-		}
-	}
-}
-
 // TestScanBatchBitExact requires the fused dechirp+FFT+window scan to
 // write exactly the peak powers the Spectrum + ScanPaddedCenters
 // pipeline produces, in the decoder's candidate-major layout, skipping
@@ -276,7 +254,7 @@ func TestBatchOnlyDemodulatorOwnsNoScratch(t *testing.T) {
 	dem.SpectraBatchInto(make([]float64, nSyms*bins), sig, 0, nSyms, nil)
 	dem.ScanBatch(sig, 0, 0, nSyms, []int{8}, 2, out, nSyms, nil)
 	dem.ScanBatchEmit(sig, 0, 0, nSyms, []int{8}, 2, out, nSyms, make([]float64, nSyms*bins), nil)
-	if dem.padBuf != nil || dem.power != nil || dem.arena != nil {
+	if dem.padBuf != nil || dem.power != nil {
 		t.Fatal("batch calls allocated single-symbol scratch")
 	}
 	dem.Spectrum(sig[:p.N()])

@@ -67,7 +67,7 @@ func TestOffsetConversions(t *testing.T) {
 	}
 	f := func(raw float64) bool {
 		bins := math.Mod(raw, 100)
-		return math.Abs(p.FreqOffsetToBins(p.BinsToFreqOffset(bins))-bins) < 1e-9
+		return math.Abs(p.FreqOffsetToBins(bins*p.BinHz())-bins) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestDownchirpIsConjugate(t *testing.T) {
 func TestDechirpedBaselineIsDC(t *testing.T) {
 	// Upchirp × downchirp = constant frequency at bin 0 (Fig. 3a).
 	dem := NewDemodulator(tp, 1)
-	bin, _ := dem.DemodSymbol(Upchirp(tp))
+	bin := demodSymbol(dem, Upchirp(tp))
 	if bin != 0 {
 		t.Fatalf("baseline dechirps to bin %d, want 0", bin)
 	}
@@ -105,7 +105,7 @@ func TestCyclicShiftMapsToBin(t *testing.T) {
 	mod := NewModulator(tp)
 	dem := NewDemodulator(tp, 1)
 	for _, shift := range []int{0, 1, 5, 64, 100, 127} {
-		bin, _ := dem.DemodSymbol(mod.Symbol(shift))
+		bin := demodSymbol(dem, mod.Symbol(shift))
 		if bin != shift {
 			t.Fatalf("shift %d demodulated to bin %d", shift, bin)
 		}
@@ -117,7 +117,7 @@ func TestCyclicShiftQuickAllShifts(t *testing.T) {
 	dem := NewDemodulator(tp, 1)
 	f := func(raw uint8) bool {
 		shift := int(raw) % tp.N()
-		bin, _ := dem.DemodSymbol(mod.Symbol(shift))
+		bin := demodSymbol(dem, mod.Symbol(shift))
 		return bin == shift
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -133,7 +133,7 @@ func TestFreqOffsetMovesPeak(t *testing.T) {
 	dem := NewDemodulator(tp, 8)
 	sym := mod.Symbol(10)
 	ApplyFreqOffset(sym, 3*tp.BinHz(), tp.SampleRate())
-	frac, _ := dem.PeakFrac(sym)
+	frac := peakBin(dem, sym)
 	if math.Abs(frac-13) > 0.1 {
 		t.Fatalf("peak at %v, want 13", frac)
 	}
@@ -145,7 +145,7 @@ func TestFreqOffsetAliasesAcrossNyquist(t *testing.T) {
 	dem := NewDemodulator(tp, 8)
 	sym := mod.Symbol(120)
 	ApplyFreqOffset(sym, 20*tp.BinHz(), tp.SampleRate())
-	frac, _ := dem.PeakFrac(sym)
+	frac := peakBin(dem, sym)
 	if math.Abs(frac-12) > 0.1 { // 120+20 mod 128
 		t.Fatalf("peak at %v, want 12", frac)
 	}
@@ -184,26 +184,14 @@ func TestAggregateShiftsSpanDoubleBand(t *testing.T) {
 	p := Params{SF: 6, BW: 125e3, Oversample: 2}
 	mod := NewModulator(p)
 	dem := NewDemodulator(p, 1)
-	if mod.NumShifts() != 128 {
-		t.Fatalf("NumShifts = %d", mod.NumShifts())
+	if p.N() != 128 {
+		t.Fatalf("shifts = %d, want 128", p.N())
 	}
 	for _, shift := range []int{0, 32, 63, 64, 100, 127} {
-		bin, _ := dem.DemodSymbol(mod.Symbol(shift))
+		bin := demodSymbol(dem, mod.Symbol(shift))
 		if bin != shift {
 			t.Fatalf("aggregate shift %d -> bin %d", shift, bin)
 		}
-	}
-}
-
-func TestDownSymbolDechirpsWithUp(t *testing.T) {
-	mod := NewModulator(tp)
-	dem := NewDemodulator(tp, 1)
-	spec := dem.SpectrumDown(mod.DownSymbol(30))
-	idx, _ := dsp.ArgmaxFloat(spec)
-	// Downchirp with shift c despreads (against the upchirp) to -c.
-	want := dsp.WrapIndex(-30, tp.N())
-	if idx != want {
-		t.Fatalf("down symbol peak at %d, want %d", idx, want)
 	}
 }
 
@@ -245,14 +233,27 @@ func TestScale(t *testing.T) {
 
 func TestModulatorAppendHelpers(t *testing.T) {
 	mod := NewModulator(tp)
-	w := mod.AppendSymbol(nil, 5)
-	w = mod.AppendSilence(w)
-	if len(w) != 2*tp.N() {
+	w := mod.AppendSymbol(make([]complex128, 3), 5)
+	if len(w) != 3+tp.N() {
 		t.Fatalf("waveform length %d", len(w))
 	}
-	for _, v := range w[tp.N():] {
-		if v != 0 {
-			t.Fatal("silence not zero")
+	for i, v := range mod.Symbol(5) {
+		if w[3+i] != v {
+			t.Fatalf("appended sample %d = %v, want Symbol's %v", i, w[3+i], v)
 		}
 	}
+}
+
+// demodSymbol is classic single-transmitter LoRa demodulation (§2.1):
+// the integer chirp bin nearest the strongest peak of sym's spectrum.
+func demodSymbol(dem *Demodulator, sym []complex128) int {
+	idx, _ := dsp.ArgmaxFloat(dem.Spectrum(sym))
+	return dsp.WrapIndex(int(dem.BinOf(idx)+0.5), dem.p.N())
+}
+
+// peakBin is the fractional chirp bin of the strongest peak in sym's
+// padded spectrum, at the demodulator's 1/ZeroPad resolution.
+func peakBin(dem *Demodulator, sym []complex128) float64 {
+	idx, _ := dsp.ArgmaxFloat(dem.Spectrum(sym))
+	return dem.BinOf(idx)
 }

@@ -2,7 +2,6 @@ package chirp
 
 import (
 	"fmt"
-	"slices"
 
 	"netscatter/internal/dsp"
 )
@@ -23,13 +22,6 @@ func NewModulator(p Params) *Modulator {
 	}
 	return &Modulator{p: p, up: Upchirp(p)}
 }
-
-// Params returns the modulator's parameter set.
-func (m *Modulator) Params() Params { return m.p }
-
-// NumShifts returns the number of distinct cyclic shifts (FFT bins)
-// available: Oversample·2^SF.
-func (m *Modulator) NumShifts() int { return m.p.N() }
 
 // Symbol returns a freshly allocated upchirp symbol with the given cyclic
 // shift. At critical sampling (Oversample == 1) shifts are realized as
@@ -55,17 +47,6 @@ func (m *Modulator) Symbol(shift int) []complex128 {
 	return sym
 }
 
-// DownSymbol returns the downchirp (conjugate) version of Symbol(shift).
-// NetScatter preambles end with two downchirps carrying the same cyclic
-// shift as the device's upchirps (§3.3.1).
-func (m *Modulator) DownSymbol(shift int) []complex128 {
-	sym := m.Symbol(shift)
-	for i, v := range sym {
-		sym[i] = complex(real(v), -imag(v))
-	}
-	return sym
-}
-
 // AppendSymbol appends Symbol(shift) to dst and returns the extended
 // slice, writing the rotation (or frequency mix) directly into the
 // appended region — no throwaway per-symbol slice.
@@ -82,17 +63,6 @@ func (m *Modulator) AppendSymbol(dst []complex128, shift int) []complex128 {
 	return dst
 }
 
-// AppendSilence appends one symbol period of zeros (an OOK '0').
-func (m *Modulator) AppendSilence(dst []complex128) []complex128 {
-	n := m.p.N()
-	base := len(dst)
-	dst = slices.Grow(dst, n)[:base+n]
-	for i := base; i < len(dst); i++ {
-		dst[i] = 0
-	}
-	return dst
-}
-
 // Demodulator de-spreads chirp symbols and locates FFT peaks with
 // zero-padded sub-bin resolution (the receiver performs one dechirp and
 // one FFT per symbol regardless of how many devices transmit — the
@@ -106,26 +76,21 @@ func (m *Modulator) AppendSilence(dst []complex128) []complex128 {
 // state on the demodulator and borrow their planar tile from the dsp
 // scratch free list for the length of the call, so every worker of a
 // parallel decoder shares one demodulator. ScanPeaks, PeakNear and the
-// index conversions only read it. The single-symbol calls (Spectrum,
-// SpectrumInto, SpectrumDown, Spectra, DemodSymbol, PeakFrac) reuse one
-// demodulator-owned buffer set and are not safe for concurrent use.
+// index conversions only read it. The single-symbol Spectrum reuses
+// demodulator-owned buffers and is not safe for concurrent use.
 type Demodulator struct {
 	p       Params
 	zeroPad int
 	padN    int
 	down    []complex128
-	up      []complex128
 	plan    *dsp.FFTPlan
 	bplan   *dsp.BatchPlan // planar pruned-FFT plan of the batch calls
 
-	// Single-symbol scratch, allocated by the first single-symbol call
-	// (a demodulator only ever driven through the batch calls owns
-	// none): the transform buffer, the power spectrum Spectrum returns,
-	// and the arena Spectra hands out nSyms spectra from.
-	padBuf    []complex128
-	power     []float64
-	arena     []float64
-	arenaOuts [][]float64
+	// Single-symbol scratch, allocated by the first Spectrum call (a
+	// demodulator only ever driven through the batch calls owns none):
+	// the transform buffer and the power spectrum Spectrum returns.
+	padBuf []complex128
+	power  []float64
 }
 
 // NewDemodulator builds a demodulator with the given zero-padding factor
@@ -145,14 +110,10 @@ func NewDemodulator(p Params, zeroPad int) *Demodulator {
 		zeroPad: padN / p.N(),
 		padN:    padN,
 		down:    Downchirp(p),
-		up:      Upchirp(p),
 		plan:    dsp.Plan(padN),
 		bplan:   dsp.PlanBatch(padN, p.N()),
 	}
 }
-
-// Params returns the demodulator's parameter set.
-func (d *Demodulator) Params() Params { return d.p }
 
 // ZeroPad returns the effective padding factor (rounded up to keep the
 // FFT size a power of two).
@@ -165,76 +126,22 @@ func (d *Demodulator) PaddedBins() int { return d.padN }
 // downchirp, zero-pads, and returns the power spectrum. The returned
 // slice aliases an internal buffer valid until the next call.
 func (d *Demodulator) Spectrum(sym []complex128) []float64 {
-	return d.spectrum(d.powerBuf(), sym, d.down)
-}
-
-// SpectrumInto is Spectrum writing the power spectrum into dst, which
-// must have length PaddedBins(), so the caller owns the storage.
-func (d *Demodulator) SpectrumInto(dst []float64, sym []complex128) {
-	if len(dst) != d.padN {
-		panic(fmt.Sprintf("chirp: spectrum dst length %d, want %d", len(dst), d.padN))
-	}
-	d.spectrum(dst, sym, d.down)
-}
-
-// SpectrumDown de-spreads against the baseline *upchirp* instead, which
-// turns received downchirps into tones. The packet-start estimator uses
-// this on the two preamble downchirps.
-func (d *Demodulator) SpectrumDown(sym []complex128) []float64 {
-	return d.spectrum(d.powerBuf(), sym, d.up)
-}
-
-// powerBuf returns the power-spectrum buffer Spectrum and SpectrumDown
-// return, allocating it on first use.
-func (d *Demodulator) powerBuf() []float64 {
-	if d.power == nil {
-		d.power = make([]float64, d.padN)
-	}
-	return d.power
-}
-
-// Spectra computes the power spectra of nSyms consecutive symbols of sig
-// beginning at sample index start, returning one PaddedBins()-long slice
-// per symbol. All spectra live in a single reused arena, valid until the
-// next Spectra call; Spectrum/SpectrumDown use separate storage and do
-// not invalidate them.
-func (d *Demodulator) Spectra(sig []complex128, start, nSyms int) [][]float64 {
-	n := d.p.N()
-	if start < 0 || start+nSyms*n > len(sig) {
-		panic(fmt.Sprintf("chirp: Spectra window [%d, %d) outside signal of %d samples",
-			start, start+nSyms*n, len(sig)))
-	}
-	m := d.padN
-	if cap(d.arena) < nSyms*m {
-		d.arena = make([]float64, nSyms*m)
-		d.arenaOuts = make([][]float64, 0, nSyms)
-	}
-	d.arena = d.arena[:nSyms*m]
-	d.arenaOuts = d.arenaOuts[:0]
-	for s := 0; s < nSyms; s++ {
-		dst := d.arena[s*m : (s+1)*m]
-		d.spectrum(dst, sig[start+s*n:start+(s+1)*n], d.down)
-		d.arenaOuts = append(d.arenaOuts, dst)
-	}
-	return d.arenaOuts
-}
-
-func (d *Demodulator) spectrum(dst []float64, sym []complex128, ref []complex128) []float64 {
 	n := d.p.N()
 	if len(sym) != n {
 		panic(fmt.Sprintf("chirp: symbol length %d, want %d", len(sym), n))
 	}
 	if d.padBuf == nil {
 		d.padBuf = make([]complex128, d.padN)
+		d.power = make([]float64, d.padN)
 	}
 	// Fused dechirp: the product lands directly in the transform buffer's
 	// nonzero prefix; the padded tail is never touched (ForwardPruned
 	// ignores it).
 	for i := 0; i < n; i++ {
-		d.padBuf[i] = sym[i] * ref[i]
+		d.padBuf[i] = sym[i] * d.down[i]
 	}
 	d.plan.ForwardPruned(d.padBuf, n)
-	return dsp.PowerSpectrum(dst, d.padBuf)
+	return dsp.PowerSpectrum(d.power, d.padBuf)
 }
 
 // BinOf converts a padded-spectrum index to a (possibly fractional)
@@ -247,34 +154,6 @@ func (d *Demodulator) BinOf(paddedIdx int) float64 {
 // padded-spectrum index.
 func (d *Demodulator) PaddedIndexOf(bin int) int {
 	return dsp.WrapIndex(bin, d.p.N()) * d.zeroPad
-}
-
-// DemodSymbol locates the strongest peak of one symbol and returns the
-// nearest integer chirp bin along with the peak power. This is the
-// classic single-transmitter LoRa demodulation (§2.1).
-func (d *Demodulator) DemodSymbol(sym []complex128) (bin int, power float64) {
-	spec := d.Spectrum(sym)
-	idx, pw := dsp.ArgmaxFloat(spec)
-	b := int(d.BinOf(idx) + 0.5)
-	return dsp.WrapIndex(b, d.p.N()), pw
-}
-
-// PeakFrac locates the strongest peak with sub-bin resolution: the padded
-// argmax refined by quadratic interpolation. Returns the fractional chirp
-// bin in [0, N) and the peak power.
-func (d *Demodulator) PeakFrac(sym []complex128) (fracBin float64, power float64) {
-	spec := d.Spectrum(sym)
-	idx, pw := dsp.ArgmaxFloat(spec)
-	frac := dsp.QuadraticInterpolate(spec, idx)
-	bins := float64(d.p.N())
-	b := d.BinOf(idx) + frac/float64(d.zeroPad)
-	for b < 0 {
-		b += bins
-	}
-	for b >= bins {
-		b -= bins
-	}
-	return b, pw
 }
 
 // PeakNear returns the maximum power in the padded spectrum within

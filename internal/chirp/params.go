@@ -2,8 +2,8 @@
 // and demodulation: baseline up/down chirps, cyclic shifts, dechirping and
 // FFT-bin detection with zero-padded sub-bin resolution.
 //
-// This is the modulation substrate shared by the classic LoRa-style modem
-// (internal/css) and NetScatter's distributed CSS coding (internal/core).
+// This is the modulation substrate of NetScatter's distributed CSS coding
+// (internal/core); internal/css holds the classic LoRa link math.
 // Terminology follows §2.1 of the paper: a symbol is one upchirp of
 // duration 2^SF/BW; cyclically shifting it in time moves the dechirped
 // FFT peak by the same number of bins.
@@ -105,12 +105,6 @@ func (p Params) TimeOffsetToBins(dt float64) float64 { return dt * p.BW }
 // displacement: ΔFFTbin = 2^SF·Δf/BW.
 func (p Params) FreqOffsetToBins(df float64) float64 {
 	return df * float64(p.Chips()) / p.BW
-}
-
-// BinsToFreqOffset converts a fractional bin displacement to the
-// equivalent frequency offset in Hz.
-func (p Params) BinsToFreqOffset(bins float64) float64 {
-	return bins * p.BinHz()
 }
 
 // String implements fmt.Stringer ("BW=500kHz SF=9").

@@ -2,65 +2,7 @@ package chirp
 
 import (
 	"testing"
-
-	"netscatter/internal/dsp"
 )
-
-// TestSpectrumIntoMatchesSpectrum pins the arena APIs to the original
-// single-shot path.
-func TestSpectrumIntoMatchesSpectrum(t *testing.T) {
-	p := Params{SF: 7, BW: 125e3, Oversample: 1}
-	dem := NewDemodulator(p, 8)
-	mod := NewModulator(p)
-	sym := mod.Symbol(33)
-
-	want := append([]float64(nil), dem.Spectrum(sym)...)
-	dst := make([]float64, dem.PaddedBins())
-	dem.SpectrumInto(dst, sym)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("bin %d: SpectrumInto %v != Spectrum %v", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestSpectraMatchesPerSymbolSpectrum(t *testing.T) {
-	p := Params{SF: 7, BW: 125e3, Oversample: 1}
-	dem := NewDemodulator(p, 4)
-	mod := NewModulator(p)
-	n := p.N()
-
-	var sig []complex128
-	shifts := []int{0, 17, 64, 100}
-	for _, s := range shifts {
-		sig = mod.AppendSymbol(sig, s)
-	}
-
-	// Reference spectra first (Spectra reuses its own arena, Spectrum its
-	// own buffer — the two must not interfere).
-	want := make([][]float64, len(shifts))
-	for i := range shifts {
-		want[i] = append([]float64(nil), dem.Spectrum(sig[i*n:(i+1)*n])...)
-	}
-	got := dem.Spectra(sig, 0, len(shifts))
-	if len(got) != len(shifts) {
-		t.Fatalf("Spectra returned %d spectra, want %d", len(got), len(shifts))
-	}
-	for s := range got {
-		for b := range got[s] {
-			if got[s][b] != want[s][b] {
-				t.Fatalf("symbol %d bin %d: %v != %v", s, b, got[s][b], want[s][b])
-			}
-		}
-	}
-	// Each symbol's dominant peak sits at its shift.
-	for s, spec := range got {
-		idx, _ := dsp.ArgmaxFloat(spec)
-		if bin := int(dem.BinOf(idx) + 0.5); bin != shifts[s] {
-			t.Fatalf("symbol %d peak at bin %d, want %d", s, bin, shifts[s])
-		}
-	}
-}
 
 func TestScanPeaksMatchesPeakNear(t *testing.T) {
 	p := Params{SF: 7, BW: 125e3, Oversample: 1}

@@ -1,19 +1,14 @@
 // Package choir models the Choir comparison of §2.2: decoding
 // concurrent LoRa transmissions by the fractional FFT-bin offsets that
 // hardware imperfections induce. It provides the paper's two analytic
-// collision formulas, Monte-Carlo counterparts, and the Fig. 4
-// experiment showing why the trick fails for backscatter — baseband
-// (< 10 MHz) devices have ~90x smaller absolute frequency offsets than
-// 900 MHz radios, compressing every device into a fraction of one bin.
+// collision formulas and their Monte-Carlo counterparts (experiment C1).
+// Why the trick fails for backscatter — baseband (< 10 MHz) devices have
+// ~90x smaller absolute frequency offsets than 900 MHz radios,
+// compressing every device into a fraction of one bin — is experiment
+// F4's oscillator draw.
 package choir
 
-import (
-	"math"
-
-	"netscatter/internal/chirp"
-	"netscatter/internal/dsp"
-	"netscatter/internal/radio"
-)
+import "netscatter/internal/dsp"
 
 // FracResolution is the fractional-bin resolution Choir relies on
 // (one-tenth of an FFT bin, §2.2).
@@ -94,21 +89,4 @@ func MonteCarloUniqueFraction(n, trials int, rng *dsp.Rand) float64 {
 		}
 	}
 	return float64(unique) / float64(trials)
-}
-
-// OffsetSamples draws the |ΔFFTbin| samples of Fig. 4 for nDevices of
-// each kind: 900 MHz LoRa radios versus ~3 MHz-baseband backscatter
-// tags, both with crystal tolerances of ppmSigma (clipped at maxPPM),
-// at the given chirp configuration. Each device also contributes the
-// per-packet drift of its oscillator model.
-func OffsetSamples(p chirp.Params, nDevices, packetsPerDevice int, ppmSigma, maxPPM float64, rng *dsp.Rand) (radios, tags []float64) {
-	for d := 0; d < nDevices; d++ {
-		ro := radio.NewRadioOscillator(rng, ppmSigma, maxPPM)
-		bo := radio.NewBackscatterOscillator(rng, ppmSigma, maxPPM)
-		for k := 0; k < packetsPerDevice; k++ {
-			radios = append(radios, math.Abs(p.FreqOffsetToBins(ro.PacketOffsetHz(rng))))
-			tags = append(tags, math.Abs(p.FreqOffsetToBins(bo.PacketOffsetHz(rng))))
-		}
-	}
-	return radios, tags
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"netscatter/internal/chirp"
 	"netscatter/internal/dsp"
 )
 
@@ -67,26 +66,5 @@ func TestCollisionMonotonicQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOffsetSamplesScale(t *testing.T) {
-	// The backscatter offsets must be dramatically smaller than the
-	// radio offsets (the ~90x baseband argument).
-	rng := dsp.NewRand(2)
-	p := chirp.Default500k9
-	radios, tags := OffsetSamples(p, 50, 10, 3, 7.5, rng)
-	if len(radios) != 500 || len(tags) != 500 {
-		t.Fatalf("sample counts %d/%d", len(radios), len(tags))
-	}
-	rm := dsp.Mean(radios)
-	tm := dsp.Mean(tags)
-	if rm < 20*tm {
-		t.Fatalf("radio offsets (%v bins) should dwarf backscatter (%v bins)", rm, tm)
-	}
-	// Backscatter stays under a third of a bin (Fig. 4).
-	tc := dsp.NewCDF(tags)
-	if tc.At(1.0/3) < 0.99 {
-		t.Fatalf("backscatter offsets exceed 1/3 bin too often: %v", tc.At(1.0/3))
 	}
 }

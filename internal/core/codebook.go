@@ -99,20 +99,6 @@ func (c *CodeBook) ShiftOfSlot(slot int) int {
 	return c.shiftOf[slot]
 }
 
-// SlotOfShift inverts ShiftOfSlot; ok is false if the shift is not an
-// assignable slot.
-func (c *CodeBook) SlotOfShift(shift int) (slot int, ok bool) {
-	shift = dsp.WrapIndex(shift, c.params.N())
-	slot, ok = c.slotOf[shift]
-	return slot, ok
-}
-
-// CircularBinDistance returns the FFT-bin distance between two slots'
-// shifts on the circular spectrum.
-func (c *CodeBook) CircularBinDistance(slotA, slotB int) int {
-	return dsp.CircularDistance(c.ShiftOfSlot(slotA), c.ShiftOfSlot(slotB), c.params.N())
-}
-
 // AllShifts returns the cyclic shifts of all slots in slot order. The
 // returned slice is fresh.
 func (c *CodeBook) AllShifts() []int {

@@ -63,14 +63,14 @@ func TestCodeBookSlotDistanceMonotonic(t *testing.T) {
 	book := testBook(t, 9, 2)
 	prev := -1
 	for slot := 0; slot < book.Slots(); slot++ {
-		d := book.CircularBinDistance(0, slot)
+		d := binDistance(book, 0, slot)
 		if d < prev {
 			t.Fatalf("slot %d distance %d < previous %d", slot, d, prev)
 		}
 		prev = d
 	}
 	// The farthest slot sits near the spectrum middle.
-	far := book.CircularBinDistance(0, book.Slots()-1)
+	far := binDistance(book, 0, book.Slots()-1)
 	if far < book.Params().N()/2-book.Skip() {
 		t.Fatalf("farthest slot only %d bins away", far)
 	}
@@ -83,7 +83,7 @@ func TestCodeBookAdjacentSlotsNearby(t *testing.T) {
 	// similar SNR end up physically near each other as §3.2.3 requires.
 	book := testBook(t, 9, 2)
 	for slot := 2; slot < book.Slots(); slot++ {
-		d := book.CircularBinDistance(slot-2, slot)
+		d := binDistance(book, slot-2, slot)
 		if d > 2*book.Skip() {
 			t.Fatalf("slots %d,%d are %d bins apart", slot-2, slot, d)
 		}
@@ -116,7 +116,7 @@ func TestCodeBookAssociationSlots(t *testing.T) {
 		t.Fatalf("bad association slots %d, %d", hi, lo)
 	}
 	// High-SNR slot near the anchor, low-SNR slot far from it.
-	if book.CircularBinDistance(0, hi) >= book.CircularBinDistance(0, lo) {
+	if binDistance(book, 0, hi) >= binDistance(book, 0, lo) {
 		t.Fatalf("high-SNR assoc slot farther than low-SNR slot")
 	}
 }
@@ -131,4 +131,17 @@ func TestNewCodeBookErrors(t *testing.T) {
 	if _, err := NewCodeBook(chirp.Params{SF: 99, BW: 500e3}, 2); err == nil {
 		t.Error("bad SF accepted")
 	}
+}
+
+// binDistance is the circular bin distance between two slots' shifts.
+func binDistance(book *CodeBook, slotA, slotB int) int {
+	return dsp.CircularDistance(book.ShiftOfSlot(slotA), book.ShiftOfSlot(slotB), book.Params().N())
+}
+
+// SlotOfShift inverts ShiftOfSlot; ok is false if the shift is not an
+// assignable slot.
+func (c *CodeBook) SlotOfShift(shift int) (slot int, ok bool) {
+	shift = dsp.WrapIndex(shift, c.params.N())
+	slot, ok = c.slotOf[shift]
+	return slot, ok
 }

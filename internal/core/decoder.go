@@ -12,6 +12,29 @@ import (
 	"netscatter/internal/pool"
 )
 
+// The decoder's fixed detection and tracking settings.
+const (
+	// DetectFactor is how far (linear power ratio) a device's mean
+	// preamble peak must sit above the estimated noise-bin power to be
+	// declared present.
+	DetectFactor = 4
+	// PresentFactor is the per-symbol bar each preamble symbol must
+	// clear (lower than DetectFactor; non-coherent averaging over the
+	// six upchirps does the heavy lifting).
+	PresentFactor = 1.8
+	// MinPresent is how many of the six preamble upchirps must
+	// individually clear PresentFactor.
+	MinPresent = 5
+	// TrackBins is the tighter payload search half-width around the
+	// device's preamble-estimated bin.
+	TrackBins = 0.3
+	// OOKNoiseGuard lower-bounds the OOK threshold at this multiple of
+	// the per-bin noise power, protecting '0' decisions when a device
+	// operates far below the noise floor (where OOKFactor·meanPeak
+	// approaches the noise level itself).
+	OOKNoiseGuard = 3.5
+)
+
 // DecoderConfig tunes the concurrent decoder. The zero value is not
 // valid; use DefaultDecoderConfig.
 type DecoderConfig struct {
@@ -19,24 +42,10 @@ type DecoderConfig struct {
 	// (§3.2.3). Fig. 8 of the paper corresponds to 10x; 8 keeps the
 	// padded size a power of two.
 	ZeroPad int
-	// DetectFactor is how far (linear power ratio) a device's mean
-	// preamble peak must sit above the estimated noise-bin power to be
-	// declared present.
-	DetectFactor float64
-	// PresentFactor is the per-symbol bar each preamble symbol must
-	// clear (lower than DetectFactor; non-coherent averaging over the
-	// six upchirps does the heavy lifting).
-	PresentFactor float64
-	// MinPresent is how many of the six preamble upchirps must
-	// individually clear PresentFactor.
-	MinPresent int
 	// GuardBins is the half-width (in FFT bins) of the preamble search
 	// window around a device's assigned bin; it must accommodate the
 	// residual timing/frequency offset, i.e. about SKIP/2.
 	GuardBins float64
-	// TrackBins is the tighter payload search half-width around the
-	// device's preamble-estimated bin.
-	TrackBins float64
 	// OOKFactor is the fraction of a device's mean preamble peak power
 	// used as its ON/OFF decision threshold. The paper uses 1/2
 	// (§3.3.1). At full SKIP=2 density the preamble reference is biased
@@ -45,11 +54,6 @@ type DecoderConfig struct {
 	// preamble mean — and a somewhat lower factor is more robust; the
 	// threshold ablation bench quantifies the trade-off.
 	OOKFactor float64
-	// OOKNoiseGuard lower-bounds the OOK threshold at this multiple of
-	// the per-bin noise power, protecting '0' decisions when a device
-	// operates far below the noise floor (where OOKFactor·meanPeak
-	// approaches the noise level itself).
-	OOKNoiseGuard float64
 	// NoiseFloor, when positive, is the calibrated per-padded-bin noise
 	// power (receivers measure their thermal floor while no tag
 	// transmits — the AP controls the schedule, so quiet intervals are
@@ -71,15 +75,10 @@ type DecoderConfig struct {
 // deployment parameters (SKIP = 2).
 func DefaultDecoderConfig(skip int) DecoderConfig {
 	return DecoderConfig{
-		ZeroPad:       8,
-		DetectFactor:  4,
-		PresentFactor: 1.8,
-		MinPresent:    5,
-		GuardBins:     float64(skip) / 2,
-		TrackBins:     0.3,
-		OOKFactor:     0.35,
-		OOKNoiseGuard: 3.5,
-		GhostFactor:   15, // ~11.8 dB, safely under the -13.5 dB first side lobe
+		ZeroPad:     8,
+		GuardBins:   float64(skip) / 2,
+		OOKFactor:   0.35,
+		GhostFactor: 15, // ~11.8 dB, safely under the -13.5 dB first side lobe
 	}
 }
 
@@ -117,17 +116,6 @@ type FrameDecode struct {
 	// the number of candidate devices (the paper's receiver-complexity
 	// claim, §3.1).
 	FFTs int
-}
-
-// DetectedCount returns how many candidates were detected.
-func (f *FrameDecode) DetectedCount() int {
-	n := 0
-	for _, d := range f.Devices {
-		if d.Detected {
-			n++
-		}
-	}
-	return n
 }
 
 // Decoder decodes concurrent NetScatter transmissions. One dechirp and
@@ -168,8 +156,8 @@ type Decoder struct {
 
 	// preSpec holds per-preamble-symbol views into the preamble spectra
 	// of the call in flight: preLoan on DecodeFrame, the leading rows of
-	// the caller's arena on DecodeFrameEmit / DecodeFrameSpectra, the
-	// demodulator's Spectra arena on DecodeFrameOracle. A fixed-size
+	// the caller's arena on DecodeFrameEmit / DecodeFrameSpectra, and
+	// per-symbol spectra on the tests' DecodeFrameOracle. A fixed-size
 	// array of reslices, so repointing it allocates nothing; it is
 	// cleared once the preamble is folded, so no view outlives a loan.
 	// preLoan is the preamble arena borrowed for the DecodeFrame in
@@ -247,9 +235,6 @@ func NewParallelDecoder(book *CodeBook, cfg DecoderConfig, _ int) *Decoder {
 	return NewDecoder(book, cfg)
 }
 
-// Book returns the decoder's code book.
-func (d *Decoder) Book() *CodeBook { return d.book }
-
 // Demodulator exposes the underlying demodulator (for experiments that
 // inspect raw spectra).
 func (d *Decoder) Demodulator() *chirp.Demodulator { return d.dem }
@@ -269,9 +254,9 @@ func (d *Decoder) Demodulator() *chirp.Demodulator { return d.dem }
 // The symbol batches are pool items writing disjoint slices of the
 // arenas; everything that determines the outcome (the noise reduction,
 // thresholds, CRC, ghost rejection) runs serially in a fixed order. So
-// the output is the same at any GOMAXPROCS, and bit-identical to
-// DecodeFrameOracle, the retained single-symbol path — a property the
-// test suite enforces.
+// the output is the same at any GOMAXPROCS, and bit-identical to the
+// single-symbol path the tests keep as the oracle (DecodeFrameOracle in
+// oracle_test.go).
 func (d *Decoder) DecodeFrame(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
 	return d.decodeSignal(sig, start, shifts, payloadBits, nil)
 }
@@ -345,42 +330,6 @@ func (d *Decoder) payBatch(batch int) {
 		return
 	}
 	d.dem.ScanBatch(d.curSig, d.curPayStart, lo, hi-lo, d.payCenter, d.curHalfIdx, d.powers, d.curPayloadBits, &d.plan)
-}
-
-// DecodeFrameOracle is DecodeFrame through the single-symbol pipeline —
-// one chirp.Demodulator.Spectrum and one window scan per symbol, the
-// original per-symbol receiver. It is retained as the bit-exactness
-// oracle for the batched path: both produce identical FrameDecodes for
-// identical inputs, and the batch kernels are only allowed
-// optimizations that preserve that equality.
-func (d *Decoder) DecodeFrameOracle(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
-	if err := d.begin(sig, start, shifts, payloadBits); err != nil {
-		return nil, err
-	}
-	n := d.book.Params().N()
-
-	copy(d.preSpec[:], d.dem.Spectra(sig, start, PreambleUpSymbols))
-	d.preambleNoise(0, PreambleUpSymbols, 1)
-	noise := d.reduceNoise()
-	d.accumPreamble(d.preSpec[:], shifts, noise)
-	d.releasePreamble()
-
-	d.preparePayload(payloadBits)
-	payloadStart := start + PreambleSymbols*n
-	halfIdx := d.trackHalf()
-	for sym := 0; sym < payloadBits; sym++ {
-		spec := d.dem.Spectrum(sig[payloadStart+sym*n : payloadStart+(sym+1)*n])
-		chirp.ScanPaddedCenters(spec, d.payCenter, halfIdx, d.scanPow)
-		for i := range shifts {
-			if d.payCenter[i] >= 0 {
-				d.powers[i*payloadBits+sym] = d.scanPow[i]
-			}
-		}
-	}
-
-	d.finish(noise, payloadBits)
-	d.rejectGhosts(d.devices)
-	return &d.res, nil
 }
 
 // EmitRows returns the number of spectra rows an emitted-spectra arena
@@ -588,7 +537,7 @@ func (d *Decoder) preambleNoise(lo, hi, nSummed int) {
 // walked every candidate window twice.
 func (d *Decoder) accumPreamble(specs [][]float64, shifts []int, noise float64) {
 	p := d.book.Params()
-	presentBar := d.cfg.PresentFactor * noise
+	presentBar := PresentFactor * noise
 	for _, spec := range specs {
 		d.dem.ScanPeaks(spec, shifts, d.cfg.GuardBins, d.scanPow, d.scanAt)
 		for i, s := range shifts {
@@ -612,8 +561,8 @@ func (d *Decoder) accumPreamble(specs [][]float64, shifts []int, noise float64) 
 			rel = d.sumWBin[i] / d.sumPower[i]
 		}
 		dev.ObservedBin = float64(dev.Shift) + rel
-		dev.Detected = dev.MeanPeakPower > d.cfg.DetectFactor*noise &&
-			d.present[i] >= d.cfg.MinPresent
+		dev.Detected = dev.MeanPeakPower > DetectFactor*noise &&
+			d.present[i] >= MinPresent
 	}
 	d.res.NoiseBinPower = noise
 }
@@ -639,7 +588,7 @@ func (d *Decoder) preparePayload(payloadBits int) {
 
 // trackHalf is the payload search half-width in padded bins.
 func (d *Decoder) trackHalf() int {
-	return int(d.cfg.TrackBins * float64(d.dem.ZeroPad()))
+	return int(TrackBins * float64(d.dem.ZeroPad()))
 }
 
 // finish applies each detected device's OOK threshold to its collected
@@ -653,7 +602,7 @@ func (d *Decoder) finish(noise float64, payloadBits int) {
 			continue
 		}
 		thr := dev.MeanPeakPower * d.cfg.OOKFactor
-		if guard := d.cfg.OOKNoiseGuard * noise; thr < guard {
+		if guard := OOKNoiseGuard * noise; thr < guard {
 			thr = guard
 		}
 		row := d.powers[i*payloadBits : (i+1)*payloadBits]

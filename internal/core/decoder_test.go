@@ -2,7 +2,7 @@ package core
 
 import (
 	"bytes"
-
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -12,6 +12,18 @@ import (
 )
 
 var testParams = chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
+
+func TestTestParamsValid(t *testing.T) {
+	if err := testParams.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if testParams.N() != 128 {
+		t.Fatalf("N = %d, want 128", testParams.N())
+	}
+	if got := testParams.OOKBitRate(); math.Abs(got-976.5625) > 0.01 {
+		t.Fatalf("OOK bitrate = %v", got)
+	}
+}
 
 // deviceTx builds a Transmission with exact fractional-delay synthesis.
 func deviceTx(enc *Encoder, payload []byte, snrDB, delaySec, dfHz float64) air.Transmission {
@@ -150,7 +162,7 @@ func TestDecodeWithTimingAndFrequencyOffsets(t *testing.T) {
 		dtBins := rng.Uniform(0, 0.35)
 		dfBins := rng.Uniform(-0.1, 0.1)
 		txs = append(txs, deviceTx(enc, payloads[i],
-			rng.Uniform(4, 10), dtBins/p.BW, p.BinsToFreqOffset(dfBins)))
+			rng.Uniform(4, 10), dtBins/p.BW, dfBins*p.BinHz()))
 	}
 	ch := air.NewChannel(p, rng)
 	sig := ch.Receive(ch.FrameLength(PreambleSymbols+bitsLen, 2), txs)

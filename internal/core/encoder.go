@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"netscatter/internal/chirp"
@@ -28,16 +27,6 @@ func NewEncoder(p chirp.Params, shift int) *Encoder {
 	syn := synth.For(p)
 	return &Encoder{p: syn.Params(), syn: syn, shift: shift}
 }
-
-// Shift returns the device's assigned cyclic shift.
-func (e *Encoder) Shift() int { return e.shift }
-
-// SetShift reassigns the device's cyclic shift (the AP can reshuffle
-// assignments in its query, §3.3.3).
-func (e *Encoder) SetShift(shift int) { e.shift = shift }
-
-// Params returns the chirp parameters.
-func (e *Encoder) Params() chirp.Params { return e.p }
 
 // AppendFrame appends the full frame waveform for payload to dst:
 // 6 shifted upchirps, 2 shifted downchirps, then one shifted upchirp per
@@ -123,28 +112,4 @@ func (e *Encoder) FrameBitsWaveformMixedAddRange(out []complex128, lo, hi, at in
 func (e *Encoder) FrameBitsSchedule(sc *synth.FrameSchedule, bits []byte, at int, frac, freqOffsetHz float64) {
 	omega := 2 * math.Pi * freqOffsetHz / e.p.SampleRate()
 	e.syn.FrameMixedSchedule(sc, at, PreambleUpSymbols, PreambleDownSymbols, bits, frac, omega)
-}
-
-// OnFraction returns the fraction of payload symbols that carry energy
-// for the given bits — used by energy accounting in the simulator.
-func OnFraction(bits []byte) float64 {
-	if len(bits) == 0 {
-		return 0
-	}
-	on := 0
-	for _, b := range bits {
-		if b != 0 {
-			on++
-		}
-	}
-	return float64(on) / float64(len(bits))
-}
-
-// ValidateShiftForBook checks that a shift is assignable in the given
-// code book; used when programming devices.
-func ValidateShiftForBook(book *CodeBook, shift int) error {
-	if _, ok := book.SlotOfShift(shift); !ok {
-		return fmt.Errorf("core: shift %d is not a SKIP-%d slot", shift, book.Skip())
-	}
-	return nil
 }

@@ -22,7 +22,10 @@ func TestFrameWaveformLayout(t *testing.T) {
 	bits := FrameBits(payload)
 	for i, b := range bits {
 		seg := w[(PreambleSymbols+i)*n : (PreambleSymbols+i+1)*n]
-		energy := dsp.SignalEnergy(seg)
+		var energy float64
+		for _, v := range seg {
+			energy += real(v)*real(v) + imag(v)*imag(v)
+		}
 		if b == 1 && energy < float64(n)/2 {
 			t.Fatalf("bit %d ('1') has energy %v", i, energy)
 		}
@@ -41,14 +44,17 @@ func TestFrameWaveformPreambleStructure(t *testing.T) {
 	dem := chirp.NewDemodulator(p, 8)
 	// Six upchirps at the assigned shift...
 	for sym := 0; sym < PreambleUpSymbols; sym++ {
-		frac, _ := dem.PeakFrac(w[sym*n : (sym+1)*n])
+		idx, _ := dsp.ArgmaxFloat(dem.Spectrum(w[sym*n : (sym+1)*n]))
+		frac := dem.BinOf(idx)
 		if math.Abs(frac-float64(shift)) > 0.1 {
 			t.Fatalf("preamble up %d peak at %v", sym, frac)
 		}
 	}
 	// ...then two downchirps carrying the same shift (§3.3.1).
-	mod := chirp.NewModulator(p)
-	want := mod.DownSymbol(shift)
+	want := chirp.NewModulator(p).Symbol(shift)
+	for i, v := range want {
+		want[i] = cmplx.Conj(v)
+	}
 	for sym := PreambleUpSymbols; sym < PreambleSymbols; sym++ {
 		seg := w[sym*n : (sym+1)*n]
 		for i := range want {
@@ -96,30 +102,6 @@ func TestFrameWaveformDelayedSampleRelation(t *testing.T) {
 	want := chirp.EvalShifted(p, 30, float64(n)-frac)
 	if cmplx.Abs(w[n]-want) > 1e-9 {
 		t.Fatalf("boundary sample: %v != %v", w[n], want)
-	}
-}
-
-func TestEncoderSetShift(t *testing.T) {
-	enc := NewEncoder(testParams, 2)
-	enc.SetShift(8)
-	if enc.Shift() != 8 {
-		t.Fatal("SetShift failed")
-	}
-	dem := chirp.NewDemodulator(testParams, 1)
-	w := enc.FrameWaveform([]byte{0})
-	bin, _ := dem.DemodSymbol(w[:testParams.N()])
-	if bin != 8 {
-		t.Fatalf("reprogrammed shift decodes to %d", bin)
-	}
-}
-
-func TestValidateShiftForBook(t *testing.T) {
-	book, _ := NewCodeBook(testParams, 2)
-	if err := ValidateShiftForBook(book, 4); err != nil {
-		t.Errorf("valid shift rejected: %v", err)
-	}
-	if err := ValidateShiftForBook(book, 5); err == nil {
-		t.Error("odd shift accepted with SKIP=2")
 	}
 }
 

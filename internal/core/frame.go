@@ -49,31 +49,6 @@ var crc8Table = func() (t [256]byte) {
 	return t
 }()
 
-// BytesToBits expands data into MSB-first bits, one per output byte.
-func BytesToBits(data []byte) []byte {
-	out := make([]byte, 0, len(data)*8)
-	for _, d := range data {
-		for i := 7; i >= 0; i-- {
-			out = append(out, (d>>uint(i))&1)
-		}
-	}
-	return out
-}
-
-// BitsToBytes packs MSB-first bits back into bytes; the bit count must
-// be a multiple of 8.
-func BitsToBytes(bits []byte) []byte {
-	out := make([]byte, len(bits)/8)
-	for i := range out {
-		var v byte
-		for j := 0; j < 8; j++ {
-			v = v<<1 | (bits[i*8+j] & 1)
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // FrameBits returns the on-air payload section for a data payload:
 // the payload bits followed by their CRC-8. Each bit occupies one chirp
 // symbol (ON-OFF keying).
@@ -104,22 +79,13 @@ func FrameBitsInto(dst []byte, payload []byte) {
 	}
 }
 
-// CheckFrameBits verifies and strips the CRC from a received payload
-// section. It returns the payload bytes and whether the CRC matched.
-// The bit count must be 8·k + CRCBits.
-func CheckFrameBits(bits []byte) (payload []byte, ok bool) {
-	if len(bits) < CRCBits || (len(bits)-CRCBits)%8 != 0 {
-		return nil, false
-	}
-	out := make([]byte, (len(bits)-CRCBits)/8)
-	return out, CheckFrameBitsInto(out, bits)
-}
-
-// CheckFrameBitsInto is CheckFrameBits decoding into caller-owned
-// storage — the allocation-free decoder packs payloads straight into its
-// arena. dst must hold (len(bits)-CRCBits)/8 bytes; it is filled with
-// the decoded payload whenever the bit count is structurally valid,
-// and the return value reports whether the CRC matched.
+// CheckFrameBitsInto verifies and strips the CRC from a received
+// payload section, decoding into caller-owned storage — the
+// allocation-free decoder packs payloads straight into its arena. The
+// bit count must be 8·k + CRCBits and dst must hold k bytes; dst is
+// filled with the decoded payload whenever the bit count is
+// structurally valid, and the return value reports whether the CRC
+// matched.
 func CheckFrameBitsInto(dst []byte, bits []byte) bool {
 	if len(bits) < CRCBits || (len(bits)-CRCBits)%8 != 0 {
 		return false

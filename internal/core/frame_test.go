@@ -7,26 +7,13 @@ import (
 	"testing/quick"
 )
 
-func TestBytesBitsRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		bits := BytesToBits(data)
-		if len(bits) != len(data)*8 {
-			return false
-		}
-		return bytes.Equal(BitsToBytes(bits), data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFrameBitsRoundTrip(t *testing.T) {
 	f := func(payload []byte) bool {
 		bits := FrameBits(payload)
 		if len(bits) != len(payload)*8+CRCBits {
 			return false
 		}
-		got, ok := CheckFrameBits(bits)
+		got, ok := checkFrameBits(bits)
 		return ok && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -39,7 +26,7 @@ func TestFrameBitsDetectsCorruption(t *testing.T) {
 	bits := FrameBits(payload)
 	for i := range bits {
 		bits[i] ^= 1
-		if _, ok := CheckFrameBits(bits); ok {
+		if _, ok := checkFrameBits(bits); ok {
 			t.Fatalf("bit flip at %d not detected", i)
 		}
 		bits[i] ^= 1
@@ -47,13 +34,13 @@ func TestFrameBitsDetectsCorruption(t *testing.T) {
 }
 
 func TestCheckFrameBitsRejectsBadLengths(t *testing.T) {
-	if _, ok := CheckFrameBits(nil); ok {
+	if _, ok := checkFrameBits(nil); ok {
 		t.Error("nil bits accepted")
 	}
-	if _, ok := CheckFrameBits(make([]byte, 7)); ok {
+	if _, ok := checkFrameBits(make([]byte, 7)); ok {
 		t.Error("too-short bits accepted")
 	}
-	if _, ok := CheckFrameBits(make([]byte, 13)); ok {
+	if _, ok := checkFrameBits(make([]byte, 13)); ok {
 		t.Error("non-byte-aligned payload accepted")
 	}
 }
@@ -87,7 +74,7 @@ func TestCRC8KnownValue(t *testing.T) {
 	if got := crc8(data); got != 0xF4 {
 		t.Fatalf("crc8(123456789) = %#x, want 0xF4", got)
 	}
-	if got := crc8Bits(BytesToBits(data)); got != 0xF4 {
+	if got := crc8Bits(bytesToBits(data)); got != 0xF4 {
 		t.Fatalf("crc8Bits(123456789) = %#x, want 0xF4", got)
 	}
 }
@@ -97,7 +84,7 @@ func TestCRC8KnownValue(t *testing.T) {
 func TestCRC8TableMatchesBitwise(t *testing.T) {
 	check := func(data []byte) {
 		t.Helper()
-		if got, want := crc8(data), crc8Bits(BytesToBits(data)); got != want {
+		if got, want := crc8(data), crc8Bits(bytesToBits(data)); got != want {
 			t.Fatalf("crc8(%x) = %#x, bitwise %#x", data, got, want)
 		}
 	}
@@ -116,11 +103,23 @@ func TestCRC8TableMatchesBitwise(t *testing.T) {
 	}
 }
 
-func TestOnFraction(t *testing.T) {
-	if got := OnFraction([]byte{1, 0, 1, 0}); got != 0.5 {
-		t.Fatalf("OnFraction = %v, want 0.5", got)
+// checkFrameBits is CheckFrameBitsInto into fresh storage, refusing a
+// bit count that is not 8·k + CRCBits.
+func checkFrameBits(bits []byte) (payload []byte, ok bool) {
+	if len(bits) < CRCBits || (len(bits)-CRCBits)%8 != 0 {
+		return nil, false
 	}
-	if got := OnFraction(nil); got != 0 {
-		t.Fatalf("OnFraction(nil) = %v, want 0", got)
+	out := make([]byte, (len(bits)-CRCBits)/8)
+	return out, CheckFrameBitsInto(out, bits)
+}
+
+// bytesToBits expands data into MSB-first bits, one per output byte.
+func bytesToBits(data []byte) []byte {
+	out := make([]byte, 0, len(data)*8)
+	for _, d := range data {
+		for i := 7; i >= 0; i-- {
+			out = append(out, (d>>uint(i))&1)
+		}
 	}
+	return out
 }

@@ -104,7 +104,7 @@ func FuzzDecoderRoundTrip(f *testing.F) {
 			},
 			SNRdB:        snr,
 			DelaySec:     frac / p.BW,
-			FreqOffsetHz: p.BinsToFreqOffset(dfBins),
+			FreqOffsetHz: dfBins * p.BinHz(),
 		}
 		ch := air.NewChannel(p, dsp.NewRand(seed))
 		sig := ch.Receive(ch.FrameLength(PreambleSymbols+len(bits), 2), []air.Transmission{tx})

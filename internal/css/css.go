@@ -1,96 +1,14 @@
-// Package css implements the classic single-transmitter chirp spread
-// spectrum modem (LoRa-style modulation, §2.1 of the paper): each symbol
-// carries SF bits selected by one of 2^SF cyclic shifts. It also provides
-// the link-level math — sensitivity, bitrate, rate adaptation — used by
-// the LoRa-backscatter baselines and Table 1.
+// Package css holds the link-level math of classic single-transmitter
+// chirp spread spectrum (LoRa-style modulation, §2.1 of the paper, where
+// each symbol carries SF bits selected by one of 2^SF cyclic shifts):
+// sensitivity, bitrate and rate adaptation, used by the LoRa-backscatter
+// baselines and Table 1.
 package css
 
 import (
-	"fmt"
-	"math"
-
 	"netscatter/internal/chirp"
 	"netscatter/internal/radio"
 )
-
-// Modem is a classic CSS modulator/demodulator pair for one parameter
-// set. Unlike NetScatter's distributed coding, a Modem encodes SF bits
-// per symbol from a single transmitter.
-type Modem struct {
-	p   chirp.Params
-	mod *chirp.Modulator
-	dem *chirp.Demodulator
-}
-
-// NewModem builds a modem; zeroPad controls demodulation sub-bin
-// resolution (1 disables padding).
-func NewModem(p chirp.Params, zeroPad int) *Modem {
-	return &Modem{
-		p:   p,
-		mod: chirp.NewModulator(p),
-		dem: chirp.NewDemodulator(p, zeroPad),
-	}
-}
-
-// Params returns the modem's parameter set.
-func (m *Modem) Params() chirp.Params { return m.p }
-
-// ModulateSymbols appends one upchirp per symbol value (each in
-// [0, 2^SF)) to dst and returns the extended waveform.
-func (m *Modem) ModulateSymbols(dst []complex128, symbols []int) []complex128 {
-	for _, s := range symbols {
-		dst = m.mod.AppendSymbol(dst, s)
-	}
-	return dst
-}
-
-// DemodulateSymbols recovers one symbol value per symbol period from the
-// waveform (whose length must be a multiple of the symbol length).
-func (m *Modem) DemodulateSymbols(sig []complex128) ([]int, error) {
-	n := m.p.N()
-	if len(sig)%n != 0 {
-		return nil, fmt.Errorf("css: waveform length %d not a multiple of symbol length %d", len(sig), n)
-	}
-	out := make([]int, len(sig)/n)
-	for i := range out {
-		bin, _ := m.dem.DemodSymbol(sig[i*n : (i+1)*n])
-		out[i] = bin
-	}
-	return out, nil
-}
-
-// BitsToSymbols packs a bit slice (0/1 per byte) into SF-bit symbol
-// values, MSB first, zero-padding the tail.
-func BitsToSymbols(bits []byte, sf int) []int {
-	nsym := (len(bits) + sf - 1) / sf
-	out := make([]int, nsym)
-	for i := 0; i < nsym; i++ {
-		var v int
-		for j := 0; j < sf; j++ {
-			v <<= 1
-			k := i*sf + j
-			if k < len(bits) && bits[k] != 0 {
-				v |= 1
-			}
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// SymbolsToBits unpacks SF-bit symbol values back into nBits bits.
-func SymbolsToBits(symbols []int, sf, nBits int) []byte {
-	out := make([]byte, nBits)
-	for i := range out {
-		sym := i / sf
-		if sym >= len(symbols) {
-			break
-		}
-		shift := sf - 1 - i%sf
-		out[i] = byte(symbols[sym]>>shift) & 1
-	}
-	return out
-}
 
 // DemodSNRFloorDB returns the minimum demodulation SNR for a spreading
 // factor, anchored so the (500 kHz, SF 9) configuration reproduces the
@@ -170,33 +88,4 @@ func BestRate(snrDB float64, opts []RateOption) (RateOption, bool) {
 		}
 	}
 	return best, found
-}
-
-// ConcurrentSlopePairs counts how many (BW, SF) pairs from the given
-// lists can be concurrently decoded, i.e. have pairwise-distinct chirp
-// slopes BW²/2^SF (§2.2: same-slope configs collide, citing the Semtech
-// patent). The paper counts 19 usable pairs overall and 8 after imposing
-// sensitivity <= -123 dBm and bitrate >= 1 kbps.
-func ConcurrentSlopePairs(bws []float64, sfs []int, minSensDBm, minBitRate float64) []chirp.Params {
-	seen := map[int64]bool{}
-	var out []chirp.Params
-	for _, bw := range bws {
-		for _, sf := range sfs {
-			p := chirp.Params{SF: sf, BW: bw, Oversample: 1}
-			if minSensDBm != 0 && SensitivityDBm(p) > minSensDBm {
-				continue
-			}
-			if minBitRate != 0 && p.LoRaBitRate() < minBitRate {
-				continue
-			}
-			slope := bw * bw / float64(p.Chips())
-			key := int64(math.Round(slope))
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -3,118 +3,11 @@ package css
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
-	"netscatter/internal/air"
 	"netscatter/internal/chirp"
-	"netscatter/internal/dsp"
 )
 
 var tp = chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
-
-func TestBitsSymbolsRoundTrip(t *testing.T) {
-	f := func(data []byte, sfRaw uint8) bool {
-		sf := int(sfRaw)%7 + 6 // 6..12
-		if len(data) > 16 {
-			data = data[:16]
-		}
-		var bits []byte
-		for _, b := range data {
-			for i := 7; i >= 0; i-- {
-				bits = append(bits, (b>>uint(i))&1)
-			}
-		}
-		syms := BitsToSymbols(bits, sf)
-		back := SymbolsToBits(syms, sf, len(bits))
-		for i := range bits {
-			if bits[i] != back[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestModemRoundTripClean(t *testing.T) {
-	m := NewModem(tp, 1)
-	symbols := []int{0, 1, 127, 64, 42, 99}
-	wave := m.ModulateSymbols(nil, symbols)
-	got, err := m.DemodulateSymbols(wave)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range symbols {
-		if got[i] != s {
-			t.Fatalf("symbol %d: got %d want %d", i, got[i], s)
-		}
-	}
-}
-
-func TestModemRoundTripNoisy(t *testing.T) {
-	// Classic LoRa at 0 dB SNR (21 dB processing gain at SF 7).
-	m := NewModem(tp, 1)
-	rng := dsp.NewRand(1)
-	symbols := make([]int, 50)
-	for i := range symbols {
-		symbols[i] = rng.Intn(tp.Chips())
-	}
-	wave := m.ModulateSymbols(nil, symbols)
-	ch := air.NewChannel(tp, rng)
-	sig := ch.Receive(len(wave), []air.Transmission{{Waveform: wave, SNRdB: 0, FixedPhase: true}})
-	got, err := m.DemodulateSymbols(sig[:len(wave)])
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := 0
-	for i := range symbols {
-		if got[i] != symbols[i] {
-			errs++
-		}
-	}
-	if errs > 1 {
-		t.Fatalf("%d/%d symbol errors at 0 dB", errs, len(symbols))
-	}
-}
-
-func TestModemQuickRoundTrip(t *testing.T) {
-	m := NewModem(chirp.Params{SF: 6, BW: 125e3, Oversample: 1}, 1)
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		if len(raw) > 8 {
-			raw = raw[:8]
-		}
-		symbols := make([]int, len(raw))
-		for i, r := range raw {
-			symbols[i] = int(r) % 64
-		}
-		wave := m.ModulateSymbols(nil, symbols)
-		got, err := m.DemodulateSymbols(wave)
-		if err != nil {
-			return false
-		}
-		for i := range symbols {
-			if got[i] != symbols[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDemodulateRejectsBadLength(t *testing.T) {
-	m := NewModem(tp, 1)
-	if _, err := m.DemodulateSymbols(make([]complex128, tp.N()+1)); err == nil {
-		t.Fatal("partial symbol accepted")
-	}
-}
 
 func TestSensitivityTable1(t *testing.T) {
 	// The paper's Table 1 sensitivities (the SF 6 row deviates by 2 dB
@@ -190,29 +83,5 @@ func TestRateTableAndBestRate(t *testing.T) {
 			t.Fatalf("rate decreased at %v dB", snr)
 		}
 		prev = b.BitRate
-	}
-}
-
-func TestConcurrentSlopePairs(t *testing.T) {
-	// §2.2: distinct-slope (BW, SF) pairs; with the paper's
-	// sensitivity and bitrate constraints only a handful remain.
-	bws := []float64{500e3, 250e3, 125e3}
-	sfs := []int{6, 7, 8, 9, 10, 11, 12}
-	all := ConcurrentSlopePairs(bws, sfs, 0, 0)
-	constrained := ConcurrentSlopePairs(bws, sfs, -123, 1000)
-	if len(constrained) >= len(all) {
-		t.Fatalf("constraints did not reduce the set: %d vs %d", len(constrained), len(all))
-	}
-	if len(constrained) == 0 || len(constrained) > 8 {
-		t.Fatalf("constrained set size %d, paper bounds it to ~8", len(constrained))
-	}
-	// All slopes distinct.
-	seen := map[float64]bool{}
-	for _, p := range all {
-		slope := p.BW * p.BW / float64(p.Chips())
-		if seen[slope] {
-			t.Fatal("duplicate slope in result")
-		}
-		seen[slope] = true
 	}
 }

@@ -42,9 +42,6 @@ var DefaultOffice = FloorPlan{
 	AP:     Point{X: 20, Y: 10},
 }
 
-// Rooms returns the number of rooms.
-func (f FloorPlan) Rooms() int { return f.RoomsX * f.RoomsY }
-
 // WallsBetween counts interior walls crossed by the straight segment
 // from a to b: the number of room-grid lines the segment crosses.
 func (f FloorPlan) WallsBetween(a, b Point) int {

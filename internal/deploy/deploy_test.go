@@ -77,13 +77,17 @@ func TestDeploymentSNRRegime(t *testing.T) {
 	}
 }
 
+// envelopeSensitivityDBm is the weakest query the tags' envelope
+// detector demodulates: -49 dBm for the paper's COTS hardware (§4.1).
+const envelopeSensitivityDBm = -49
+
 func TestDeviceDownlinkAboveEnvelopeSensitivity(t *testing.T) {
 	// Every deployed tag must be able to hear the query (-49 dBm
 	// envelope detector, §4.1) — otherwise it could never associate.
 	rng := dsp.NewRand(3)
 	dep := Generate(DefaultOffice, radio.DefaultLinkBudget, 256, 500e3, rng)
 	for i, d := range dep.Devices {
-		if d.DownlinkRSSIdBm < radio.DefaultEnvelopeDetector.SensitivityDBm {
+		if d.DownlinkRSSIdBm < envelopeSensitivityDBm {
 			t.Fatalf("device %d downlink %v dBm below envelope sensitivity", i, d.DownlinkRSSIdBm)
 		}
 	}
@@ -91,8 +95,8 @@ func TestDeviceDownlinkAboveEnvelopeSensitivity(t *testing.T) {
 
 func TestRoomsCount(t *testing.T) {
 	// The paper's floor has "more than ten rooms".
-	if DefaultOffice.Rooms() <= 10 {
-		t.Fatalf("rooms = %d", DefaultOffice.Rooms())
+	if rooms := DefaultOffice.RoomsX * DefaultOffice.RoomsY; rooms <= 10 {
+		t.Fatalf("rooms = %d", rooms)
 	}
 }
 
@@ -193,7 +197,7 @@ func TestPlaceAPsCoverage(t *testing.T) {
 					bestDown = l.DownlinkRSSIdBm
 				}
 			}
-			if bestDown < radio.DefaultEnvelopeDetector.SensitivityDBm {
+			if bestDown < envelopeSensitivityDBm {
 				t.Fatalf("k=%d device %d best downlink %v dBm below envelope sensitivity — uncovered",
 					k, i, bestDown)
 			}

@@ -173,9 +173,6 @@ func NewBatchPlan(n, nonzero int) *BatchPlan {
 // with permutePrefix and runs every stage as a pass.
 func (bp *BatchPlan) hasFront() bool { return bp.nonzero >= 8 && bp.z > 1 }
 
-// Size returns the transform size.
-func (bp *BatchPlan) Size() int { return bp.n }
-
 // Forward computes the in-place pruned forward DFT of the planar signal
 // (re, im), both of length Size(). Only the plan's nonzero prefix is
 // read as input; the tail is treated as zero regardless of its contents

@@ -30,7 +30,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a delta is flat.
 	x := make([]complex128, 64)
 	x[0] = 1
-	y := FFT(x)
+	y := fft(x)
 	for i, v := range y {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("bin %d = %v, want 1", i, v)
@@ -45,7 +45,7 @@ func TestFFTSingleTone(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*float64(k*i)/float64(n)))
 	}
-	y := FFT(x)
+	y := fft(x)
 	for i, v := range y {
 		mag := cmplx.Abs(v)
 		if i == k && math.Abs(mag-float64(n)) > 1e-9 {
@@ -64,7 +64,7 @@ func TestFFTInverseRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = rng.ComplexNormal(1)
 		}
-		y := IFFT(FFT(x))
+		y := ifft(fft(x))
 		for i := range x {
 			if cmplx.Abs(y[i]-x[i]) > 1e-9 {
 				t.Fatalf("n=%d sample %d: %v != %v", n, i, y[i], x[i])
@@ -80,8 +80,8 @@ func TestFFTParseval(t *testing.T) {
 	for i := range x {
 		x[i] = rng.ComplexNormal(1)
 	}
-	tx := SignalEnergy(x)
-	fx := SignalEnergy(FFT(x)) / float64(len(x))
+	tx := signalEnergy(x)
+	fx := signalEnergy(fft(x)) / float64(len(x))
 	if math.Abs(tx-fx)/tx > 1e-10 {
 		t.Fatalf("Parseval violated: %v vs %v", tx, fx)
 	}
@@ -105,7 +105,7 @@ func TestFFTLinearityQuick(t *testing.T) {
 			b[i] = rng.ComplexNormal(1)
 			sum[i] = complex(scale1, 0)*a[i] + complex(scale2, 0)*b[i]
 		}
-		fa, fb, fs := FFT(a), FFT(b), FFT(sum)
+		fa, fb, fs := fft(a), fft(b), fft(sum)
 		for i := range fs {
 			want := complex(scale1, 0)*fa[i] + complex(scale2, 0)*fb[i]
 			if cmplx.Abs(fs[i]-want) > 1e-6*(1+cmplx.Abs(want)) {
@@ -127,14 +127,6 @@ func TestFFTPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	NewFFT(100)
-}
-
-func TestZeroPad(t *testing.T) {
-	x := []complex128{1, 2, 3}
-	y := ZeroPad(x, 8)
-	if len(y) != 8 || y[0] != 1 || y[2] != 3 || y[3] != 0 || y[7] != 0 {
-		t.Fatalf("ZeroPad = %v", y)
-	}
 }
 
 func TestFractionalDelayTonePhase(t *testing.T) {
@@ -162,36 +154,6 @@ func TestFractionalDelayZero(t *testing.T) {
 	for i := range x {
 		if y[i] != x[i] {
 			t.Fatalf("zero delay modified signal")
-		}
-	}
-}
-
-func TestDBConversions(t *testing.T) {
-	if got := DB(100); math.Abs(got-20) > 1e-12 {
-		t.Errorf("DB(100) = %v", got)
-	}
-	if got := FromDB(30); math.Abs(got-1000) > 1e-9 {
-		t.Errorf("FromDB(30) = %v", got)
-	}
-	if got := AmpDB(10); math.Abs(got-20) > 1e-12 {
-		t.Errorf("AmpDB(10) = %v", got)
-	}
-	f := func(db float64) bool {
-		db = math.Mod(db, 100)
-		return math.Abs(DB(FromDB(db))-db) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSinc(t *testing.T) {
-	if Sinc(0) != 1 {
-		t.Error("Sinc(0) != 1")
-	}
-	for k := 1; k < 5; k++ {
-		if math.Abs(Sinc(float64(k))) > 1e-12 {
-			t.Errorf("Sinc(%d) = %v, want 0", k, Sinc(float64(k)))
 		}
 	}
 }
@@ -268,12 +230,6 @@ func TestStats(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Variance(xs); got != 4 {
-		t.Errorf("Variance = %v", got)
-	}
-	if got := StdDev(xs); got != 2 {
-		t.Errorf("StdDev = %v", got)
-	}
 	min, max := MinMax(xs)
 	if min != 2 || max != 9 {
 		t.Errorf("MinMax = %v,%v", min, max)
@@ -342,21 +298,6 @@ func TestPeakSearch(t *testing.T) {
 	if idx != 6 {
 		t.Fatalf("circular MaxInWindow = %d, want 6", idx)
 	}
-	peaks := FindPeaksAbove(power, 4)
-	if len(peaks) != 3 {
-		t.Fatalf("peaks = %v", peaks)
-	}
-}
-
-func TestQuadraticInterpolate(t *testing.T) {
-	// Symmetric neighborhood -> no offset; tilted -> offset toward the
-	// larger side.
-	if got := QuadraticInterpolate([]float64{2, 10, 2}, 1); got != 0 {
-		t.Errorf("symmetric offset = %v", got)
-	}
-	if got := QuadraticInterpolate([]float64{2, 10, 5}, 1); got <= 0 {
-		t.Errorf("offset should lean right, got %v", got)
-	}
 }
 
 func TestWelchPSDTone(t *testing.T) {
@@ -372,7 +313,7 @@ func TestWelchPSDTone(t *testing.T) {
 	}
 }
 
-func TestFFTShiftAndFreqAxis(t *testing.T) {
+func TestFFTShift(t *testing.T) {
 	spec := []float64{0, 1, 2, 3}
 	sh := FFTShift(spec)
 	want := []float64{2, 3, 0, 1}
@@ -380,17 +321,6 @@ func TestFFTShiftAndFreqAxis(t *testing.T) {
 		if sh[i] != want[i] {
 			t.Fatalf("FFTShift = %v", sh)
 		}
-	}
-	axis := FreqAxis(4, 8)
-	if axis[0] != -4 || axis[2] != 0 {
-		t.Fatalf("FreqAxis = %v", axis)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	if len(xs) != 5 || xs[0] != 0 || xs[4] != 1 || xs[2] != 0.5 {
-		t.Fatalf("Linspace = %v", xs)
 	}
 }
 
@@ -402,4 +332,27 @@ func TestHannWindow(t *testing.T) {
 	if math.Abs(w[32]-1) > 1e-12 {
 		t.Fatal("Hann center not 1")
 	}
+}
+
+// fft is the forward transform of a copy of x through its size's plan.
+func fft(x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	Plan(len(x)).Forward(out)
+	return out
+}
+
+// ifft is the inverse transform of a copy of x through its size's plan.
+func ifft(x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	Plan(len(x)).Inverse(out)
+	return out
+}
+
+// signalEnergy is sum(|x|^2) over the samples.
+func signalEnergy(x []complex128) float64 {
+	var e float64
+	for _, v := range x {
+		e += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return e
 }

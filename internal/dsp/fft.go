@@ -75,9 +75,6 @@ func NewFFT(n int) *FFTPlan {
 	return p
 }
 
-// Size returns the transform size.
-func (p *FFTPlan) Size() int { return p.n }
-
 // Forward computes the in-place forward DFT of x. len(x) must equal the
 // plan size.
 func (p *FFTPlan) Forward(x []complex128) {
@@ -194,35 +191,6 @@ func Plan(n int) *FFTPlan {
 	return p
 }
 
-// FFT returns the forward DFT of x in a fresh slice. len(x) must be a
-// power of two.
-func FFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	Plan(len(x)).Forward(out)
-	return out
-}
-
-// IFFT returns the normalized inverse DFT of x in a fresh slice.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	Plan(len(x)).Inverse(out)
-	return out
-}
-
-// ZeroPad copies x into a slice of length padLen (>= len(x)) with zeros
-// appended. Zero-padding before an FFT interpolates the spectrum, giving
-// the sub-bin resolution the NetScatter receiver needs (§3.2.3).
-func ZeroPad(x []complex128, padLen int) []complex128 {
-	if padLen < len(x) {
-		panic("dsp: ZeroPad target shorter than input")
-	}
-	out := make([]complex128, padLen)
-	copy(out, x)
-	return out
-}
-
 // PowerSpectrum writes |x[i]|^2 into dst and returns it.
 func PowerSpectrum(dst []float64, x []complex128) []float64 {
 	if cap(dst) < len(x) {
@@ -234,22 +202,4 @@ func PowerSpectrum(dst []float64, x []complex128) []float64 {
 		dst[i] = re*re + im*im
 	}
 	return dst
-}
-
-// SignalEnergy returns the total energy sum(|x|^2) of the samples.
-func SignalEnergy(x []complex128) float64 {
-	var e float64
-	for _, v := range x {
-		re, im := real(v), imag(v)
-		e += re*re + im*im
-	}
-	return e
-}
-
-// SignalPower returns the mean power of the samples.
-func SignalPower(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return SignalEnergy(x) / float64(len(x))
 }

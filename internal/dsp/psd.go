@@ -65,13 +65,3 @@ func FFTShift(spec []float64) []float64 {
 	copy(out[n-half:], spec[:half])
 	return out
 }
-
-// FreqAxis returns the centered frequency axis (Hz) matching
-// FFTShift(WelchPSD(...)) for n bins at sample rate fs.
-func FreqAxis(n int, fs float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = (float64(i) - float64(n/2)) * fs / float64(n)
-	}
-	return out
-}

@@ -32,9 +32,6 @@ var simdAVX2 = false
 // fused operation VFMADD/VFMSUB perform.
 var simdFMA = false
 
-// SIMDEnabled reports whether vector kernel bodies are active.
-func SIMDEnabled() bool { return simdAVX2 }
-
 // AddInto adds src into dst element-wise: dst[i] += src[i]. The slices
 // must have equal length; mismatches panic identically on the scalar
 // and vector paths, so misuse cannot be platform-dependent.

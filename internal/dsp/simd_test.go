@@ -142,13 +142,3 @@ func TestBatchPlanSIMDMatchesScalarBitExact(t *testing.T) {
 		}
 	}
 }
-
-func TestSIMDEnabledReportsDispatch(t *testing.T) {
-	if SIMDEnabled() != simdAVX2 {
-		t.Fatal("SIMDEnabled out of sync with dispatch flag")
-	}
-	forceScalar(t)
-	if SIMDEnabled() {
-		t.Fatal("forceScalar did not disable dispatch")
-	}
-}

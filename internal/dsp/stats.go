@@ -17,25 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // MinMax returns the smallest and largest elements of xs.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {
@@ -68,9 +49,6 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// Len returns the number of samples.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x).
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -93,17 +71,4 @@ func (c *CDF) Quantile(p float64) float64 {
 	p = Clamp(p, 0, 1)
 	i := int(p * float64(len(c.sorted)-1))
 	return c.sorted[i]
-}
-
-// Linspace returns n evenly spaced points covering [lo, hi] inclusive.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
 }

@@ -100,12 +100,6 @@ func unitFloat(u uint64) float64 {
 	return float64(u>>11) * 0x1p-53
 }
 
-// float64Open returns a uniform draw from (0, 1) — never exactly 0 —
-// for the logarithms of the ziggurat tail.
-func (st *Stream) float64Open() float64 {
-	return (float64(st.Uint64()>>11) + 0.5) * 0x1p-53
-}
-
 // Ziggurat tables for the standard normal (Marsaglia & Tsang layout,
 // zigLayers rectangles). Layer magnitudes are compared as 52-bit
 // integers so the fast path is one table lookup, one compare and one

@@ -2,30 +2,6 @@ package dsp
 
 import "math"
 
-// DB converts a linear power ratio to decibels. DB(0) returns -Inf.
-func DB(ratio float64) float64 {
-	return 10 * math.Log10(ratio)
-}
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 {
-	return math.Pow(10, db/10)
-}
-
-// AmpDB converts a linear amplitude ratio to decibels (20·log10).
-func AmpDB(ratio float64) float64 {
-	return 20 * math.Log10(ratio)
-}
-
-// Sinc returns the normalized sinc function sin(πx)/(πx).
-func Sinc(x float64) float64 {
-	if x == 0 {
-		return 1
-	}
-	px := math.Pi * x
-	return math.Sin(px) / px
-}
-
 // DirichletMag returns the magnitude of the periodic sinc (Dirichlet)
 // kernel |sin(πx)/(N·sin(πx/N))| that a rectangular window of N samples
 // produces at a fractional-bin offset x. This is the analytic shape of

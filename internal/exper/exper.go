@@ -6,7 +6,6 @@ package exper
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -18,9 +17,6 @@ type Config struct {
 	// default bench run).
 	Quick bool
 }
-
-// DefaultConfig is the reproducible default.
-func DefaultConfig() Config { return Config{Seed: 1} }
 
 // Table is a printable result table.
 type Table struct {
@@ -69,16 +65,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns the sorted experiment IDs.
-func IDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Format renders a result as aligned text.

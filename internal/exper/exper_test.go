@@ -45,9 +45,6 @@ func TestRegistryComplete(t *testing.T) {
 	if len(All()) != len(want) {
 		t.Errorf("registry has %d experiments, want %d", len(All()), len(want))
 	}
-	if len(IDs()) != len(want) {
-		t.Errorf("IDs() size mismatch")
-	}
 }
 
 func TestByIDCaseInsensitive(t *testing.T) {

@@ -8,8 +8,6 @@ package hw
 import (
 	"fmt"
 	"math"
-
-	"netscatter/internal/dsp"
 )
 
 // AntennaImpedanceOhms is the reference (antenna) impedance the
@@ -41,18 +39,6 @@ func PowerGainDB(z0, z1 float64) float64 {
 	return 10 * math.Log10(PowerGain(z0, z1))
 }
 
-// GainSweep reproduces Fig. 7a: the power gain (normalized to the 0 dB
-// maximum, in dB) as Z0 sweeps from 0 to maxOhms while Z1 stays an open
-// circuit.
-func GainSweep(maxOhms float64, points int) (z []float64, gainDB []float64) {
-	z = dsp.Linspace(0, maxOhms, points)
-	gainDB = make([]float64, points)
-	for i, zv := range z {
-		gainDB[i] = PowerGainDB(zv, math.Inf(1))
-	}
-	return z, gainDB
-}
-
 // ImpedanceForGainDB solves for the Z0 (switched against an open
 // circuit) that produces the requested power gain in dB (<= 0). This is
 // how the three discrete power levels of the switch network are chosen.
@@ -79,20 +65,10 @@ type PowerLevel struct {
 
 // PowerLevels returns the paper's three power settings (0, -4, -10 dB)
 // with the impedances that realize them. The switch network is three
-// resistors on NMOS switches (§4.1, IC simulation), so more levels cost
-// almost nothing — ExtendedPowerLevels provides a finer ladder for the
-// ablation benches.
+// resistors on NMOS switches (§4.1, IC simulation), so more levels
+// would cost almost nothing.
 func PowerLevels() []PowerLevel {
-	return levelsFor([]float64{0, -4, -10})
-}
-
-// ExtendedPowerLevels returns a finer 2 dB-step gain ladder used by the
-// power-adaptation ablation.
-func ExtendedPowerLevels() []PowerLevel {
-	return levelsFor([]float64{0, -2, -4, -6, -8, -10})
-}
-
-func levelsFor(gains []float64) []PowerLevel {
+	gains := []float64{0, -4, -10}
 	out := make([]PowerLevel, len(gains))
 	for i, g := range gains {
 		z, err := ImpedanceForGainDB(g)

@@ -117,8 +117,8 @@ func TestAllocatorAdopt(t *testing.T) {
 	if err := a.Adopt(1, free, 10); err != nil {
 		t.Fatalf("adopt free slot: %v", err)
 	}
-	if s, ok := a.SlotOf(1); !ok || s != free {
-		t.Fatalf("SlotOf(1) = %d, %v", s, ok)
+	if s, ok := a.slotOf[1]; !ok || s != free {
+		t.Fatalf("slotOf[1] = %d, %v", s, ok)
 	}
 	if err := a.Adopt(2, free, 5); err == nil {
 		t.Fatal("adopting a taken slot must fail")

@@ -87,20 +87,8 @@ func NewDataOnlyAllocator(book *core.CodeBook) *Allocator {
 	}
 }
 
-// Book returns the underlying code book.
-func (a *Allocator) Book() *core.CodeBook { return a.book }
-
-// Capacity returns how many devices the allocator can hold.
-func (a *Allocator) Capacity() int { return a.book.Slots() - len(a.reserved) }
-
 // Len returns the number of assigned devices.
 func (a *Allocator) Len() int { return len(a.bySlot) }
-
-// SlotOf returns the slot assigned to a device.
-func (a *Allocator) SlotOf(id uint8) (int, bool) {
-	s, ok := a.slotOf[id]
-	return s, ok
-}
 
 // AssignAll performs a full (re)assignment: devices sorted by SNR
 // descending take slots in increasing slot order (increasing circular
@@ -242,16 +230,4 @@ func (a *Allocator) neighbourGap(s int, snr float64) float64 {
 		}
 	}
 	return worst
-}
-
-// SlotSNRs returns the (slot, snr) pairs of all assigned devices in slot
-// order; used by tests to check the monotone power layout.
-func (a *Allocator) SlotSNRs() (slots []int, snrs []float64) {
-	for s := 0; s < a.book.Slots(); s++ {
-		if id, ok := a.bySlot[s]; ok {
-			slots = append(slots, s)
-			snrs = append(snrs, a.snrOf[id])
-		}
-	}
-	return slots, snrs
 }

@@ -46,12 +46,6 @@ func NewAPWith(book *core.CodeBook, alloc *Allocator) *AP {
 	}
 }
 
-// Book returns the AP's code book.
-func (ap *AP) Book() *core.CodeBook { return ap.book }
-
-// Allocator exposes the shift allocator.
-func (ap *AP) Allocator() *Allocator { return ap.alloc }
-
 // Devices returns the number of associated (ACKed) devices.
 func (ap *AP) Devices() int {
 	n := 0
@@ -84,26 +78,6 @@ func (ap *AP) NextQuery() *Query {
 		ap.shuffled = false
 	}
 	return q
-}
-
-// Reshuffle re-packs every device's slot by current signal strength and
-// schedules the full permutation for the next query (§3.3.3: the AP
-// "updates the cyclic shift assignments for all the devices in the
-// network"). After repacking, assigned slots are exactly the first n
-// assignable slots in slot order, which is what lets each device find
-// its new slot from the permutation alone.
-func (ap *AP) Reshuffle() {
-	ids, snrs := ap.allIDsSNRs()
-	if len(ids) == 0 {
-		return
-	}
-	assign := ap.alloc.AssignAll(ids, snrs)
-	for devID, s := range assign {
-		if r, exists := ap.records[devID]; exists {
-			r.Slot = s
-		}
-	}
-	ap.shuffled = true
 }
 
 // OnAssociationRequest handles a decoded association transmission with
@@ -192,28 +166,6 @@ func (ap *AP) UpdateSNR(id uint8, snrDB float64) {
 		ap.alloc.UpdateSNR(id, snrDB)
 	}
 }
-
-// ActiveShifts returns the cyclic shifts of all ACKed devices plus the
-// two association shifts (the AP always listens for newcomers there).
-// The shift order is: data devices in network-ID order, then the
-// high-SNR and low-SNR association shifts.
-func (ap *AP) ActiveShifts() (shifts []int, ids []uint8) {
-	for id := 0; id < 256; id++ {
-		r, ok := ap.records[uint8(id)]
-		if !ok || !r.Acked {
-			continue
-		}
-		shifts = append(shifts, ap.book.ShiftOfSlot(r.Slot))
-		ids = append(ids, r.NetworkID)
-	}
-	hi, lo := ap.book.AssociationSlots()
-	shifts = append(shifts, ap.book.ShiftOfSlot(hi), ap.book.ShiftOfSlot(lo))
-	return shifts, ids
-}
-
-// PendingAssignment exposes the in-flight association response (nil if
-// none); used by tests and the association example.
-func (ap *AP) PendingAssignment() *Assignment { return ap.pending }
 
 func (ap *AP) allocateID() (uint8, error) {
 	for i := 0; i < 256; i++ {

@@ -51,17 +51,11 @@ func NewDevice(book *core.CodeBook) *Device {
 	return &Device{book: book, pc: NewPowerController()}
 }
 
-// State returns the protocol state.
-func (d *Device) State() DeviceState { return d.state }
-
 // NetworkID returns the assigned ID (valid once associated).
 func (d *Device) NetworkID() uint8 { return d.networkID }
 
 // Slot returns the assigned slot (valid once associated).
 func (d *Device) Slot() int { return d.slot }
-
-// PowerController exposes the device's power-adaptation state.
-func (d *Device) PowerController() *PowerController { return d.pc }
 
 // OnQuery reacts to one decoded AP query heard at the given envelope-
 // detector RSSI and returns the transmission decision for this round.

@@ -93,7 +93,7 @@ func TestQueryConfigSizes(t *testing.T) {
 		t.Fatalf("config-2 query = %d bits, want ~1760", got)
 	}
 	// On-air duration at 160 kbps ~ 11 ms (§3.3.3).
-	if d := q2.Duration(radio.DefaultASK); d < 0.010 || d > 0.012 {
+	if d := radio.DefaultASK.Duration(q2.BitLength()); d < 0.010 || d > 0.012 {
 		t.Fatalf("config-2 duration = %v", d)
 	}
 }
@@ -162,7 +162,14 @@ func TestAssignAllSortsBySNR(t *testing.T) {
 		t.Fatalf("assigned %d of %d", len(assign), n)
 	}
 	// Slot order must follow SNR order: lower slot -> higher SNR.
-	slots, slotSNRs := a.SlotSNRs()
+	var slots []int
+	var slotSNRs []float64
+	for s := 0; s < book.Slots(); s++ {
+		if id, ok := a.bySlot[s]; ok {
+			slots = append(slots, s)
+			slotSNRs = append(slotSNRs, a.snrOf[id])
+		}
+	}
 	for i := 1; i < len(slotSNRs); i++ {
 		if slotSNRs[i] > slotSNRs[i-1]+1e-9 {
 			t.Fatalf("SNR increases from slot %d to %d", slots[i-1], slots[i])
@@ -194,7 +201,7 @@ func TestAllocatorInsertFitsSimilarSNR(t *testing.T) {
 	if !ok || needShuffle {
 		t.Fatalf("insert: slot=%d shuffle=%v ok=%v", slot, needShuffle, ok)
 	}
-	if _, taken := a.SlotOf(9); !taken {
+	if _, taken := a.slotOf[9]; !taken {
 		t.Fatal("device not recorded")
 	}
 }
@@ -203,7 +210,7 @@ func TestAllocatorInsertRequestsShuffle(t *testing.T) {
 	book, _ := core.NewCodeBook(chirp.Params{SF: 6, BW: 125e3, Oversample: 1}, 2)
 	a := NewAllocator(book)
 	// Fill most slots with high-SNR devices.
-	n := a.Capacity()
+	n := a.book.Slots() - len(a.reserved)
 	ids := make([]uint8, n-1)
 	snrs := make([]float64, n-1)
 	for i := range ids {
@@ -226,9 +233,9 @@ func TestAllocatorRemoveFreesSlot(t *testing.T) {
 	book := testBook(t)
 	a := NewAllocator(book)
 	a.AssignAll([]uint8{1}, []float64{10})
-	slot, _ := a.SlotOf(1)
+	slot := a.slotOf[1]
 	a.Remove(1)
-	if _, still := a.SlotOf(1); still {
+	if _, still := a.slotOf[1]; still {
 		t.Fatal("device still assigned")
 	}
 	got, needShuffle, ok := a.Insert(2, 10)
@@ -333,14 +340,14 @@ func TestAssociationFlow(t *testing.T) {
 	if !act.AssocAck {
 		t.Fatalf("expected ACK, got %+v", act)
 	}
-	if dev.State() != StateAssociated {
+	if dev.state != StateAssociated {
 		t.Fatal("device not associated")
 	}
 	ap.OnAssociationAck(dev.NetworkID())
 	if ap.Devices() != 1 {
 		t.Fatalf("AP device count %d", ap.Devices())
 	}
-	if ap.PendingAssignment() != nil {
+	if ap.pending != nil {
 		t.Fatal("pending assignment not cleared after ACK")
 	}
 
@@ -379,19 +386,6 @@ func TestAssociationOneAtATime(t *testing.T) {
 	}
 }
 
-func TestActiveShiftsIncludesAssociation(t *testing.T) {
-	book := testBook(t)
-	ap := NewAP(book)
-	shifts, ids := ap.ActiveShifts()
-	if len(ids) != 0 {
-		t.Fatalf("ids = %v", ids)
-	}
-	// Always listening on the two association shifts.
-	if len(shifts) != 2 {
-		t.Fatalf("shifts = %v", shifts)
-	}
-}
-
 func TestShuffleUpdatesDeviceSlots(t *testing.T) {
 	book := testBook(t)
 	ap := NewAP(book)
@@ -414,7 +408,7 @@ func TestShuffleUpdatesDeviceSlots(t *testing.T) {
 	}
 	// Force a shuffle and deliver it; devices must land on the AP's
 	// view of their slots.
-	ap.Reshuffle()
+	reshuffle(ap)
 	q := ap.NextQuery()
 	if q.Shuffle == nil {
 		t.Fatal("shuffle missing")
@@ -491,8 +485,8 @@ func TestNormalizePerm(t *testing.T) {
 func TestDataOnlyAllocatorFullCapacity(t *testing.T) {
 	book := testBook(t)
 	a := NewDataOnlyAllocator(book)
-	if a.Capacity() != 256 {
-		t.Fatalf("data-only capacity = %d, want 256", a.Capacity())
+	if n := a.book.Slots() - len(a.reserved); n != 256 {
+		t.Fatalf("data-only capacity = %d, want 256", n)
 	}
 	n := 256
 	ids := make([]uint8, n)
@@ -529,7 +523,7 @@ func TestReshuffleTiedSNRsDeterministic(t *testing.T) {
 		}
 	}
 	for rep := 0; rep < 50; rep++ {
-		ap.Reshuffle()
+		reshuffle(ap)
 		prev := -1
 		for id := uint8(0); id < n; id++ {
 			r, ok := ap.Record(id)
@@ -542,4 +536,15 @@ func TestReshuffleTiedSNRsDeterministic(t *testing.T) {
 			prev = r.Slot
 		}
 	}
+}
+
+// reshuffle forces the full reassignment OnAssociationRequest makes when
+// an insert does not fit: every associated device re-placed by SNR, the
+// new slots riding on the next query as a permutation.
+func reshuffle(ap *AP) {
+	ids, snrs := ap.allIDsSNRs()
+	for devID, s := range ap.alloc.AssignAll(ids, snrs) {
+		ap.records[devID].Slot = s
+	}
+	ap.shuffled = true
 }

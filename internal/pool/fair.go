@@ -166,16 +166,6 @@ func (s *FairScheduler) Submit(tenant int64, job func()) error {
 	return nil
 }
 
-// QueueLen reports the tenant's queued (not yet started) job count.
-func (s *FairScheduler) QueueLen(tenant int64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.queues[tenant]; q != nil {
-		return q.n
-	}
-	return 0
-}
-
 // Queued reports the total queued job count across all tenants.
 func (s *FairScheduler) Queued() int {
 	s.mu.Lock()

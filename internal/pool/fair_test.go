@@ -136,7 +136,7 @@ func TestFairBacklog(t *testing.T) {
 	if err := s.Submit(0, func() {}); err != ErrBacklog {
 		t.Fatalf("overflow submit: got %v, want ErrBacklog", err)
 	}
-	if got := s.QueueLen(0); got != 2 {
+	if got := queueLen(s, 0); got != 2 {
 		t.Fatalf("QueueLen(0) = %d, want 2", got)
 	}
 	// A different tenant still has room.
@@ -170,7 +170,7 @@ func TestFairDrop(t *testing.T) {
 		}
 	}
 	s.Drop(7)
-	if got := s.QueueLen(7); got != 0 {
+	if got := queueLen(s, 7); got != 0 {
 		t.Fatalf("QueueLen after Drop = %d, want 0", got)
 	}
 	close(gate)
@@ -237,10 +237,20 @@ func TestFairSchedulerRace(t *testing.T) {
 				if i%17 == 0 {
 					s.Drop(k)
 				}
-				_ = s.QueueLen(k)
+				_ = queueLen(s, k)
 				_ = s.Queued()
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// queueLen reports the tenant's queued (not yet started) job count.
+func queueLen(s *FairScheduler, tenant int64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if q := s.queues[tenant]; q != nil {
+		return q.n
+	}
+	return 0
 }

@@ -97,13 +97,6 @@ func (f *CorrelatedFader) Step() complex128 {
 // Gain returns the current complex channel gain without advancing.
 func (f *CorrelatedFader) Gain() complex128 { return f.static + f.scatter }
 
-// GainDB returns the instantaneous power gain of the current state in
-// dB relative to the mean channel.
-func (f *CorrelatedFader) GainDB() float64 {
-	h := f.static + f.scatter
-	return LinearToDB(real(h)*real(h) + imag(h)*imag(h))
-}
-
 // SetDeepFade forces the fader into a fade depthDB below the mean
 // channel by collapsing the scatter component against the static one —
 // the trajectory tests' fault-injection hook. Subsequent Steps recover
@@ -155,6 +148,3 @@ func (w *CFOWalk) Step() float64 {
 	}
 	return w.offset
 }
-
-// OffsetHz returns the current accumulated offset without advancing.
-func (w *CFOWalk) OffsetHz() float64 { return w.offset }

@@ -68,41 +68,3 @@ func SNRTrace(meanSNRdB float64, steps int, kFactorDB, rho float64, rng *dsp.Ran
 	}
 	return out
 }
-
-// Multipath applies a tapped-delay-line multipath channel to sig at
-// sample rate fs. Taps follow an exponentially decaying power profile
-// with RMS delay spread delaySpread seconds (50-300 ns indoors per the
-// Saleh-Valenzuela measurements the paper cites). The output is a fresh
-// slice of the same length, normalized to preserve mean power.
-func Multipath(sig []complex128, fs, delaySpread float64, nTaps int, rng *dsp.Rand) []complex128 {
-	if nTaps < 1 {
-		nTaps = 1
-	}
-	taps := make([]complex128, nTaps)
-	var totalPower float64
-	ts := 1 / fs
-	for i := range taps {
-		delay := float64(i) * ts
-		p := math.Exp(-delay / delaySpread)
-		taps[i] = rng.ComplexNormal(p)
-		if i == 0 {
-			// Keep a dominant line-of-sight first tap.
-			taps[0] = complex(math.Sqrt(p), 0)
-		}
-		re, im := real(taps[i]), imag(taps[i])
-		totalPower += re*re + im*im
-	}
-	norm := complex(1/math.Sqrt(totalPower), 0)
-	out := make([]complex128, len(sig))
-	for i := range sig {
-		var acc complex128
-		for t, tap := range taps {
-			if i-t < 0 {
-				break
-			}
-			acc += tap * sig[i-t]
-		}
-		out[i] = acc * norm
-	}
-	return out
-}

@@ -72,16 +72,6 @@ func AddAWGNLanes(sts []*dsp.Stream, sigs [][]complex128, noisePower float64) {
 	dsp.ReturnFloat64(buf)
 }
 
-// AddAWGNOracle is the retained math/rand reference path: one
-// Rand.ComplexNormal draw per sample. The statistical tests pin the
-// stream engine's noise distribution against it; simulation code should
-// use AddAWGN.
-func AddAWGNOracle(rng *dsp.Rand, sig []complex128, noisePower float64) {
-	for i := range sig {
-		sig[i] += rng.ComplexNormal(noisePower)
-	}
-}
-
 // Superpose adds src (starting at sample offset) into dst, clipping src
 // to dst's bounds. It returns the number of samples written. This is how
 // concurrent backscatter transmissions combine at the AP antenna.

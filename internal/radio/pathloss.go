@@ -47,13 +47,6 @@ func (m LogDistance) LossDB(distance float64, walls int) float64 {
 		float64(walls)*m.WallLossDB
 }
 
-// FreeSpaceRefLossDB returns the free-space path loss at 1 m for a
-// carrier frequency in Hz: 20·log10(4πf/c).
-func FreeSpaceRefLossDB(carrierHz float64) float64 {
-	lambda := SpeedOfLight / carrierHz
-	return 20 * math.Log10(4*math.Pi/lambda)
-}
-
 // LinkBudget computes received power for the two legs of a backscatter
 // link. Backscatter suffers the product of both path losses: the AP's
 // single tone travels to the tag, is reflected with the tag's modulation

@@ -11,16 +11,6 @@ package radio
 
 import "math"
 
-// DBmToWatts converts dBm to watts.
-func DBmToWatts(dbm float64) float64 {
-	return math.Pow(10, (dbm-30)/10)
-}
-
-// WattsToDBm converts watts to dBm.
-func WattsToDBm(w float64) float64 {
-	return 10*math.Log10(w) + 30
-}
-
 // DBToLinear converts a dB power ratio to linear.
 func DBToLinear(db float64) float64 { return math.Pow(10, db/10) }
 

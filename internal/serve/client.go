@@ -89,46 +89,11 @@ func (c *Client) DeleteDeployment(ctx context.Context, id int64) error {
 	return c.do(ctx, http.MethodDelete, fmt.Sprintf("/v1/deployments/%d", id), nil, nil)
 }
 
-// List returns every deployment's control-plane view.
-func (c *Client) List(ctx context.Context) ([]DeploymentInfo, error) {
-	var out []DeploymentInfo
-	err := c.do(ctx, http.MethodGet, "/v1/deployments", nil, &out)
-	return out, err
-}
-
-// Detail returns one deployment's control-plane view.
-func (c *Client) Detail(ctx context.Context, id int64) (DeploymentInfo, error) {
-	var out DeploymentInfo
-	err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/deployments/%d", id), nil, &out)
-	return out, err
-}
-
 // Step enqueues rounds; ErrThrottled when the backlog is full.
 func (c *Client) Step(ctx context.Context, id int64, rounds int) (StepResponse, error) {
 	var out StepResponse
 	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/deployments/%d/step", id),
 		StepRequest{Rounds: rounds}, &out)
-	return out, err
-}
-
-// Run switches a tenant to continuous rounds.
-func (c *Client) Run(ctx context.Context, id int64) (StepResponse, error) {
-	var out StepResponse
-	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/deployments/%d/run", id), nil, &out)
-	return out, err
-}
-
-// Pause stops continuous rounds and clears the backlog.
-func (c *Client) Pause(ctx context.Context, id int64) (StepResponse, error) {
-	var out StepResponse
-	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/deployments/%d/pause", id), nil, &out)
-	return out, err
-}
-
-// Configure toggles soft combining / adversity on a live tenant.
-func (c *Client) Configure(ctx context.Context, id int64, req ConfigRequest) (DeploymentInfo, error) {
-	var out DeploymentInfo
-	err := c.do(ctx, http.MethodPost, fmt.Sprintf("/v1/deployments/%d/config", id), req, &out)
 	return out, err
 }
 

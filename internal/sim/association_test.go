@@ -62,7 +62,9 @@ func TestAssociationOverTheAir(t *testing.T) {
 		{shift: a2.Shift, payload: assocPayload, snr: -4 + a2.GainDB},
 	}, bits)
 
-	shifts, _ := ap.ActiveShifts() // dev1's shift + both assoc shifts
+	// dev1's shift and both association shifts.
+	hi, lo := book.AssociationSlots()
+	shifts := []int{a1.Shift, book.ShiftOfSlot(hi), book.ShiftOfSlot(lo)}
 	res, err := dec.DecodeFrame(rx, 0, shifts, bits)
 	if err != nil {
 		t.Fatal(err)
@@ -169,36 +171,6 @@ func receiveFrames(p chirp.Params, rng *dsp.Rand, frames []frameTx, payloadBits 
 	}
 	ch := air.NewChannel(p, rng)
 	return ch.Receive(ch.FrameLength(core.PreambleSymbols+payloadBits, 2), txs)
-}
-
-// TestQueryOverASKDownlink closes the remaining over-the-air gap: the
-// AP's query travels the 160 kbps ASK downlink (with noise) and decodes
-// at the tag's envelope detector into the same Query.
-func TestQueryOverASKDownlink(t *testing.T) {
-	ap := mac.NewAP(mustBook(t))
-	if _, err := ap.OnAssociationRequest(7); err != nil {
-		t.Fatal(err)
-	}
-	q := ap.NextQuery()
-	bits := q.EncodeBits()
-
-	modem := radio.DefaultASK
-	sig := modem.Modulate(bits)
-	rng := dsp.NewRand(9)
-	for i := range sig {
-		sig[i] += rng.ComplexNormal(0.05) // ~13 dB envelope SNR
-	}
-	rxBits, err := modem.Demodulate(sig, len(bits))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := mac.DecodeBits(rxBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Assign == nil || got.Assign.NetworkID != q.Assign.NetworkID || got.Assign.Slot != q.Assign.Slot {
-		t.Fatalf("query corrupted over downlink: %+v vs %+v", got.Assign, q.Assign)
-	}
 }
 
 func mustBook(t *testing.T) *core.CodeBook {

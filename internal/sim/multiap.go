@@ -329,12 +329,6 @@ func (n *MultiAPNetwork) SetSoftCombining(on bool) {
 // SoftCombining reports whether the soft combining path is enabled.
 func (n *MultiAPNetwork) SoftCombining() bool { return n.soft }
 
-// Book exposes the code book.
-func (n *MultiAPNetwork) Book() *core.CodeBook { return n.book }
-
-// APs returns the infrastructure's AP count.
-func (n *MultiAPNetwork) APs() int { return n.nAPs }
-
 // RunRound executes one concurrent round heard by every AP and returns
 // the combined and per-AP statistics.
 func (n *MultiAPNetwork) RunRound(nDevices int) (MultiRoundStats, error) {

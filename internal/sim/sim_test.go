@@ -101,7 +101,7 @@ func TestNetworkAutoSkipSpreads(t *testing.T) {
 	dep := testDeployment(t, 32, 3)
 	net := newOneAPNetwork(t, DefaultConfig(), dep, 32, 4)
 	// 32 devices in 512 bins -> effective SKIP 16.
-	if got := net.Book().Skip(); got != 16 {
+	if got := net.book.Skip(); got != 16 {
 		t.Fatalf("effective skip = %d, want 16", got)
 	}
 }

@@ -87,13 +87,6 @@ type Accumulator struct {
 	s  Snapshot
 }
 
-// AddRound folds one single-AP (or combined) round.
-func (a *Accumulator) AddRound(r RoundStats) {
-	a.mu.Lock()
-	a.addLocked(r)
-	a.mu.Unlock()
-}
-
 // AddMulti folds one multi-AP round: the combined outcome counts as
 // the round, and the soft-combining outcome (when the round carried
 // one) accumulates alongside.

@@ -216,3 +216,10 @@ func TestAccumulatorLiveRounds(t *testing.T) {
 		t.Fatalf("live fold %+v != serial oracle %+v", got, want)
 	}
 }
+
+// AddRound folds one single-AP (or combined) round.
+func (a *Accumulator) AddRound(r RoundStats) {
+	a.mu.Lock()
+	a.addLocked(r)
+	a.mu.Unlock()
+}

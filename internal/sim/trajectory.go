@@ -187,11 +187,6 @@ func (s *TrajectoryStats) MeanPER() float64 {
 	return acc / float64(len(s.PERPerRound))
 }
 
-// LostFrames is the total attributed frame losses.
-func (s *TrajectoryStats) LostFrames() int {
-	return s.LostToDropout + s.LostToInterference + s.LostToFading + s.LostToOther
-}
-
 // MeanRecoveryLatency averages the closed recovery latencies in
 // rounds; 0 when no recovery was observed.
 func (s *TrajectoryStats) MeanRecoveryLatency() float64 {
@@ -376,12 +371,6 @@ func NewTrajectory(net *MultiAPNetwork, cfg TrajectoryConfig) (*Trajectory, erro
 
 // Stats exposes the accumulated trajectory statistics.
 func (t *Trajectory) Stats() *TrajectoryStats { return &t.stats }
-
-// Round returns the number of rounds stepped so far.
-func (t *Trajectory) Round() int { return t.round }
-
-// AP exposes the infrastructure-side protocol state (tests).
-func (t *Trajectory) AP() *mac.AP { return t.ap }
 
 // Run steps the trajectory cfg.Rounds times and returns the stats.
 func (t *Trajectory) Run() (*TrajectoryStats, error) {

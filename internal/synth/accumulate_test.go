@@ -26,7 +26,7 @@ func (s *Synthesizer) FrameMixedAccumulate(out []complex128, at int, tmpl []comp
 func TestFrameMixedAccumulateBitExact(t *testing.T) {
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 	s := For(p)
-	n := s.N()
+	n := s.n
 
 	cases := []struct {
 		name  string
@@ -101,7 +101,7 @@ func TestFrameMixedAccumulateBitExact(t *testing.T) {
 func TestFrameMixedAccumulateRangeTilesBitExact(t *testing.T) {
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
 	s := For(p)
-	n := s.N()
+	n := s.n
 	bits := []byte{1, 0, 1, 1, 0, 1, 0, 0, 1}
 	frac := 0.31
 	omega := 0.0004
@@ -155,7 +155,7 @@ func TestFrameMixedTemplatesAllSilence(t *testing.T) {
 	if tmpl != nil {
 		t.Fatalf("all-silent frame grew the template scratch to %d", len(tmpl))
 	}
-	out := make([]complex128, 4*s.N())
+	out := make([]complex128, 4*s.n)
 	s.FrameMixedAccumulateRange(out, 0, len(out), 0, tmpl, 0, 0, bits, 0.2, 0.001)
 	for i, v := range out {
 		if v != 0 {
@@ -170,7 +170,7 @@ func TestFrameMixedAccumulateAggregate(t *testing.T) {
 	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 2}
 	s := For(p)
 	bits := []byte{1, 0, 1}
-	out := make([]complex128, 14*s.N())
+	out := make([]complex128, 14*s.n)
 	want := make([]complex128, len(out))
 
 	frame := s.FrameMixedInto(nil, 30, 6, 2, bits, 0.21, 0.0007, complex(1.1, 0.4))

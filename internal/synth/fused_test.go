@@ -32,7 +32,7 @@ const (
 func newFusedCase(s *Synthesizer, rng *dsp.Rand, base0, spread, kind int) fusedCase {
 	c := fusedCase{
 		at:    base0,
-		shift: rng.Intn(s.N()),
+		shift: rng.Intn(s.n),
 		up:    6,
 		down:  2,
 		bits:  rng.Bits(5 + rng.Intn(9)),
@@ -99,7 +99,7 @@ func checkFusedMatchesPerFrame(t *testing.T, s *Synthesizer, fleet []fusedCase, 
 func TestFusedAccumulateMatchesPerFrame(t *testing.T) {
 	p := chirp.Params{SF: 6, BW: 125e3, Oversample: 1}
 	s := For(p)
-	n := s.N()
+	n := s.n
 	outLen := 26*n + 7
 	partitions := [][]int{
 		{0, outLen},
@@ -165,7 +165,7 @@ func FuzzFusedAccumulate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nFrames uint8, spread, tile uint16) {
 		p := chirp.Params{SF: 6, BW: 125e3, Oversample: 1}
 		s := For(p)
-		n := s.N()
+		n := s.n
 		rng := dsp.NewRand(seed)
 		fleet := make([]fusedCase, 1+int(nFrames)%16)
 		base0 := rng.Intn(6*n) - 3*n
@@ -191,7 +191,7 @@ func FuzzFusedAccumulate(f *testing.F) {
 // multiply-add, the unit the kernel comparison is stated in.
 func BenchmarkAccumulateTile(b *testing.B) {
 	s := For(chirp.Default500k9)
-	n := s.N()
+	n := s.n
 	rng := dsp.NewRand(7)
 	fleet := make([]fusedCase, 32)
 	for r := range fleet {

@@ -66,7 +66,7 @@ func FuzzSymbolCyclicShift(f *testing.F) {
 		buf := make([]complex128, n)
 		s.SymbolInto(buf, int(shift))
 		if p.Oversample == 1 {
-			want := chirp.CyclicShift(s.Bank(), int(shift))
+			want := chirp.CyclicShift(s.bank, int(shift))
 			for i := range buf {
 				if buf[i] != want[i] {
 					t.Fatalf("%v shift=%d sample %d: bank rotation %v != CyclicShift %v",

@@ -125,13 +125,6 @@ func build(p chirp.Params) *Synthesizer {
 // Params returns the synthesizer's parameter set.
 func (s *Synthesizer) Params() chirp.Params { return s.p }
 
-// N returns the samples per symbol.
-func (s *Synthesizer) N() int { return s.n }
-
-// Bank returns the baseline upchirp symbol bank. Callers must not
-// modify it.
-func (s *Synthesizer) Bank() []complex128 { return s.bank }
-
 func cis(theta float64) complex128 {
 	sin, cos := math.Sincos(theta)
 	return complex(cos, sin)
@@ -170,15 +163,6 @@ func (s *Synthesizer) SymbolInto(dst []complex128, shift int) {
 		if i%renormEvery == renormEvery-1 {
 			cur = renorm(cur)
 		}
-	}
-}
-
-// DownSymbolInto writes the conjugate (downchirp) version of
-// SymbolInto.
-func (s *Synthesizer) DownSymbolInto(dst []complex128, shift int) {
-	s.SymbolInto(dst, shift)
-	for i, v := range dst {
-		dst[i] = complex(real(v), -imag(v))
 	}
 }
 

@@ -91,20 +91,6 @@ func TestSymbolIntoMatchesModulator(t *testing.T) {
 	}
 }
 
-func TestDownSymbolIntoConjugates(t *testing.T) {
-	p := chirp.Params{SF: 7, BW: 125e3, Oversample: 1}
-	s := For(p)
-	up := make([]complex128, p.N())
-	down := make([]complex128, p.N())
-	s.SymbolInto(up, 12)
-	s.DownSymbolInto(down, 12)
-	for i := range up {
-		if down[i] != complex(real(up[i]), -imag(up[i])) {
-			t.Fatalf("sample %d: down symbol is not the conjugate of up", i)
-		}
-	}
-}
-
 // referenceFrameDelayed is the pre-synth analytic frame loop (one
 // EvalShifted per sample), kept verbatim as the oracle for whole-frame
 // synthesis.

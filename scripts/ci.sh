@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the repository's tier-1 gate: formatting, vet (plus
-# staticcheck when available), build, tests (which include the
+# staticcheck when available), the unreferenced-declaration check
+# (TestProductionCodeReferenced), build, tests (which include the
 # golden-vector, zero-allocation, batch-vs-oracle bit-exactness and
 # fuzz-seed gates), an explicit fuzz-seed pass, one iteration of every
 # root benchmark, a race-detector pass over the concurrent paths, the
@@ -29,6 +30,15 @@ go vet ./...
 # error). Plain `go vet` includes asmdecl, but the dedicated pass keeps
 # the gate visible and scoped even if the default analyzer set changes.
 go vet -asmdecl ./internal/dsp
+
+echo "== unreferenced declarations =="
+# Production packages hold production code: every package-level func,
+# method, type, var and const in non-test code, nsbench's included, must
+# be referenced by non-test code (refcheck_test.go type-checks the host
+# build with go/types; a short allowlist there names the test each
+# exempt declaration serves). Its own step, right after vet, so a
+# failing run lists the declarations first.
+go test -count=1 -run '^TestProductionCodeReferenced$' .
 
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
