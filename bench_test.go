@@ -300,4 +300,26 @@ func BenchmarkCombinedRound64x4(b *testing.B)      { benchCase(b, "CombinedRound
 func BenchmarkTrajectoryRound64(b *testing.B)      { benchCase(b, "TrajectoryRound64") }
 func BenchmarkNetworkRound64Parallel(b *testing.B) { benchCase(b, "NetworkRound64/parallel") }
 
+// BenchmarkFacadeRun64 times the public API's round: Network.Run with 64
+// devices each sending a 5-byte payload, the copies of the delivered
+// payloads included.
+func BenchmarkFacadeRun64(b *testing.B) {
+	const devices = 64
+	net, err := NewNetwork(DefaultParams(), Options{Devices: devices, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	payloads := make(map[int][]byte, devices)
+	for i := 0; i < devices; i++ {
+		payloads[i] = []byte{byte(i), 0xCA, 0xFE, byte(3 * i), 0x01}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := net.Run(payloads); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMultiAPDiversity(b *testing.B) { benchExperiment(b, "M1") }

@@ -26,8 +26,9 @@ func main() {
 		aggregate.MaxDevices(), aggregate.DeviceBitRate())
 
 	net, err := netscatter.NewNetwork(aggregate, netscatter.Options{
-		Devices: aggregate.MaxDevices(),
-		Seed:    3,
+		Devices:      aggregate.MaxDevices(),
+		Seed:         3,
+		PayloadBytes: 2,
 	})
 	if err != nil {
 		log.Fatal(err)

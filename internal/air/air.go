@@ -21,7 +21,7 @@ import (
 // as a materialized waveform. The simulator's round engine never builds
 // one: it describes devices to MultiChannel as template closures. A
 // Transmission serves the callers that synthesize whole frames — the
-// PHY experiments, the public facade, the examples and tools.
+// PHY experiments, the examples and tools.
 type Transmission struct {
 	// Waveform is the device's ideal transmit waveform (from
 	// core.Encoder or chirp.Modulator).

@@ -299,6 +299,13 @@ func (n *MultiAPNetwork) setSlot(i, slot int) {
 	n.encs[i] = core.NewEncoder(n.cfg.Params, n.rc.shifts[i])
 }
 
+// Assignment returns device i's current code-book slot, its cyclic
+// shift and its backscatter gain in dB: the association's outcome,
+// which a trajectory's power rule and re-associations keep moving.
+func (n *MultiAPNetwork) Assignment(i int) (slot, shift int, gainDB float64) {
+	return n.slots[i], n.rc.shifts[i], n.gains[i]
+}
+
 // SetSoftCombining turns the soft (non-coherent power) cross-AP
 // combining path on or off for subsequent rounds. Enabling it carves
 // the per-AP emit arenas and the combined-spectra decoder on first use;
@@ -344,11 +351,16 @@ func (n *MultiAPNetwork) RunRound(nDevices int) (MultiRoundStats, error) {
 // retained oracle) and a churn event on device i never perturbs the
 // draws of device j.
 type advRound struct {
-	// active[i] false silences device i this round (asleep, skipping, or
-	// mid-re-association): its closures are detached so the channel adds
-	// no samples and draws no carrier phases for it, and it is excluded
-	// from the scheduled-device statistics. nil means all active.
+	// active[i] false silences device i this round (asleep, skipping,
+	// mid-re-association or given no payload): its closures are detached
+	// so the channel adds no samples and draws no carrier phases for it,
+	// and it is excluded from the scheduled-device statistics. nil means
+	// all active.
 	active []bool
+	// frames[i], when non-nil, is the payload device i sends in place of
+	// the one drawn for it (the draw still happens). nil means every
+	// device sends its drawn payload.
+	frames [][]byte
 	// fade[i], when nonzero, multiplies onto device i's channel gain —
 	// the trajectory's evolved correlated fade.
 	fade []complex128
@@ -383,11 +395,20 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 	// bytes, fade, delay, oscillator — with the per-(device, AP)
 	// carrier phases drawn later inside the channel.
 	// Silenced devices still consume their draws (payload, fade, delay,
-	// offset) so adversity never shifts another device's randomness.
+	// offset) so adversity never shifts another device's randomness,
+	// and a caller's payload overwrites the drawn bytes for the same
+	// reason.
 	rc := &n.rc
 	txs := rc.txs[:nDevices]
+	var frames [][]byte
+	if adv != nil {
+		frames = adv.frames
+	}
 	for i := 0; i < nDevices; i++ {
 		n.rng.FillBytes(rc.payloads[i])
+		if frames != nil && frames[i] != nil {
+			copy(rc.payloads[i], frames[i])
+		}
 		core.FrameBitsInto(rc.bits[i], rc.payloads[i])
 		var fade complex128
 		if n.faders[i] != nil {

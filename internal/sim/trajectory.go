@@ -21,6 +21,7 @@ import (
 
 	"netscatter/internal/air"
 	"netscatter/internal/chirp"
+	"netscatter/internal/core"
 	"netscatter/internal/dsp"
 	"netscatter/internal/mac"
 	"netscatter/internal/radio"
@@ -466,16 +467,39 @@ func (t *Trajectory) syncSlots() {
 	}
 }
 
-// Step advances the world one round, runs it, and folds the outcome
-// into the trajectory statistics. All adversity evolution is serial
-// (device order, then the round), so a trajectory is bit-identical at
-// any GOMAXPROCS. An event-free step allocates nothing once Stats
-// arenas are warm.
-func (t *Trajectory) Step() (MultiRoundStats, error) {
+// Step advances the world one round with drawn payloads:
+// StepFrames(nil).
+func (t *Trajectory) Step() (MultiRoundStats, error) { return t.StepFrames(nil) }
+
+// StepFrames advances the world one round, runs it, and folds the
+// outcome into the trajectory statistics. All adversity evolution is
+// serial (device order, then the round), so a trajectory is
+// bit-identical at any GOMAXPROCS. An event-free step allocates nothing
+// once Stats arenas are warm.
+//
+// payloads, when non-nil, is the round's traffic: one entry per device,
+// each nil or exactly PayloadBytes long. A device with a nil entry stays
+// silent this round, through the same active mask that sleep and the
+// power rule use; every other device sends its entry in place of the
+// payload drawn for it. With nil payloads every device sends a drawn
+// payload. The world evolves and the protocol step runs for silent
+// devices too, and no draw depends on which devices send. StepFrames
+// refuses payloads of the wrong shape before any draw.
+func (t *Trajectory) StepFrames(payloads [][]byte) (MultiRoundStats, error) {
 	n := t.net
 	r := t.round
 	nd := t.nDevices
 	cfg := &t.cfg
+	if payloads != nil {
+		if len(payloads) != nd {
+			return MultiRoundStats{}, fmt.Errorf("sim: %d payloads for %d devices", len(payloads), nd)
+		}
+		for i, p := range payloads {
+			if p != nil && len(p) != n.cfg.PayloadBytes {
+				return MultiRoundStats{}, fmt.Errorf("sim: device %d payload is %d bytes, want %d", i, len(p), n.cfg.PayloadBytes)
+			}
+		}
+	}
 
 	// Infrastructure faults for the round.
 	nAlive := planDropout(cfg.Seed, uint64(r), cfg.APDropProb, t.adv.apAlive)
@@ -558,7 +582,8 @@ func (t *Trajectory) Step() (MultiRoundStats, error) {
 				}
 			}
 		}
-		t.adv.active[i] = deviceActive(t.asleep[i], t.reassocLeft[i], participate) && t.known[i]
+		t.adv.active[i] = deviceActive(t.asleep[i], t.reassocLeft[i], participate) && t.known[i] &&
+			(payloads == nil || payloads[i] != nil)
 	}
 
 	// Refresh the per-(device, AP) effective SNRs from current geometry
@@ -571,7 +596,9 @@ func (t *Trajectory) Step() (MultiRoundStats, error) {
 		}
 	}
 
+	t.adv.frames = payloads
 	stats, err := n.runRound(nd, &t.adv)
+	t.adv.frames = nil
 	if err != nil {
 		return stats, err
 	}
@@ -614,6 +641,28 @@ func (t *Trajectory) Step() (MultiRoundStats, error) {
 	}
 	t.round++
 	return stats, nil
+}
+
+// Outcome reports device i's part in the last step. sent is false when
+// the device was off the air: given a nil payload, asleep,
+// re-associating or sat out by the power rule. For a device on the air,
+// dec is its entry in the decode of the AP that represents it
+// (BestDecode), zero when no AP detected it; its slices alias decoder
+// arenas, valid until the next step. ffts is the receiver FFT count of
+// one live AP's decode, 0 when every AP was down.
+func (t *Trajectory) Outcome(i int) (dec core.DeviceDecode, sent bool, ffts int) {
+	rc := &t.net.rc
+	for _, res := range rc.res {
+		if res != nil {
+			ffts = res.FFTs
+			break
+		}
+	}
+	sent = t.adv.active[i]
+	if a := rc.sel[i]; sent && a >= 0 {
+		dec = rc.res[a].Devices[i]
+	}
+	return dec, sent, ffts
 }
 
 // synthesizeBurst retargets the trajectory's burst arena to this

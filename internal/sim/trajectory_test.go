@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -303,5 +305,179 @@ func TestTrajectorySteadyStateAllocsDropoutFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state trajectory step allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// stepFramesPayloads builds one round's traffic for nDev devices: every
+// device whose index is a multiple of every sends a payload stamped
+// with its index and the round, the others get nil and stay silent.
+func stepFramesPayloads(nDev, size, every, round int) [][]byte {
+	payloads := make([][]byte, nDev)
+	for i := 0; i < nDev; i += every {
+		pl := make([]byte, size)
+		for j := range pl {
+			pl[j] = byte(i*7 + round*31 + j)
+		}
+		payloads[i] = pl
+	}
+	return payloads
+}
+
+// TestTrajectoryStepFramesSilencesNilEntries: a round's payloads decide
+// who is on the air. Nil entries silence exactly those devices (the
+// scheduled count and Outcome agree), and every CRC-valid decode of a
+// sender carries the bytes it was given, round after round, so no drawn
+// or earlier payload shows through the arena.
+func TestTrajectoryStepFramesSilencesNilEntries(t *testing.T) {
+	const nDev, rounds = 16, 3
+	for _, k := range []int{1, 2} {
+		net := testMultiAPNetwork(t, nDev, k, 91)
+		tr, err := NewTrajectory(net, TrajectoryConfig{Rounds: rounds, Seed: 37})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			every := 1 + r // all, every other, every third
+			payloads := stepFramesPayloads(nDev, net.cfg.PayloadBytes, every, r)
+			st, err := tr.StepFrames(payloads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			senders, delivered := 0, 0
+			for i, pl := range payloads {
+				dec, sent, ffts := tr.Outcome(i)
+				if ffts <= 0 {
+					t.Fatalf("k=%d round %d: FFT count %d", k, r, ffts)
+				}
+				if sent != (pl != nil) {
+					t.Fatalf("k=%d round %d: device %d sent=%v with payload %v", k, r, i, sent, pl)
+				}
+				if !sent {
+					if dec.Detected || dec.CRCOK {
+						t.Fatalf("k=%d round %d: silent device %d reports a decode", k, r, i)
+					}
+					continue
+				}
+				senders++
+				if dec.CRCOK {
+					if !bytes.Equal(dec.Payload, pl) {
+						t.Fatalf("k=%d round %d: device %d decoded % x, sent % x", k, r, i, dec.Payload, pl)
+					}
+					delivered++
+				}
+			}
+			if st.Combined.Devices != senders {
+				t.Fatalf("k=%d round %d: %d scheduled, %d senders", k, r, st.Combined.Devices, senders)
+			}
+			if st.Combined.FramesOK != delivered {
+				t.Fatalf("k=%d round %d: FramesOK %d, %d CRC-valid senders", k, r, st.Combined.FramesOK, delivered)
+			}
+			// Enough frames arrive that the byte check above is not vacuous.
+			if 2*delivered < senders {
+				t.Fatalf("k=%d round %d: only %d/%d senders delivered", k, r, delivered, senders)
+			}
+		}
+	}
+}
+
+// TestTrajectoryStepFramesRefusesBadPayloads: a payload list of the
+// wrong length, or a payload of the wrong size, is refused before any
+// draw — the next valid step is bit-identical to a fresh trajectory's
+// first.
+func TestTrajectoryStepFramesRefusesBadPayloads(t *testing.T) {
+	const nDev = 8
+	ref := testMultiAPNetwork(t, nDev, 1, 93)
+	sub := testMultiAPNetwork(t, nDev, 1, 93)
+	refTr, err := NewTrajectory(ref, TrajectoryConfig{Seed: 41, Correlation: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrajectory(sub, TrajectoryConfig{Seed: 41, Correlation: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := stepFramesPayloads(nDev, sub.cfg.PayloadBytes, 2, 0)
+	short := stepFramesPayloads(nDev, sub.cfg.PayloadBytes, 2, 0)
+	short[2] = short[2][:1]
+	long := stepFramesPayloads(nDev, sub.cfg.PayloadBytes, 2, 0)
+	long[4] = append(long[4], 0xFF)
+	for name, bad := range map[string][][]byte{
+		"too few":    good[:nDev-1],
+		"too many":   append(stepFramesPayloads(nDev, sub.cfg.PayloadBytes, 2, 0), nil),
+		"empty list": {},
+		"short":      short,
+		"long":       long,
+	} {
+		if _, err := tr.StepFrames(bad); err == nil {
+			t.Fatalf("%s: payloads accepted", name)
+		}
+	}
+	want, err := refTr.StepFrames(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tr.StepFrames(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Combined != want.Combined || !reflect.DeepEqual(sub.rc.sigArena, ref.rc.sigArena) {
+		t.Fatalf("a refused call moved the trajectory:\n got %+v\nwant %+v", got.Combined, want.Combined)
+	}
+}
+
+// TestTrajectoryStepFramesSteadyStateZeroAlloc: a 64-device step with
+// caller payloads, half the fleet silent, touches no heap once warm —
+// with the fleet's channels static and with them drifting under
+// correlated fading (shallow, so no device skips or re-associates) — at
+// GOMAXPROCS 1 and 2. At 2 the test counts mallocs itself, as
+// checkRoundZeroAlloc does.
+func TestTrajectoryStepFramesSteadyStateZeroAlloc(t *testing.T) {
+	const nDev = 64
+	for _, fading := range []bool{false, true} {
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("fading=%v/procs=%d", fading, procs), func(t *testing.T) {
+				prev := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(prev)
+
+				net := testMultiAPNetwork(t, nDev, 1, 95)
+				cfg := TrajectoryConfig{Seed: 43, NoSeries: true}
+				if fading {
+					cfg.Correlation, cfg.KFactorDB = 0.97, 20
+				}
+				tr, err := NewTrajectory(net, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads := stepFramesPayloads(nDev, net.cfg.PayloadBytes, 2, 0)
+				step := func() {
+					if _, err := tr.StepFrames(payloads); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if procs == 1 {
+					step()
+					if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+						t.Fatalf("steady-state StepFrames allocates %.1f objects/op, want 0", allocs)
+					}
+					return
+				}
+				for range 50 {
+					step()
+				}
+				const runs = 100
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					step()
+				}
+				runtime.ReadMemStats(&after)
+				if perStep := float64(after.Mallocs-before.Mallocs) / runs; perStep >= 0.1 {
+					t.Fatalf("steady-state StepFrames at GOMAXPROCS 2 allocates %.2f objects/op, want 0", perStep)
+				}
+				if s := tr.Stats(); s.SkippedRounds != 0 || s.Reassociations != 0 {
+					t.Fatalf("fade tripped the power rule: %+v", s)
+				}
+			})
+		}
 	}
 }

@@ -6,12 +6,13 @@
 // shared chirp, and the access point decodes everyone with a single FFT
 // per symbol.
 //
-// This package is the public facade. It wires together the internal
-// substrates (chirp DSP, RF channel models, backscatter hardware
-// models, the distributed-CSS codec, the MAC protocol and the office
-// deployment generator) into a small API:
+// This package is the public facade: a small API over the simulator's
+// one round engine. A Network deploys tags across an office floor and
+// steps internal/sim's network, wrapped in a trajectory so every device
+// re-runs the §3.2.3 power rule on each query, with the caller's
+// payloads:
 //
-//	net, _ := netscatter.NewNetwork(netscatter.DefaultParams(), netscatter.Options{Devices: 64, Seed: 1})
+//	net, _ := netscatter.NewNetwork(netscatter.DefaultParams(), netscatter.Options{Devices: 64, Seed: 1, PayloadBytes: 2})
 //	round, _ := net.Run(map[int][]byte{0: []byte("hi"), 5: []byte("yo")})
 //	fmt.Println(round.Payloads[0], round.Payloads[5])
 //
@@ -23,14 +24,11 @@ package netscatter
 import (
 	"fmt"
 
-	"netscatter/internal/air"
 	"netscatter/internal/chirp"
-	"netscatter/internal/core"
 	"netscatter/internal/deploy"
 	"netscatter/internal/dsp"
-	"netscatter/internal/hw"
-	"netscatter/internal/mac"
 	"netscatter/internal/radio"
+	"netscatter/internal/sim"
 )
 
 // Params is the physical-layer configuration.
@@ -75,14 +73,14 @@ type Options struct {
 	Devices int
 	// Seed drives all randomness; equal seeds reproduce runs exactly.
 	Seed int64
-	// PayloadBytes per device per round (default 5, as in §4.4).
+	// PayloadBytes per device per round (default 5, as in §4.4). Every
+	// payload a Run sends must be this long.
 	PayloadBytes int
 	// Office overrides the floor plan (default: the 12-room 40x20 m
-	// office of the paper's deployment).
+	// office of the paper's deployment). The AP sits at its AP point.
 	Office *deploy.FloorPlan
-	// DisablePowerControl turns off device power adaptation.
-	DisablePowerControl bool
-	// Fading enables per-round Ricean channel variation.
+	// Fading evolves each device's channel as a correlated Ricean fade
+	// (K = 10 dB, round-to-round correlation 0.97).
 	Fading bool
 }
 
@@ -90,15 +88,13 @@ type Options struct {
 // placed across an office floor, associated and ready to run concurrent
 // rounds.
 type Network struct {
-	params  Params
-	opts    Options
-	cp      chirp.Params
-	book    *core.CodeBook
-	decoder *core.Decoder
-	dep     *deploy.Deployment
-	rng     *dsp.Rand
-
-	devices []*Device
+	params       Params
+	payloadBytes int
+	dep          *deploy.Deployment
+	net          *sim.MultiAPNetwork
+	traj         *sim.Trajectory
+	frames       [][]byte // a round's payloads by device; nil is silent
+	devices      []*Device
 }
 
 // Device is one simulated tag.
@@ -118,17 +114,11 @@ type Device struct {
 	// DownlinkRSSIdBm is the AP query strength at the tag's envelope
 	// detector — the input to the power-adaptation loop.
 	DownlinkRSSIdBm float64
-
-	enc   *Encoder
-	osc   radio.Oscillator
-	fader *radio.FadingProcess
-	pc    *mac.PowerController
 }
 
-// Encoder aliases the core encoder for advanced use.
-type Encoder = core.Encoder
-
-// NewNetwork deploys and associates a network.
+// NewNetwork deploys and associates a network. The geometry comes from
+// Seed and the round engine from Seed+1, as netscatter-sim and
+// netscatter-serve build theirs.
 func NewNetwork(params Params, opts Options) (*Network, error) {
 	cp := params.chirp()
 	if err := cp.Validate(); err != nil {
@@ -143,6 +133,9 @@ func NewNetwork(params Params, opts Options) (*Network, error) {
 	if opts.Devices > params.MaxDevices() {
 		return nil, fmt.Errorf("netscatter: %d devices exceed capacity %d", opts.Devices, params.MaxDevices())
 	}
+	if opts.PayloadBytes < 0 {
+		return nil, fmt.Errorf("netscatter: Options.PayloadBytes must not be negative (got %d)", opts.PayloadBytes)
+	}
 	if opts.PayloadBytes == 0 {
 		opts.PayloadBytes = 5
 	}
@@ -150,77 +143,49 @@ func NewNetwork(params Params, opts Options) (*Network, error) {
 	if opts.Office != nil {
 		plan = *opts.Office
 	}
-	rng := dsp.NewRand(opts.Seed)
-	dep := deploy.Generate(plan, radio.DefaultLinkBudget, opts.Devices, params.BandwidthHz, rng)
-
-	// Spread devices across unused spectrum (effective SKIP grows when
-	// fewer devices than slots).
-	skip := params.Skip
-	if s := cp.N() / opts.Devices; s > skip {
-		skip = s
-	}
-	if max := cp.N() / 2; skip > max {
-		skip = max
-	}
-	book, err := core.NewCodeBook(cp, skip)
+	dep := deploy.Generate(plan, radio.DefaultLinkBudget, opts.Devices, params.BandwidthHz, dsp.NewRand(opts.Seed))
+	dep.PlaceAPsAt([]deploy.Point{plan.AP})
+	cfg := sim.DefaultConfig()
+	cfg.Params = cp
+	cfg.Skip = params.Skip
+	cfg.PayloadBytes = opts.PayloadBytes
+	net, err := sim.NewMultiAPNetwork(cfg, dep, 1, opts.Devices, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := core.DefaultDecoderConfig(skip)
-	if dcfg.GuardBins > 2 {
-		dcfg.GuardBins = 2
+	// The trajectory runs the §3.2.3 power rule on every query: each
+	// device counter-steers its gain against its (faded) downlink.
+	tcfg := sim.TrajectoryConfig{Seed: opts.Seed, NoSeries: true}
+	if opts.Fading {
+		tcfg.Correlation, tcfg.KFactorDB = 0.97, 10
 	}
-	dcfg.NoiseFloor = float64(cp.N())
+	traj, err := sim.NewTrajectory(net, tcfg)
+	if err != nil {
+		return nil, err
+	}
 
 	n := &Network{
-		params:  params,
-		opts:    opts,
-		cp:      cp,
-		book:    book,
-		decoder: core.NewDecoder(book, dcfg),
-		dep:     dep,
-		rng:     rng,
+		params:       params,
+		payloadBytes: opts.PayloadBytes,
+		dep:          dep,
+		net:          net,
+		traj:         traj,
+		frames:       make([][]byte, opts.Devices),
+		devices:      make([]*Device, opts.Devices),
 	}
-
-	// Association: power rule, then power-aware allocation.
-	ids := make([]uint8, opts.Devices)
-	snrs := make([]float64, opts.Devices)
-	gains := make([]float64, opts.Devices)
-	pcs := make([]*mac.PowerController, opts.Devices)
-	for i := 0; i < opts.Devices; i++ {
-		ids[i] = uint8(i)
-		gain := 0.0
-		if !opts.DisablePowerControl {
-			pcs[i] = mac.NewPowerController()
-			gain = pcs[i].AssociateGainDB(dep.Devices[i].DownlinkRSSIdBm)
-		}
-		gains[i] = gain
-		snrs[i] = dep.Devices[i].UplinkSNRdB + gain
+	for i, d := range dep.Devices {
+		n.devices[i] = &Device{Index: i, SNRdB: d.UplinkSNRdB, Position: d.Pos, DownlinkRSSIdBm: d.DownlinkRSSIdBm}
 	}
-	alloc := mac.NewDataOnlyAllocator(book)
-	assign := alloc.AssignAll(ids, snrs)
-
-	for i := 0; i < opts.Devices; i++ {
-		slot := assign[uint8(i)]
-		shift := book.ShiftOfSlot(slot)
-		dev := &Device{
-			Index:           i,
-			Shift:           shift,
-			Slot:            slot,
-			SNRdB:           dep.Devices[i].UplinkSNRdB,
-			GainDB:          gains[i],
-			Position:        dep.Devices[i].Pos,
-			DownlinkRSSIdBm: dep.Devices[i].DownlinkRSSIdBm,
-			enc:             core.NewEncoder(cp, shift),
-			osc:             radio.NewBackscatterOscillator(rng, 20, 50),
-			pc:              pcs[i],
-		}
-		if opts.Fading {
-			dev.fader = radio.NewFadingProcess(10, 0.97, rng.Fork())
-		}
-		n.devices = append(n.devices, dev)
-	}
+	n.refresh()
 	return n, nil
+}
+
+// refresh copies each device's slot, shift and gain out of the engine,
+// which may re-associate a device or move its gain on any round.
+func (n *Network) refresh() {
+	for i, dev := range n.devices {
+		dev.Slot, dev.Shift, dev.GainDB = n.net.Assignment(i)
+	}
 }
 
 // Devices returns the network's tags.
@@ -235,7 +200,7 @@ type Round struct {
 	// (CRC-checked). Devices that failed to decode are absent.
 	Payloads map[int][]byte
 	// Detected lists whether each transmitting device's preamble was
-	// found.
+	// found. Devices the power rule sat out are absent.
 	Detected map[int]bool
 	// Duration is the round's on-air time in seconds (query + shared
 	// preamble + payload).
@@ -246,97 +211,59 @@ type Round struct {
 }
 
 // Run executes one concurrent round: every device with an entry in
-// payloads transmits simultaneously; the AP decodes them all from one
-// received stream. All payloads must share a length.
+// payloads transmits simultaneously, unless the power rule sits it out;
+// the AP decodes them all from one received stream. Every payload must
+// be Options.PayloadBytes long.
 func (n *Network) Run(payloads map[int][]byte) (*Round, error) {
 	if len(payloads) == 0 {
 		return nil, fmt.Errorf("netscatter: no payloads")
 	}
-	size := -1
 	for idx, pl := range payloads {
 		if idx < 0 || idx >= len(n.devices) {
 			return nil, fmt.Errorf("netscatter: device index %d out of range", idx)
 		}
-		if size == -1 {
-			size = len(pl)
-		} else if len(pl) != size {
-			return nil, fmt.Errorf("netscatter: payload sizes differ (%d vs %d)", size, len(pl))
+		if len(pl) != n.payloadBytes {
+			return nil, fmt.Errorf("netscatter: device %d payload is %d bytes, want Options.PayloadBytes %d", idx, len(pl), n.payloadBytes)
 		}
 	}
-	payloadBits := size*8 + core.CRCBits
-	frameSymbols := core.PreambleSymbols + payloadBits
-
-	var txs []air.Transmission
-	var shifts []int
-	var idxs []int
-	for idx := 0; idx < len(n.devices); idx++ {
-		pl, ok := payloads[idx]
-		if !ok {
-			continue
-		}
-		dev := n.devices[idx]
-		var fade complex128
-		fadeDB := 0.0
-		if dev.fader != nil {
-			fade = dev.fader.Step()
-			fadeDB = radio.LinearToDB(real(fade)*real(fade) + imag(fade)*imag(fade))
-		}
-		// Zero-overhead power adaptation (§3.2.3): the channel is
-		// reciprocal, so the query's envelope-detector RSSI moves with
-		// the same fading the uplink sees; the device counter-steers
-		// its backscatter gain.
-		if dev.pc != nil {
-			if gain, participate := dev.pc.Adjust(dev.DownlinkRSSIdBm + fadeDB); participate {
-				dev.GainDB = gain
-			} else {
-				continue // sit the round out rather than transmit badly
-			}
-		}
-		enc := dev.enc
-		bits := core.FrameBits(pl)
-		txs = append(txs, air.Transmission{
-			Mixed: func(dst []complex128, frac, freqHz float64, gain complex128) []complex128 {
-				return enc.FrameBitsWaveformMixedInto(dst, bits, frac, freqHz, gain)
-			},
-			SNRdB:        dev.SNRdB + dev.GainDB,
-			DelaySec:     hw.DefaultDelayModel.Draw(n.rng) + hw.PropagationDelaySec(dev.Position.Distance(n.dep.Plan.AP)),
-			FreqOffsetHz: dev.osc.PacketOffsetHz(n.rng),
-			FadeGain:     fade,
-		})
-		shifts = append(shifts, dev.Shift)
-		idxs = append(idxs, idx)
+	for idx, pl := range payloads {
+		n.frames[idx] = pl
 	}
-
-	ch := air.NewChannel(n.cp, n.rng)
-	sig := ch.Receive(ch.FrameLength(frameSymbols, 2), txs)
-	res, err := n.decoder.DecodeFrame(sig, 0, shifts, payloadBits)
+	stats, err := n.traj.StepFrames(n.frames)
+	clear(n.frames)
 	if err != nil {
 		return nil, err
 	}
 
-	t := radio.DefaultASK
 	round := &Round{
-		Payloads: map[int][]byte{},
-		Detected: map[int]bool{},
-		Duration: t.Duration(32) + float64(frameSymbols)*n.cp.SymbolPeriod(),
-		FFTs:     res.FFTs,
+		Payloads: make(map[int][]byte, len(payloads)),
+		Detected: make(map[int]bool, len(payloads)),
+		Duration: stats.Combined.RoundSecs,
 	}
-	for i, dev := range res.Devices {
-		idx := idxs[i]
-		round.Detected[idx] = dev.Detected
-		if dev.CRCOK {
-			// The decode result aliases decoder arenas reused by the next
-			// Run; the Round escapes to the caller, so copy.
-			round.Payloads[idx] = append([]byte(nil), dev.Payload...)
+	// Decodes alias engine arenas reused by the next Run: copy delivered
+	// payloads into one allocation, each capped so appends stay its own.
+	copies := make([]byte, 0, len(payloads)*n.payloadBytes)
+	for idx := range payloads {
+		dec, sent, ffts := n.traj.Outcome(idx)
+		round.FFTs = ffts
+		if !sent {
+			continue
+		}
+		round.Detected[idx] = dec.Detected
+		if dec.CRCOK {
+			at := len(copies)
+			copies = append(copies, dec.Payload...)
+			round.Payloads[idx] = copies[at:len(copies):len(copies)]
 		}
 	}
+	n.refresh()
 	return round, nil
 }
 
 // AggregateThroughput returns the ideal aggregate network throughput in
 // bits/s: Devices·BW/2^SF (§3.1: the whole bandwidth).
 func (n *Network) AggregateThroughput() float64 {
-	return float64(len(n.devices)) * n.cp.OOKBitRate()
+	return float64(len(n.devices)) * n.params.DeviceBitRate()
 }
 
 // SNRSpread returns the deployment's max-min uplink SNR spread in dB.

@@ -2,9 +2,13 @@ package netscatter
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"netscatter/internal/deploy"
 )
 
 func TestDefaultParams(t *testing.T) {
@@ -18,7 +22,7 @@ func TestDefaultParams(t *testing.T) {
 }
 
 func TestNetworkRoundTrip(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 24, Seed: 1})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 24, Seed: 1, PayloadBytes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +49,7 @@ func TestNetworkRoundTrip(t *testing.T) {
 }
 
 func TestNetworkPartialRound(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 2})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 2, PayloadBytes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +102,160 @@ func TestNetworkValidation(t *testing.T) {
 	if _, err := net.Run(map[int][]byte{0: {1}, 1: {1, 2}}); err == nil {
 		t.Error("mismatched payload sizes accepted")
 	}
+	if _, err := net.Run(map[int][]byte{0: nil}); err == nil {
+		t.Error("nil payload accepted")
+	}
+	if _, err := net.Run(map[int][]byte{0: {1, 2, 3, 4}, 1: {1, 2, 3, 4, 5}}); err == nil {
+		t.Error("payload shorter than Options.PayloadBytes accepted")
+	}
+	if _, err := net.Run(map[int][]byte{0: {1, 2, 3, 4, 5, 6}}); err == nil {
+		t.Error("payload longer than Options.PayloadBytes accepted")
+	}
+	if _, err := NewNetwork(DefaultParams(), Options{Devices: 4, PayloadBytes: -1}); err == nil {
+		t.Error("negative PayloadBytes accepted")
+	}
+}
+
+// runPayloads is round r's traffic for an n-device network: every
+// device whose index is a multiple of every sends size bytes.
+func runPayloads(n, size, every, r int) map[int][]byte {
+	payloads := make(map[int][]byte, n)
+	for i := 0; i < n; i += every {
+		pl := make([]byte, size)
+		for j := range pl {
+			pl[j] = byte(r*31 + i*7 + j)
+		}
+		payloads[i] = pl
+	}
+	return payloads
+}
+
+// TestNetworkRunAcrossGOMAXPROCS: the facade steps the pooled round
+// engine, so the same network and payloads must give identical Rounds
+// and device states at any GOMAXPROCS, with and without fading. Under
+// fading the power rule moves some device's gain, and Devices() shows
+// it; on static channels no gain moves.
+func TestNetworkRunAcrossGOMAXPROCS(t *testing.T) {
+	const devices, rounds = 32, 4
+	type out struct {
+		rounds  []Round
+		devices [][]Device // before the first round, then after each
+	}
+	snapshot := func(net *Network) []Device {
+		var devs []Device
+		for _, d := range net.Devices() {
+			devs = append(devs, *d)
+		}
+		return devs
+	}
+	run := func(procs int, fading bool) out {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		net, err := NewNetwork(DefaultParams(), Options{Devices: devices, Seed: 9, Fading: fading})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := out{devices: [][]Device{snapshot(net)}}
+		for r := 0; r < rounds; r++ {
+			round, err := net.Run(runPayloads(devices, 5, 1+r%2, r))
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.rounds = append(o.rounds, *round)
+			o.devices = append(o.devices, snapshot(net))
+		}
+		return o
+	}
+	for _, fading := range []bool{false, true} {
+		want := run(1, fading)
+		moved := false
+		for _, devs := range want.devices[1:] {
+			for i, d := range devs {
+				moved = moved || d.GainDB != want.devices[0][i].GainDB
+			}
+		}
+		if moved != fading {
+			t.Fatalf("fading=%v: device gains moved=%v", fading, moved)
+		}
+		for _, procs := range []int{2, 4} {
+			got := run(procs, fading)
+			if !reflect.DeepEqual(got.rounds, want.rounds) {
+				t.Fatalf("fading=%v GOMAXPROCS=%d: rounds diverge", fading, procs)
+			}
+			if !reflect.DeepEqual(got.devices, want.devices) {
+				t.Fatalf("fading=%v GOMAXPROCS=%d: device states diverge", fading, procs)
+			}
+		}
+	}
+}
+
+// TestNetworkOfficeAP: a custom floor plan's AP point is where the
+// engine's one AP sits, so each device's engine link is the one its
+// Device fields describe.
+func TestNetworkOfficeAP(t *testing.T) {
+	plan := deploy.DefaultOffice
+	plan.AP = deploy.Point{X: 8, Y: 6}
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 4, Office: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(net.dep.APs) != 1 || net.dep.APs[0] != plan.AP {
+		t.Fatalf("engine APs at %v, want the plan's %v", net.dep.APs, plan.AP)
+	}
+	for i, dev := range net.Devices() {
+		link := net.dep.Devices[i].APLinks[0]
+		if link.UplinkSNRdB != dev.SNRdB || link.DownlinkRSSIdBm != dev.DownlinkRSSIdBm {
+			t.Fatalf("device %d: engine link %+v, device %+v", i, link, *dev)
+		}
+	}
+	round, err := net.Run(runPayloads(16, 5, 1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An off-centre AP widens the near-far spread; the round must still
+	// run and deliver most frames.
+	if len(round.Payloads) < 8 {
+		t.Fatalf("only %d/16 payloads decoded", len(round.Payloads))
+	}
+}
+
+// TestNetworkRunAllocs gates the facade round's allocations: with both
+// maps pre-sized, a 64-device Run allocates the Round, the maps' tables
+// and the delivered payloads' copies — at most len(Payloads)+8 objects
+// — and nothing per device in the engine.
+func TestNetworkRunAllocs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	const devices = 64
+	net, err := NewNetwork(DefaultParams(), Options{Devices: devices, Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := runPayloads(devices, 5, 1, 0)
+	for range 2 {
+		if _, err := net.Run(payloads); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < 5; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		round, err := net.Run(payloads)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := after.Mallocs - before.Mallocs
+		t.Logf("round %d: %d allocations, %d payloads delivered", r, allocs, len(round.Payloads))
+		if bound := uint64(len(round.Payloads) + 8); allocs > bound {
+			t.Fatalf("round %d: Run made %d allocations, want at most %d", r, allocs, bound)
+		}
+	}
 }
 
 func TestNetworkDeterministic(t *testing.T) {
 	run := func() map[int][]byte {
-		net, err := NewNetwork(DefaultParams(), Options{Devices: 8, Seed: 77})
+		net, err := NewNetwork(DefaultParams(), Options{Devices: 8, Seed: 77, PayloadBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +281,7 @@ func TestNetworkDeterministic(t *testing.T) {
 }
 
 func TestNetworkQuickPayloads(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 4, Seed: 5})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 4, Seed: 5, PayloadBytes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +313,7 @@ func TestAggregateThroughputScalesWithBandwidth(t *testing.T) {
 }
 
 func TestFadingNetworkStillDecodes(t *testing.T) {
-	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 8, Fading: true})
+	net, err := NewNetwork(DefaultParams(), Options{Devices: 16, Seed: 8, PayloadBytes: 2, Fading: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,9 +131,13 @@ echo "== race: concurrent paths =="
 # on the caller, and Nested the pool's nested calls sharing one token
 # budget. The Fig. 17 sweep builds its one-AP networks
 # concurrently over one deployment, so TestFig17Shape fails here if
-# that deployment is left unplaced before the fan-out.
+# that deployment is left unplaced before the fan-out. The public
+# facade steps the same pooled engine, so its TestNetwork* tests (the
+# GOMAXPROCS 1/2/4 sweep of TestNetworkRunAcrossGOMAXPROCS among them)
+# run raced too.
 go test -race -count=1 -run 'Concurrent|Parallel|Race|Mixed|Tiled|Stream|MultiAP|MultiChannel|Trajectory|Churn|Dropout|Soft|Emit|Fair|Accumulator|MatchesScalar|ZeroAlloc|SIMDMatches|BinPlan|Pruned|StageKernels|WindowedSum|Scratch|AxpyMulti|Fused|Schedule|Lanes|BlockEnd|Panic|Nested' ./internal/sim ./internal/core ./internal/air ./internal/pool ./internal/dsp ./internal/radio ./internal/chirp ./internal/synth
 go test -race -count=1 -run 'TestFig17Shape' ./internal/exper
+go test -race -count=1 -run '^TestNetwork' .
 
 echo "== campaign: unit + resume + race =="
 # The declarative campaign runner: spec expansion, shard-order
