@@ -111,6 +111,10 @@ type Channel struct {
 // at any GOMAXPROCS.
 const tileSamples = 4096
 
+// Tiles returns how many tiles partition a receive buffer of length
+// samples.
+func Tiles(length int) int { return (length + tileSamples - 1) / tileSamples }
+
 // NewChannel returns a unit-noise channel.
 func NewChannel(p chirp.Params, rng *dsp.Rand) *Channel {
 	return &Channel{Params: p, NoisePower: 1, Rng: rng}

@@ -117,10 +117,11 @@ type MultiChannel struct {
 	nAPs int
 
 	// Reused per-call state: per-(device, AP) scales, the shared base
-	// template arena (one 2N slot per device, synthesized once), the
-	// per-AP scaled template arena (k·nTx slots), placements, the
-	// per-device frame schedules, and the persistent workers with the
-	// in-flight call state they read.
+	// template arena (one 2N slot per device, synthesized once and
+	// scaled in place into the last AP's copy), the arena of the other
+	// APs' scaled copies ((k−1)·nTx slots), placements, the per-device
+	// frame schedules, and the persistent workers with the in-flight
+	// call state they read.
 	scales    []complex128
 	baseArena []complex128
 	base      [][]complex128
@@ -219,8 +220,10 @@ func (mc *MultiChannel) Prepare(outs [][]complex128, txs []MultiTransmission) {
 	if cap(mc.baseArena) < nTx*n2 {
 		mc.baseArena = make([]complex128, nTx*n2)
 	}
-	if cap(mc.apArena) < k*nTx*n2 {
-		mc.apArena = make([]complex128, k*nTx*n2)
+	if cap(mc.apArena) < (k-1)*nTx*n2 {
+		mc.apArena = make([]complex128, (k-1)*nTx*n2)
+	}
+	if cap(mc.apTmpls) < k*nTx {
 		mc.apTmpls = make([][]complex128, k*nTx)
 	}
 	mc.txAt = mc.txAt[:nTx]
@@ -242,12 +245,14 @@ func (mc *MultiChannel) Prepare(outs [][]complex128, txs []MultiTransmission) {
 		if tx.contributes() && len(tx.SNRdB) < k {
 			panic(fmt.Sprintf("air: transmission %d has %d per-AP SNRs for %d APs", i, len(tx.SNRdB), k))
 		}
-		for a := 0; a < k; a++ {
+		for a := 0; a < k-1; a++ {
 			slot := a*nTx + i
 			mc.apTmpls[slot] = mc.apArena[slot*n2 : slot*n2 : (slot+1)*n2]
-			if !tx.contributes() {
-				continue // consumes no randomness, like Channel
-			}
+		}
+		if !tx.contributes() {
+			continue // consumes no randomness, like Channel
+		}
+		for a := 0; a < k; a++ {
 			mc.scales[i*k+a] = carrierGain(tx.SNRdB[a], tx.FadeGain, tx.FixedPhase, mc.Rng)
 		}
 	}
@@ -260,7 +265,7 @@ func (mc *MultiChannel) Prepare(outs [][]complex128, txs []MultiTransmission) {
 	mc.syn = synth.For(mc.Params)
 	mc.curTxs = txs
 	mc.curOuts = outs
-	mc.nTiles = (len(outs[0]) + tileSamples - 1) / tileSamples
+	mc.nTiles = Tiles(len(outs[0]))
 	pool.ForEach(nTx, mc.tmplWorker)
 }
 
@@ -288,8 +293,9 @@ func (mc *MultiChannel) noiseGroups() int {
 
 // tmplOne synthesizes device i's base template symbols (fractional
 // delay and frequency offset folded in, unit gain) — the round's only
-// synthesis call for the device — scales the k per-AP copies, and
-// fills the device's frame schedule when it has one.
+// synthesis call for the device — scales the k per-AP copies, the last
+// AP's in place over the base, and fills the device's frame schedule
+// when it has one.
 func (mc *MultiChannel) tmplOne(i int) {
 	tx := &mc.curTxs[i]
 	if !tx.contributes() {
@@ -301,10 +307,12 @@ func (mc *MultiChannel) tmplOne(i int) {
 		tx.MixedSchedule(&mc.scheds[i], mc.txAt[i], mc.txFrac[i], tx.FreqOffsetHz)
 	}
 	mc.base[i] = tx.MixedTmpl(mc.base[i], mc.txFrac[i], tx.FreqOffsetHz, 1)
-	for a := 0; a < k; a++ {
+	for a := 0; a < k-1; a++ {
 		slot := a*nTx + i
 		mc.apTmpls[slot] = ScaleTemplate(mc.apTmpls[slot], mc.base[i], mc.scales[i*k+a])
 	}
+	dsp.ScaleInto(mc.base[i], mc.base[i], mc.scales[i*k+k-1])
+	mc.apTmpls[(k-1)*nTx+i] = mc.base[i]
 }
 
 // tileOne builds tile t of AP a's buffer in the in-flight receive:

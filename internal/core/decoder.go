@@ -185,28 +185,36 @@ type Decoder struct {
 	payload []byte    // candidate-major CRC-stripped payload bytes
 
 	// preItem and payItem are the persistent pool items of a signal
-	// decode (preBatch, payBatch), and the cur fields the in-flight
-	// call state they read; fresh closures per DecodeFrame would put
-	// heap allocations back on the steady-state path. curPre is the
-	// arena the preamble batches write spectra into: borrowed rows on
-	// DecodeFrame, the caller's emit arena on DecodeFrameEmit.
-	// curEmitPay, non-nil only during DecodeFrameEmit, is the emit
-	// arena's payload section.
-	preItem, payItem                        func(batch int)
+	// decode's symbol batches (preBatch, payBatch), foldItem and
+	// finishItem those of every decode's candidate ranges (foldBatch,
+	// finishBatch), and the cur fields the in-flight call state they
+	// read; fresh closures per DecodeFrame would put heap allocations
+	// back on the steady-state path. curPre is the arena the preamble
+	// batches write spectra into: borrowed rows on DecodeFrame, the
+	// caller's emit arena on DecodeFrameEmit. curEmitPay, non-nil only
+	// during DecodeFrameEmit, is the emit arena's payload section.
+	preItem, payItem, foldItem, finishItem  func(batch int)
 	curSig                                  []complex128
 	curStart                                int
 	curPayStart, curHalfIdx, curPayloadBits int
 	curPre, curEmitPay                      []float64
+	curShifts                               []int
+	curNoise                                float64
 }
 
-// Symbol-batch sizing for the pooled decode: a pool item is a whole run
-// of symbols, not a single symbol, so each item amortizes one planar
+// Batch sizing for the pooled decode: a pool item is a whole run of
+// symbols, not a single symbol, so each item amortizes one planar
 // batch pass (dechirp + pruned FFT + scan) and the pool's per-item
 // overhead. The preamble is only six symbols, so its batches are small
 // to keep some fan-out; payload batches are long enough for full tiles.
+// The per-candidate steps (the preamble fold, the OOK threshold and CRC)
+// run over candidate ranges of candBatch: a few microseconds each, 16
+// items at 256 candidates, and one item, run inline, for the service's
+// small tenants.
 const (
 	preBatchSymbols = 2
 	payBatchSymbols = 8
+	candBatch       = 16
 )
 
 // NewDecoder builds a decoder over a code book.
@@ -221,6 +229,8 @@ func NewDecoder(book *CodeBook, cfg DecoderConfig) *Decoder {
 	}
 	d.preItem = d.preBatch
 	d.payItem = d.payBatch
+	d.foldItem = d.foldBatch
+	d.finishItem = d.finishBatch
 	return d
 }
 
@@ -251,11 +261,12 @@ func (d *Decoder) Demodulator() *chirp.Demodulator { return d.dem }
 // powers are written straight into the decoder's candidate-major power
 // arena without materializing per-symbol spectra. Transforms and power
 // passes only produce the candidate set's window plan (WindowPlan).
-// The symbol batches are pool items writing disjoint slices of the
-// arenas; everything that determines the outcome (the noise reduction,
-// thresholds, CRC, ghost rejection) runs serially in a fixed order. So
-// the output is the same at any GOMAXPROCS, and bit-identical to the
-// single-symbol path the tests keep as the oracle (DecodeFrameOracle in
+// The symbol batches, and the candidate ranges of the preamble fold and
+// of the thresholds and CRC, are pool items writing disjoint slices of
+// the arenas; what couples symbols or candidates (the noise reduction,
+// ghost rejection) runs serially in a fixed order. So the output is the
+// same at any GOMAXPROCS, and bit-identical to the single-symbol,
+// whole-set path the tests keep as the oracle (DecodeFrameOracle in
 // oracle_test.go).
 func (d *Decoder) DecodeFrame(sig []complex128, start int, shifts []int, payloadBits int) (*FrameDecode, error) {
 	return d.decodeSignal(sig, start, shifts, payloadBits, nil)
@@ -276,11 +287,11 @@ func (d *Decoder) decodeSignal(sig []complex128, start int, shifts []int, payloa
 
 	// Pass 1: preamble upchirps — spectra into the preamble rows and
 	// per-symbol noise estimates, one symbol batch per pool item, then
-	// the noise reduction in symbol order, candidate statistics and
-	// detection.
+	// the noise reduction in symbol order, and candidate statistics and
+	// detection, one candidate range per pool item.
 	pool.ForEach(batchCount(PreambleUpSymbols, preBatchSymbols), d.preItem)
 	noise := d.reduceNoise()
-	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.foldPreamble(shifts, noise)
 	d.curPre = nil
 	d.releasePreamble()
 
@@ -296,7 +307,7 @@ func (d *Decoder) decodeSignal(sig []complex128, start int, shifts []int, payloa
 	pool.ForEach(batchCount(payloadBits, payBatchSymbols), d.payItem)
 
 	d.curSig, d.curEmitPay = nil, nil
-	d.finish(noise, payloadBits)
+	d.finishCandidates(noise)
 	d.rejectGhosts(d.devices)
 	return &d.res, nil
 }
@@ -330,6 +341,37 @@ func (d *Decoder) payBatch(batch int) {
 		return
 	}
 	d.dem.ScanBatch(d.curSig, d.curPayStart, lo, hi-lo, d.payCenter, d.curHalfIdx, d.powers, d.curPayloadBits, &d.plan)
+}
+
+// foldPreamble folds the preamble rows into every candidate's
+// statistics and detection (accumPreamble), one candidate range per
+// pool item.
+func (d *Decoder) foldPreamble(shifts []int, noise float64) {
+	d.curShifts, d.curNoise = shifts, noise
+	pool.ForEach(batchCount(len(shifts), candBatch), d.foldItem)
+	d.curShifts = nil
+}
+
+// foldBatch folds one candidate range of the decode in flight.
+func (d *Decoder) foldBatch(batch int) {
+	lo := batch * candBatch
+	hi := min(len(d.curShifts), lo+candBatch)
+	d.accumPreamble(d.preSpec[:], d.curShifts, d.curNoise, lo, hi)
+}
+
+// finishCandidates applies the thresholds and checks the CRC of every
+// candidate of the decode in flight (finish), one candidate range per
+// pool item.
+func (d *Decoder) finishCandidates(noise float64) {
+	d.curNoise = noise
+	pool.ForEach(batchCount(len(d.devices), candBatch), d.finishItem)
+}
+
+// finishBatch finishes one candidate range of the decode in flight.
+func (d *Decoder) finishBatch(batch int) {
+	lo := batch * candBatch
+	hi := min(len(d.devices), lo+candBatch)
+	d.finish(d.curNoise, d.curPayloadBits, lo, hi)
 }
 
 // EmitRows returns the number of spectra rows an emitted-spectra arena
@@ -393,11 +435,12 @@ func (d *Decoder) DecodeFrameSpectra(spectra []float64, nSummed int, shifts []in
 	}
 	bins := d.dem.PaddedBins()
 	d.beginFrame(0, shifts, payloadBits, 0)
+	d.curPayloadBits = payloadBits
 
 	d.preambleRows(spectra)
 	d.preambleNoise(0, PreambleUpSymbols, nSummed)
 	noise := d.reduceNoise()
-	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.foldPreamble(shifts, noise)
 	d.releasePreamble()
 
 	d.preparePayload(payloadBits)
@@ -412,7 +455,7 @@ func (d *Decoder) DecodeFrameSpectra(spectra []float64, nSummed int, shifts []in
 		}
 	}
 
-	d.finish(noise, payloadBits)
+	d.finishCandidates(noise)
 	d.rejectGhosts(d.devices)
 	return &d.res, nil
 }
@@ -530,17 +573,19 @@ func (d *Decoder) preambleNoise(lo, hi, nSummed int) {
 	dsp.ReturnFloat64(buf)
 }
 
-// accumPreamble folds the preamble spectra into per-candidate peak
-// statistics and applies the detection rule. One ScanPeaks pass per
-// symbol serves both the power accumulation and the per-symbol presence
-// test (the noise estimate is already known), where the previous decoder
-// walked every candidate window twice.
-func (d *Decoder) accumPreamble(specs [][]float64, shifts []int, noise float64) {
+// accumPreamble folds the preamble spectra into the peak statistics of
+// candidates [lo, hi) and applies the detection rule. One ScanPeaks pass
+// per symbol serves both the power accumulation and the per-symbol
+// presence test (the noise estimate is already known), where the
+// previous decoder walked every candidate window twice. Calls over
+// disjoint candidate ranges may run concurrently.
+func (d *Decoder) accumPreamble(specs [][]float64, shifts []int, noise float64, lo, hi int) {
 	p := d.book.Params()
 	presentBar := PresentFactor * noise
 	for _, spec := range specs {
-		d.dem.ScanPeaks(spec, shifts, d.cfg.GuardBins, d.scanPow, d.scanAt)
-		for i, s := range shifts {
+		d.dem.ScanPeaks(spec, shifts[lo:hi], d.cfg.GuardBins, d.scanPow[lo:hi], d.scanAt[lo:hi])
+		for i := lo; i < hi; i++ {
+			s := shifts[i]
 			pw := d.scanPow[i]
 			d.sumPower[i] += pw
 			// Accumulate the peak location weighted by power, unwrapped
@@ -553,7 +598,7 @@ func (d *Decoder) accumPreamble(specs [][]float64, shifts []int, noise float64) 
 			}
 		}
 	}
-	for i := range shifts {
+	for i := lo; i < hi; i++ {
 		dev := &d.devices[i]
 		dev.MeanPeakPower = d.sumPower[i] / PreambleUpSymbols
 		rel := 0.0
@@ -564,7 +609,6 @@ func (d *Decoder) accumPreamble(specs [][]float64, shifts []int, noise float64) 
 		dev.Detected = dev.MeanPeakPower > DetectFactor*noise &&
 			d.present[i] >= MinPresent
 	}
-	d.res.NoiseBinPower = noise
 }
 
 // preparePayload computes each detected candidate's padded-spectrum
@@ -591,12 +635,13 @@ func (d *Decoder) trackHalf() int {
 	return int(TrackBins * float64(d.dem.ZeroPad()))
 }
 
-// finish applies each detected device's OOK threshold to its collected
-// payload peak powers and checks the CRC, decoding payload bytes into
-// the payload arena.
-func (d *Decoder) finish(noise float64, payloadBits int) {
+// finish applies the OOK threshold of each detected device among
+// candidates [lo, hi) to its collected payload peak powers and checks
+// the CRC, decoding payload bytes into the payload arena. Calls over
+// disjoint candidate ranges may run concurrently.
+func (d *Decoder) finish(noise float64, payloadBits, lo, hi int) {
 	nBytes := payloadByteCount(payloadBits)
-	for i := range d.devices {
+	for i := lo; i < hi; i++ {
 		dev := &d.devices[i]
 		if !dev.Detected {
 			continue
@@ -630,13 +675,15 @@ func payloadByteCount(payloadBits int) int {
 	return (payloadBits - CRCBits) / 8
 }
 
-// reduceNoise averages the per-symbol noise estimates in symbol order.
+// reduceNoise averages the per-symbol noise estimates in symbol order,
+// records the average as the result's NoiseBinPower and returns it.
 func (d *Decoder) reduceNoise() float64 {
 	var sum float64
 	for _, v := range d.noisePerSym {
 		sum += v
 	}
-	return sum / PreambleUpSymbols
+	d.res.NoiseBinPower = sum / PreambleUpSymbols
+	return d.res.NoiseBinPower
 }
 
 // rejectGhosts demotes side-lobe replicas: detected candidates whose

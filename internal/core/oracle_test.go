@@ -4,7 +4,8 @@ import "netscatter/internal/chirp"
 
 // DecodeFrameOracle is DecodeFrame through the single-symbol pipeline —
 // one chirp.Demodulator.Spectrum and one window scan per symbol, the
-// original per-symbol receiver. It is the bit-exactness oracle for the
+// original per-symbol receiver, with the preamble fold and the
+// thresholds and CRC run once over the whole candidate set. It is the bit-exactness oracle for the
 // batched path: both produce identical FrameDecodes for identical
 // inputs, and the batch kernels are only allowed optimizations that
 // preserve that equality.
@@ -17,7 +18,7 @@ func (d *Decoder) DecodeFrameOracle(sig []complex128, start int, shifts []int, p
 	copy(d.preSpec[:], d.symbolSpectra(sig, start, PreambleUpSymbols))
 	d.preambleNoise(0, PreambleUpSymbols, 1)
 	noise := d.reduceNoise()
-	d.accumPreamble(d.preSpec[:], shifts, noise)
+	d.accumPreamble(d.preSpec[:], shifts, noise, 0, len(shifts))
 	d.releasePreamble()
 
 	d.preparePayload(payloadBits)
@@ -33,7 +34,7 @@ func (d *Decoder) DecodeFrameOracle(sig []complex128, start int, shifts []int, p
 		}
 	}
 
-	d.finish(noise, payloadBits)
+	d.finish(noise, payloadBits, 0, len(shifts))
 	d.rejectGhosts(d.devices)
 	return &d.res, nil
 }

@@ -99,8 +99,12 @@ var sweepProcs = []int{1, 2, 3, 4, 7}
 // checkDecodeAcrossGOMAXPROCS decodes SF-7 frames of 24 devices over
 // SKIP 1, 2 and 4 and four seeds, at every sweepProcs width, and
 // requires DecodeFrame and DecodeFrameEmit to equal DecodeFrameOracle
-// field for field and bit for bit, and every width's emitted rows to
-// equal the inline path's (items fill disjoint rows of one layout).
+// field for field and bit for bit, DecodeFrameSpectra over the emitted
+// rows to equal it too (but for its FFT count of 0), and every width's
+// emitted rows to equal the inline path's (items fill disjoint rows of
+// one layout). 24 candidates make two candidate ranges, a full one and
+// a short one, so a range boundary that drops or repeats a candidate
+// fails against the oracle's one whole-set pass.
 // noiseFloor selects the calibrated floor (N per padded bin, whose
 // window plan prunes the transforms) over the quantile estimate.
 func checkDecodeAcrossGOMAXPROCS(t *testing.T, noiseFloor bool) {
@@ -144,6 +148,17 @@ func checkDecodeAcrossGOMAXPROCS(t *testing.T, noiseFloor bool) {
 					inlineRows = emit
 				} else if !reflect.DeepEqual(emit, inlineRows) {
 					t.Fatalf("skip=%d seed=%d GOMAXPROCS=%d: emitted rows differ from GOMAXPROCS 1", skip, seed, procs)
+				}
+				// The spectra path over the emitted rows runs the same
+				// fold and finish items and performs no transform.
+				res, err = NewDecoder(book, cfg).DecodeFrameSpectra(emit, 1, shifts, bitsLen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSpectra := want
+				wantSpectra.FFTs = 0
+				if err := decodesEqual(wantSpectra, snapshotDecode(res)); err != nil {
+					t.Fatalf("skip=%d seed=%d GOMAXPROCS=%d: DecodeFrameSpectra: %v", skip, seed, procs, err)
 				}
 			}
 		}

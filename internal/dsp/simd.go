@@ -185,7 +185,8 @@ func axpyMultiScalar(dst []complex128, terms []AxpyTerm) {
 // product expansion, so materializing a scaled template and
 // accumulating it with AddInto is bit-identical to accumulating with
 // AxpyInto directly (the superposition oracles rely on this). The
-// slices must have equal length; mismatches panic on both paths.
+// slices must have equal length; mismatches panic on both paths. dst
+// may be src: both bodies read each element before writing it.
 func ScaleInto(dst, src []complex128, c complex128) {
 	if len(src) != len(dst) {
 		panic("dsp: ScaleInto length mismatch")

@@ -20,12 +20,26 @@
 // remain and run inline when none do.
 //
 // Helpers persist. Each helper goroutine is started once, lazily, the
-// first time the tokens held at once outnumber the helpers, and parks on
-// a channel between jobs, so there are never more helpers than tokens
-// ever held at once (GOMAXPROCS−1 at the widest the process has run). A
-// fan-out therefore starts no goroutine in steady state: the runtime's
-// goroutine descriptor, which a fresh go statement allocates whenever
-// the caller's P has none free, stays off the per-round path.
+// first time the tokens held at once outnumber the helpers, so there are
+// never more helpers than tokens ever held at once (GOMAXPROCS−1 at the
+// widest the process has run). A fan-out therefore starts no goroutine
+// in steady state: the runtime's goroutine descriptor, which a fresh go
+// statement allocates whenever the caller's P has none free, stays off
+// the per-round path.
+//
+// Park or poll. A fan-out queues its job once per token it holds. A
+// helper with no job parks and costs nothing, but a parked helper starts
+// a job only once the runtime has woken an idle CPU for it, tens of
+// microseconds after the hand-off on a small virtual machine, and a
+// round pays that at every fan-out. So a round of several fan-outs takes
+// a Hold for its length. While any hold is in force, a helper that
+// finishes a job polls the queue for the next instead of parking, and a
+// caller whose helpers have all picked its job up polls for them to
+// finish instead of parking. Once the last hold is released, helpers
+// poll on for a short linger and then park again. At most
+// min(GOMAXPROCS, NumCPU)−1 helpers poll at once, none on a one-CPU
+// machine. Callers that take no hold, such as the service's one-tile
+// rounds run side by side, find their helpers parked between jobs.
 package pool
 
 import (
@@ -63,14 +77,21 @@ func acquireToken() bool {
 func releaseToken() { inflight.Add(-1) }
 
 // job is one parallel-for call's shared state: the item counter, the
-// body, the WaitGroup the caller waits on, and the first panic any
-// worker recovered. Jobs are recycled through freeJobs, so a call
-// allocates nothing in steady state.
+// body, the hand-off accounting the caller waits on, and the first
+// panic any worker recovered. Jobs are recycled through freeJobs, so a
+// call allocates nothing in steady state.
 type job struct {
 	n    int
 	next atomic.Int64 // next item index to claim
 	fn   func(i int)
-	wg   sync.WaitGroup
+
+	// taken counts the helpers that have picked the job up. left counts
+	// the helpers handed the job that have not finished with it, less
+	// one once the caller waits: whoever brings it to −1 is the last,
+	// and a helper that does so wakes the caller through wake.
+	taken atomic.Int32
+	left  atomic.Int32
+	wake  chan struct{}
 
 	panicMu  sync.Mutex
 	panicked bool
@@ -92,7 +113,7 @@ func getJob() *job {
 	case j := <-freeJobs:
 		return j
 	default:
-		return new(job)
+		return &job{wake: make(chan struct{}, 1)}
 	}
 }
 
@@ -100,22 +121,31 @@ func putJob(j *job) {
 	j.fn = nil
 	j.panicked, j.panicVal = false, nil
 	j.next.Store(0)
+	j.taken.Store(0)
+	j.left.Store(0)
 	select {
 	case freeJobs <- j:
 	default:
 	}
 }
 
-// handoff carries a job to a parked helper, once per token a fan-out
-// holds. Every send is preceded by startHelpers, which leaves at least
-// as many helpers as tokens held, and a helper holds a token only until
-// it has run a job and signalled its caller, so some helper is parked or
-// on its way back to park for every job in flight and a send never
-// blocks for long. The buffer
-// (one slot per CPU, the most helpers the token budget lets run at once
-// on a full-width pool) only spares the caller a rendezvous with a
-// helper that has just finished its previous job.
-var handoff = make(chan *job, runtime.NumCPU())
+// handoff queues jobs for helpers, one entry per token a fan-out holds.
+// Helpers only ever take from it without blocking: a polling helper
+// takes a job the moment it lands, and a parked helper is woken through
+// wakeup to take it. Every hand-off is preceded by startHelpers, which
+// leaves at least as many helpers as tokens held, and a helper holds a
+// token only until it has run a job and signalled its caller, so a
+// queued job is always taken. The buffer is larger than any token
+// budget the repository runs at; a full one only makes the sender wait
+// for a helper to take a job.
+var handoff = make(chan *job, 256)
+
+// wakeup parks the helpers that are not polling: a hand-off that finds
+// fewer helpers polling than it has queued jobs sends one token, and a
+// parked helper that receives it takes what the queue holds. A token
+// that finds the buffer full is dropped: as many helpers are already
+// due to wake and look at the queue.
+var wakeup = make(chan struct{}, runtime.NumCPU())
 
 // helpers counts the helper goroutines started so far; none ever exits.
 var helpers atomic.Int64
@@ -136,18 +166,67 @@ func startHelpers() {
 	}
 }
 
+// handOff queues j for a helper and, unless enough helpers are polling
+// to take the queued jobs, wakes a parked one. queued counts the jobs
+// this fan-out has queued so far, this one included.
+func handOff(j *job, queued int) {
+	startHelpers()
+	j.left.Add(1)
+	handoff <- j
+	if idle.Load() < int64(queued) {
+		select {
+		case wakeup <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // helper runs jobs for the life of the process: it runs each one's
-// items until none remain, then it signals the job's WaitGroup,
-// releases the token the job's caller took for it and parks for the
-// next. Done comes first: it may wake the caller, which takes a while,
-// and while this helper still holds the token no other fan-out can hand
-// it a job it is not yet parked to take. It must not touch a job after
-// Done: the caller recycles it once every helper is done.
+// items until none remain, signals the caller, releases the token the
+// caller took for it and looks for the next job — polling the queue
+// while a hold is in force, parked on wakeup otherwise. Signalling comes
+// first: while this helper still holds the token no other fan-out can
+// queue a job it is not yet looking for. It must not touch a job after
+// signalling: the caller recycles it once every helper is done.
 func helper() {
-	for j := range handoff {
+	for {
+		j := take()
+		if j == nil {
+			<-wakeup
+			continue
+		}
+		j.taken.Add(1)
 		j.runGuarded()
-		j.wg.Done()
+		j.helperDone()
 		releaseToken()
+	}
+}
+
+// helperDone signals that a helper has finished with j, waking the
+// caller if it is already parked waiting for the last helper.
+func (j *job) helperDone() {
+	if j.left.Add(-1) == -1 {
+		j.wake <- struct{}{}
+	}
+}
+
+// wait returns once every helper handed j has finished with it. Under a
+// hold a caller whose helpers have all picked the job up polls for them
+// to finish, yielding now and then, instead of parking: they are
+// running, so they finish within an item's time, and a parked caller
+// would wait for its own wake besides. A caller whose job still sits in
+// the queue, or that runs with no hold in force, parks until the last
+// helper wakes it.
+func (j *job) wait(handed int32) {
+	if holds.Load() > 0 {
+		for spin := 1; j.left.Load() > 0 && j.taken.Load() == handed; spin++ {
+			if spin%pollYield == 0 {
+				runtime.Gosched()
+			}
+		}
+	}
+	if j.left.Add(-1) != -1 {
+		<-j.wake
 	}
 }
 
@@ -195,17 +274,19 @@ func (j *job) run() {
 // once every helper has finished; with several, the first recovered
 // wins.
 func fanOut(j *job, workers int) {
+	var handed int32
 	for w := 1; w < workers; w++ {
 		if !acquireToken() {
 			break
 		}
-		startHelpers()
-		j.wg.Add(1)
-		handoff <- j
+		handed++
+		handOff(j, int(handed))
 	}
 	// The caller runs items too rather than blocking idle.
 	j.runGuarded()
-	j.wg.Wait()
+	if handed > 0 {
+		j.wait(handed)
+	}
 	panicked, val := j.panicked, j.panicVal
 	putJob(j)
 	if panicked {

@@ -388,6 +388,10 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 	if nDevices > len(n.slots) {
 		return MultiRoundStats{}, fmt.Errorf("sim: round with %d devices, network has %d", nDevices, len(n.slots))
 	}
+	if n.holdsPool() {
+		pool.Hold()
+		defer pool.Release()
+	}
 	p := n.cfg.Params
 	payloadBits := n.cfg.PayloadBytes*8 + core.CRCBits
 
@@ -562,6 +566,16 @@ func (n *MultiAPNetwork) runRound(nDevices int, adv *advRound) (MultiRoundStats,
 	}
 	return MultiRoundStats{Combined: combined, Soft: soft, PerAP: rc.perAP}, nil
 }
+
+// holdsPool reports whether a round holds the pool (pool.Hold) from
+// start to end: when its receive buffers span more than one tile. Such
+// a round fans out its templates, tiles, noise groups and decode steps
+// one after another, and the hold keeps the pool's helpers polling
+// between them instead of parking and being woken at each. A one-tile
+// round — every serve-fleet tenant — has too little work per fan-out to
+// repay the polling, and rounds like it run side by side in the
+// service, so it leaves its helpers parked between jobs.
+func (n *MultiAPNetwork) holdsPool() bool { return air.Tiles(len(n.rc.sigs[0])) > 1 }
 
 // apRound is AP a's item of a round's fan-out: fill the AP's receive
 // buffer, then decode it into the AP's own decoder (emitting its

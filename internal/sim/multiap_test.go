@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"netscatter/internal/chirp"
 	"netscatter/internal/simtest"
 )
 
@@ -66,10 +67,12 @@ func TestMultiAPRoundSmallClean(t *testing.T) {
 // aggregation — touches no heap. At GOMAXPROCS=1 the worker pool runs
 // inline. At GOMAXPROCS=2 its helpers really run, and the test counts
 // mallocs itself (testing.AllocsPerRun forces GOMAXPROCS 1): the pool
-// recycles its jobs and its helpers persist, parked between jobs, so a
-// fan-out starts no goroutine and the runtime allocates no goroutine
-// descriptor for it; the bound of 0.1 per round leaves room for a
-// stray runtime allocation and none for per-round state.
+// recycles its jobs and its helpers persist, so a fan-out starts no
+// goroutine and the runtime allocates no goroutine descriptor for it;
+// the round holds the pool, so its helper polls from one fan-out and
+// one round to the next rather than parking; the bound of 0.1 per round
+// leaves room for a stray runtime allocation and none for per-round
+// state.
 func checkRoundZeroAlloc(t *testing.T, k int, soft bool) {
 	t.Helper()
 	for _, procs := range []int{1, 2} {
@@ -108,6 +111,29 @@ func checkRoundZeroAlloc(t *testing.T, k int, soft bool) {
 				t.Fatalf("k=%d soft=%v: steady-state RunRound at GOMAXPROCS 2 allocates %.2f objects/op, want 0", k, soft, perRound)
 			}
 		})
+	}
+}
+
+// TestRoundHoldsPoolOnlyAcrossTiles pins the round's hold rule: a round
+// whose receive buffers fit one tile — serve-fleet's tenant shape, 2
+// devices at SF 6 with 2-byte payloads (2176 samples) — leaves the pool
+// unheld, and the 16-device rounds of checkRoundZeroAlloc (SF 7, 4352
+// samples, two tiles) hold it at every AP count the gates run.
+func TestRoundHoldsPoolOnlyAcrossTiles(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Params = chirp.Params{SF: 6, BW: 500e3, Oversample: 1}
+	cfg.PayloadBytes = 2
+	tenant, err := NewMultiAPNetwork(cfg, simtest.MultiAPDeployment(t, 2, 1, 5), 1, 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tenant.holdsPool() {
+		t.Fatalf("a one-tile round (%d samples) holds the pool", len(tenant.rc.sigs[0]))
+	}
+	for _, k := range []int{1, 2, 4} {
+		if net := testMultiAPNetwork(t, 16, k, 3); !net.holdsPool() {
+			t.Fatalf("k=%d: a %d-sample round does not hold the pool", k, len(net.rc.sigs[0]))
+		}
 	}
 }
 
